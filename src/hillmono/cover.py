@@ -101,12 +101,13 @@ class CoverElement:
         det_tol = max(DET_TOL, 16.0 * np.finfo(float).eps * np.abs(mat).max() ** 2)
         if abs(det - component) > det_tol:
             raise NumericalInvariantError(
-                f"matrix determinant {det!r} is not {component} within {det_tol}")
+                f"matrix determinant {float(det)!r} is not {component} "
+                f"within {float(det_tol)!r}")
         col = mat @ _E2
         mismatch = _principal(math.atan2(col[1], col[0]) - math.pi / 2 - omega)
         if abs(mismatch) > CONGRUENCE_TOL:
             raise NumericalInvariantError(
-                f"winding {omega!r} violates the column-argument congruence "
+                f"winding {float(omega)!r} violates the column-argument congruence "
                 f"by {mismatch:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -525,16 +526,9 @@ def classify(g, tol=CLASSIFY_TOL):
     norm = np.abs(N).max()
     if norm <= tol:
         return Stratum("parabolic_vertex", n, tr)
-    # Leaf sign: det(N v, v) for v outside ker N; pick v = e1 unless N e1 is
-    # negligible relative to N, where noise would decide the sign.
-    if max(abs(N[0, 0]), abs(N[1, 0])) >= 1e-6 * norm:
-        nv = (N[0, 0], N[1, 0])
-        v = (1.0, 0.0)
-    else:
-        nv = (N[0, 1], N[1, 1])
-        v = (0.0, 1.0)
-    det = nv[0] * v[1] - nv[1] * v[0]
-    kind = "parabolic_leaf_plus" if det > 0 else "parabolic_leaf_minus"
+    # For nilpotent N = [[x, y], [z, -x]] the form det(N v, v) is
+    # semidefinite with trace y - z, so its sign off ker N is that of y - z.
+    kind = "parabolic_leaf_plus" if N[0, 1] > N[1, 0] else "parabolic_leaf_minus"
     return Stratum(kind, n, tr)
 
 

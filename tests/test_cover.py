@@ -224,6 +224,10 @@ def test_classify_leaf_signs():
     # The conjugate lower unipotent lands on the same leaf as its class.
     lo = CoverElement([[1.0, 0.0], [-1.0, 1.0]], 0.0)
     assert classify(lo).kind == "parabolic_leaf_plus"
+    # N = M - I as met at a Mathieu spectrum crossing: the first column is
+    # rounding noise of the wrong sign, the leaf is set by N[0, 1].
+    noisy = CoverElement([[1.0, 5.4e-5], [1.1e-8, 1.0]], -math.atan(5.4e-5))
+    assert classify(noisy).kind == "parabolic_leaf_plus"
 
 
 def test_classify_sign_alternates_with_component_index():

@@ -1,12 +1,16 @@
 """Fundamental path integration and the lifted monodromy map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillmono import (
     DomainError,
+    NumericalInvariantError,
     Potential,
     classify,
     integrate,
@@ -67,6 +71,9 @@ def test_path_structure():
     assert np.abs(mid - want).max() < 1e-9
     assert path.theta[0] == 0.0 and path.omega[0] == 0.0
     assert np.all(np.diff(path.theta) > 0)
+    for arr in (path.t, path.mats, path.theta, path.omega):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_rk4_convergence_on_mathieu():
@@ -112,3 +119,77 @@ def test_step_validation():
         integrate(Potential.constant(0.0), steps=8)
     with pytest.raises(DomainError):
         solution_winding(Potential.constant(0.0), 0.0, steps=2)
+
+
+def _rk4_loop(q, steps):
+    """Classical RK4 on the augmented system (Phi, theta, omega), one step at
+    a time in Python floats, on the node and midpoint samples of q."""
+    h = TAU / steps
+    qq = q(np.linspace(0.0, TAU, 2 * steps + 1)).tolist()
+
+    def rate(y, qt):
+        a, b, c, d, _, _ = y
+        return (c, d, qt * a, qt * b, 1.0 / (a * a + b * b),
+                (qt * b * b - d * d) / (b * b + d * d))
+
+    def shifted(y, k, dt):
+        return tuple(v + dt * r for v, r in zip(y, k))
+
+    y = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    path = [y]
+    for i in range(steps):
+        qa, qb, qd = qq[2 * i], qq[2 * i + 1], qq[2 * i + 2]
+        k1 = rate(y, qa)
+        k2 = rate(shifted(y, k1, 0.5 * h), qb)
+        k3 = rate(shifted(y, k2, 0.5 * h), qb)
+        k4 = rate(shifted(y, k3, h), qd)
+        y = tuple(v + h / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                  for v, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4))
+        path.append(y)
+    return np.array(path)
+
+
+_coef = st.floats(-0.5, 0.5)
+
+
+# None of the step counts is a multiple of the scan's block length.
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(_coef, max_size=3), st.lists(_coef, max_size=3), _coef,
+       st.sampled_from([16, 17, 33, 1000, 4097]))
+def test_kernel_matches_stepwise_rk4(cos, sin, const, steps):
+    # Shrink the potential at coarse steps so the Wronskian gate holds.
+    scale = min(1.0, (steps / 128) ** 2)
+    q = Potential.trig_poly([scale * v for v in cos], [scale * v for v in sin],
+                            constant_term=scale * const)
+    path = integrate(q, steps)
+    ref = _rk4_loop(q, steps)
+    mats = path.mats.reshape(-1, 4)
+    assert np.abs(mats - ref[:, :4]).max() <= 1e-12 * np.abs(ref[:, :4]).max()
+    assert np.abs(path.theta - ref[:, 4]).max() <= 1e-10
+    assert np.abs(path.omega - ref[:, 5]).max() <= 1e-10
+
+
+def test_solution_winding_matches_path_omega():
+    q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
+    assert abs(solution_winding(q, math.pi / 2) - integrate(q).omega[-1]) < 1e-12
+
+
+def test_overflow_is_named_without_warnings():
+    # For q = 1e4 the largest entry, sqrt(q) sinh(2 pi sqrt(q)), is finite
+    # but its square is not; for q = 2e4 the entries themselves overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInvariantError,
+                           match=r"overflows; largest finite \|entry\| .* 3\.\d+e\+274"):
+            monodromy(Potential.constant(1e4))
+        for q in (1e4, 2e4):
+            with pytest.raises(NumericalInvariantError, match="overflows"):
+                solution_winding(Potential.constant(q), 0.0)
+
+
+def test_error_messages_print_plain_floats():
+    # 4096 steps are too few for q = -60.1875; the cover element's
+    # congruence gate rejects the result.
+    with pytest.raises(NumericalInvariantError) as info:
+        monodromy(Potential.constant(-60.1875), 4096)
+    assert "np.float64" not in str(info.value)
