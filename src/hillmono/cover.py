@@ -29,12 +29,18 @@ conjugated-triangular chart for the det -1 component. Chart conventions:
     right Iwasawa  diag(sqrt(rho), 1/sqrt(rho)) . [[1,0],[nu/2,1]] . R(theta)
     Cartan         R(alpha) . S,  S symmetric positive definite, det S = 1
 
-The winding of a left Iwasawa element is exactly -theta. Windings of the
-other charts are computed either in closed form (Cartan) or by tracking the
-argument of the e2 column along a straight line in chart coordinates.
+The winding of a left Iwasawa element is exactly -theta, and that of a
+Cartan element follows from the argument of S e2. The other windings come
+from the product in the cover, since lifts of paths multiply pointwise: the
+right Iwasawa and Schur charts are products of a triangular factor and
+rotations. For a fixed matrix m with o = sign det m and a unit vector u at
+angle psi, psi -> arg(m u) - o psi is pi-periodic with variation below pi.
+So m u winds by o dpsi plus the principal remainder of its argument change
+less o dpsi, exactly and without tracking the argument.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -73,6 +79,12 @@ def _principal(x):
     return math.remainder(x, TAU)
 
 
+def _arg_change(start, end, near):
+    """Continuous argument change from start to end that lies within pi of near."""
+    darg = math.atan2(end[1], end[0]) - math.atan2(start[1], start[0])
+    return near + _principal(darg - near)
+
+
 class CoverElement:
     """Group element of the (two-component) universal cover.
 
@@ -95,14 +107,20 @@ class CoverElement:
             raise DomainError("cover element needs a finite 2x2 matrix")
         if component not in (1, -1):
             raise DomainError("component must be +1 or -1")
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         # ad - bc cannot be evaluated better than ~ |mat|^2 eps in doubles,
-        # so the gate is widened for matrices with large entries.
-        det_tol = max(DET_TOL, 16.0 * np.finfo(float).eps * np.abs(mat).max() ** 2)
-        if abs(det - component) > det_tol:
+        # so the gate is widened for matrices with large entries. A matrix
+        # whose largest |entry| is at least 2 is divided by the power of two
+        # at or below it, which rounds as mat does but cannot overflow.
+        largest = float(np.abs(mat).max())
+        scale = math.ldexp(1.0, max(0, math.frexp(largest)[1] - 1))
+        (a, b), (c, d) = (mat / scale).tolist()
+        m = largest / scale
+        det = a * d - b * c
+        det_tol = max(DET_TOL / scale / scale, 16.0 * sys.float_info.epsilon * m * m)
+        if abs(det - component / scale / scale) > det_tol:
             raise NumericalInvariantError(
-                f"matrix determinant {float(det)!r} is not {component} "
-                f"within {float(det_tol)!r}")
+                f"matrix determinant {det * scale * scale!r} is not {component} "
+                f"within {det_tol * scale * scale!r}")
         col = mat @ _E2
         mismatch = _principal(math.atan2(col[1], col[0]) - math.pi / 2 - omega)
         if abs(mismatch) > CONGRUENCE_TOL:
@@ -175,39 +193,6 @@ class CartanTriple(tuple):
     y = property(lambda self: self[2])
 
 
-def _track_arg(vec_fn, sweep_hint=0.0):
-    """Total variation of arg(vec_fn(s)) for s in [0, 1].
-
-    vec_fn must be continuous and nonvanishing. The initial subdivision is
-    sized from sweep_hint (an upper estimate of the sweep in radians) and
-    each accepted step is required to move the argument by less than pi/2,
-    halving on violation.
-    """
-    n0 = max(8, int(4.0 * abs(sweep_hint) / math.pi) + 8)
-    x, y = vec_fn(0.0)
-    a = math.atan2(y, x)
-    total = 0.0
-    s = 0.0
-    ds = 1.0 / n0
-    while s < 1.0:
-        step = min(ds, 1.0 - s)
-        while True:
-            x, y = vec_fn(s + step)
-            b = math.atan2(y, x)
-            d = _principal(b - a)
-            if abs(d) < math.pi / 2:
-                break
-            step *= 0.5
-            if step < 1e-13:
-                raise NumericalInvariantError(
-                    "argument tracking failed to resolve the winding")
-        total += d
-        a = b
-        s += step
-        ds = min(1.0 / n0, 2.0 * step)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Left Iwasawa chart
 # ---------------------------------------------------------------------------
@@ -246,29 +231,15 @@ def to_left_iwasawa(g):
 # Right Iwasawa chart
 # ---------------------------------------------------------------------------
 
-def _right_iwasawa_mat(theta, rho, nu):
-    sr = math.sqrt(rho)
-    lower = np.array([[sr, 0.0], [0.5 * nu / sr, 1.0 / sr]])
-    return lower @ rotation(theta)
-
-
 def from_right_iwasawa(theta, rho, nu):
     """Element with right Iwasawa coordinates (theta, rho, nu).
 
-    The winding is tracked along the straight segment from (0, 1, 0) to the
-    target coordinates.
+    The winding is that of the straight segment from (0, 1, 0) to the target
+    coordinates, the product of the lifts of the triangular factor and the
+    rotation.
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-
-    def e2_image(s):
-        st, ct = math.sin(s * theta), math.cos(s * theta)
-        rs = 1.0 + s * (rho - 1.0)
-        sr = math.sqrt(rs)
-        return sr * st, (0.5 * s * nu * st + ct) / sr
-
-    omega = _track_arg(e2_image, sweep_hint=theta)
-    return CoverElement(_right_iwasawa_mat(theta, rho, nu), omega)
+    return multiply(from_left_iwasawa(0.0, rho, nu),
+                    from_left_iwasawa(theta, 1.0, 0.0))
 
 
 def to_right_iwasawa(g):
@@ -281,11 +252,11 @@ def to_right_iwasawa(g):
     """
     if g.component != 1:
         raise DomainError("right Iwasawa coordinates live on the identity component")
-    a, b = g.mat[0, 0], g.mat[0, 1]
+    (a, b), (c, d) = g.mat.tolist()
     rho = a * a + b * b
     theta0 = math.atan2(b, a)
     ct, st = math.cos(theta0), math.sin(theta0)
-    nu = 2.0 * math.sqrt(rho) * (g.mat[1, 0] * ct + g.mat[1, 1] * st)
+    nu = 2.0 * math.hypot(a, b) * (c * ct + d * st)
     theta_left = -g.omega
     theta = theta0 + TAU * round((theta_left - theta0) / TAU)
     wt, wl = theta / math.pi, theta_left / math.pi
@@ -379,28 +350,19 @@ def from_trace_coords(theta, rho, trace):
     return from_left_iwasawa(theta, rho, nu)
 
 
-def _schur_mat(alpha, lam, nu):
-    middle = np.array([[-1.0 / lam, 0.0], [nu, lam]])
-    rot = rotation(alpha)
-    return rot @ middle @ rot.T
-
-
 def from_schur(alpha, lam, nu):
     """Reflected-component element R(alpha) [[-1/lam, 0], [nu, lam]] R(-alpha).
 
-    lam must be positive. The winding is tracked from the base point
-    reflection() along the straight segment to (alpha, lam, nu); traces equal
-    lam - 1/lam.
+    lam must be positive. The winding is that of the straight segment from
+    the base point reflection() to (alpha, lam, nu): the product of the
+    rotation lifts with the middle factor, whose e2 column stays vertical
+    (winding 0). Traces equal lam - 1/lam.
     """
     if lam <= 0:
         raise DomainError("lam must be positive")
-
-    def e2_image(s):
-        m = _schur_mat(s * alpha, 1.0 + s * (lam - 1.0), s * nu)
-        return m[0, 1], m[1, 1]
-
-    omega = _track_arg(e2_image, sweep_hint=2.0 * alpha)
-    return CoverElement(_schur_mat(alpha, lam, nu), omega, component=-1)
+    middle = CoverElement([[-1.0 / lam, 0.0], [nu, lam]], 0.0, component=-1)
+    return multiply(multiply(from_left_iwasawa(alpha, 1.0, 0.0), middle),
+                    from_left_iwasawa(-alpha, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +373,14 @@ def multiply(g1, g2):
     """Product in the two-component cover.
 
     The winding of the product is g1.omega plus the argument variation of
-    mat1 . gamma2(s) e2, where gamma2 is the canonical left Iwasawa segment
-    from the base point of g2's component to g2. Only the angle coordinate
-    of gamma2 matters for the e2 column, so the path reduces to a rotated
-    unit vector.
+    mat1 . gamma2(s) e2 along a path gamma2 from the base point of g2's
+    component to g2. The column gamma2(s) e2 turns by g2.omega, so the
+    variation lies within pi of sign(det mat1) g2.omega.
     """
-    theta2 = -g2.omega if g2.component == 1 else g2.omega
-    sign = 1.0 if g2.component == 1 else -1.0
     m1 = g1.mat
-
-    def image(s):
-        st, ct = math.sin(s * theta2), math.cos(s * theta2)
-        wx, wy = sign * st, ct
-        return (m1[0, 0] * wx + m1[0, 1] * wy, m1[1, 0] * wx + m1[1, 1] * wy)
-
-    var = _track_arg(image, sweep_hint=theta2)
-    return CoverElement(m1 @ g2.mat, g1.omega + var,
+    mat = m1 @ g2.mat
+    turn = _arg_change(m1[:, 1], mat[:, 1], g1.component * g2.omega)
+    return CoverElement(mat, g1.omega + turn,
                         component=g1.component * g2.component)
 
 
@@ -434,26 +388,18 @@ def arg_variation(g, v):
     """Argument variation of gamma(s) v along g's canonical chart segment.
 
     gamma runs from the base point of g's component to g through the left
-    Iwasawa straight segment; for v = e2 the result is g.omega exactly.
+    Iwasawa straight segment; for v = e2 the result is g.omega exactly. The
+    segment deforms to the rotation, along which v turns as e2 does, by
+    g.omega, followed by the lower triangular factor, which keeps v in its
+    half-plane. So the variation lies within pi of g.omega.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (2,) or not np.any(v):
         raise DomainError("v must be a nonzero 2-vector")
     if abs(v[0]) == 0.0 and v[1] > 0:
         return g.omega
-    theta, rho, nu = to_left_iwasawa(g)
     base = np.eye(2) if g.component == 1 else _REFLECT
-
-    def image(s):
-        rs = 1.0 + s * (rho - 1.0)
-        sr = math.sqrt(rs)
-        st = s * theta
-        lower = np.array([[sr, 0.0], [0.5 * s * nu / sr, 1.0 / sr]])
-        m = base @ rotation(st) @ lower
-        w = m @ v
-        return w[0], w[1]
-
-    return _track_arg(image, sweep_hint=theta)
+    return _arg_change(base @ v, g.mat @ v, g.omega)
 
 
 def winding_exceeds(g, theta):

@@ -1,21 +1,21 @@
 """Fixed-step integration of Hill's equation with winding bookkeeping.
 
 The fundamental matrix solves Phi' = [[0, 1], [q, 0]] Phi, Phi(0) = I, whose
-rows are (v1, v2) and (v1', v2'). Two angle quantities ride along as extra
-ODE components rather than being unwrapped afterwards:
+rows are (v1, v2) and (v1', v2'). Two windings are read off the node
+matrices as continuous arguments:
 
-    theta' = 1 / (v1^2 + v2^2)                 first-row winding, increasing
-    omega' = (q v2^2 - v2'^2) / (v2^2 + v2'^2) second-column winding
+    theta   argument of the first row (v1, v2), increasing
+    omega   argument of the second column (v2, v2')
 
 theta(2 pi) is the right Iwasawa angle of the monodromy; omega(2 pi) is the
 winding that lifts Phi(2 pi) to the universal cover.
 
 The integrator is the classical 4-stage Runge-Kutta scheme with a fixed
-step h. Because the matrix part is linear, step i maps Phi_i to
-Phi_{i+1} = T_i Phi_i and its stages to S_i Phi_i, where T_i and the stage
-factors S_i are closed-form polynomials in h and the three samples qa, qb,
-qd of q at the step's start, midpoint and end. All matrices are held as
-four flat arrays of entries (a, b, c, d) = ([0, 0], [0, 1], [1, 0], [1, 1]).
+step h. Because the system is linear, step i maps Phi_i to
+Phi_{i+1} = T_i Phi_i, where T_i is a closed-form polynomial in h and the
+three samples qa, qb, qd of q at the step's start, midpoint and end. All
+matrices are held as four flat arrays of entries
+(a, b, c, d) = ([0, 0], [0, 1], [1, 0], [1, 1]).
 
 The node path Phi_i = T_{i-1} ... T_0 is a prefix product, evaluated by a
 blocked scan (reduce, then scan; Blelloch 1990): a sequential scan inside
@@ -26,10 +26,14 @@ so the O(h^2) diagonal terms of T are not rounded against 1 at every step;
 at 4096 steps this cuts the round-off in the trace of the monodromy about a
 hundredfold.
 
-The theta and omega increments of each step are the classical Runge-Kutta
-sums of the rates at the stage states S_i Phi_i, so they are exactly the
-Runge-Kutta updates of the augmented system. solution_winding applies the
-omega quadrature to the column Phi_i u0 instead of Phi_i e2.
+Each step's angle is one arctan2 of the cross and dot products of a row or
+column with its image under T_i, written with the entries of T_i - I so
+that nothing cancels. A column x turns by the angle of
+(x ^ (T - I) x, |x|^2 + x . (T - I) x). The first row v, with second row w,
+turns by the angle of (T01 W_i, T00 |v|^2 + T01 v . w), where
+W_i = det Phi_i is the running product of det T. Every step must turn by
+less than pi/2, so the principal value of each angle is the exact
+increment. solution_winding applies the column rule to Phi_i u0.
 """
 
 import math
@@ -48,6 +52,10 @@ MIN_STEPS = 16
 # Consistency bound between the integrated first-row winding and the right
 # Iwasawa angle recovered from the monodromy element.
 THETA_CONSISTENCY_TOL = 1e-6
+
+# Largest angle a row or column may turn by in one step; below it the
+# principal value of the step's angle is its continuous increment.
+STEP_ANGLE_LIMIT = math.pi / 2
 
 # Steps per block of the prefix scan.
 BLOCK = 32
@@ -85,15 +93,6 @@ class MonodromyResult(NamedTuple):
     theta_r: float
 
 
-class _Steps(NamedTuple):
-    """Step data and node path of one integration."""
-
-    h: float
-    qs: tuple  # q at the four stages of each step: (qa, qb, qb, qd)
-    factors: tuple  # entries of S2, S3, S4, see _stage_factors
-    nodes: np.ndarray  # (4, n+1) entries (a, b, c, d) of Phi at the nodes
-
-
 def _sample_q(q, steps):
     tt = np.linspace(0.0, TAU, 2 * steps + 1)
     qq = np.asarray(q(tt), dtype=float)
@@ -112,20 +111,6 @@ def _transfer(qa, qb, qd, h):
     t[2] = h / 6.0 * (qa + 4.0 * qb + qd) + h * h2 / 12.0 * qb * (qa + qd)
     t[3] = h2 / 6.0 * (2.0 * qb + qd) + h4 * qb * qd
     return t
-
-
-def _stage_factors(qa, qb, h):
-    """Entries of S2, S3, S4, the maps from Phi_i to the stage states.
-
-    The first stage state is Phi_i itself.
-    """
-    g = 0.5 * h
-    gqa, gqb = g * qa, g * qb
-    s3a, s3d = 1.0 + g * gqa, 1.0 + g * gqb
-    s4a = 1.0 + h * gqb
-    return ((1.0, g, gqa, 1.0),
-            (s3a, g, gqb, s3d),
-            (s4a, h * s3d, h * qb * s3a, s4a))
 
 
 def _compose(x, y):
@@ -171,54 +156,60 @@ def _overflow(what, nodes):
 
 
 def _propagate(q, steps):
-    """Sample q and compute the node path of the Runge-Kutta scheme."""
+    """Sample q; entries of T - I per step and of Phi at the nodes."""
     steps = int(steps)
     if steps < MIN_STEPS:
         raise DomainError(f"steps must be >= {MIN_STEPS}")
     h = TAU / steps
     qq = _sample_q(q, steps)
-    qa, qb, qd = qq[0:-1:2], qq[1::2], qq[2::2]
+    t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h)
     nodes = np.zeros((4, steps + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes[:, 1:] = _blocked_scan(_transfer(qa, qb, qd, h))
+        nodes[:, 1:] = _blocked_scan(t)
     nodes[[0, 3]] += 1.0
     if not np.all(np.isfinite(nodes)):
         raise _overflow("fundamental matrix entries are not finite", nodes)
-    return _Steps(h, (qa, qb, qb, qd), _stage_factors(qa, qb, h), nodes)
+    return t, nodes
 
 
-def _rk4_sum(rates, h):
-    k1, k2, k3, k4 = rates
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _checked_turns(turns):
+    """The per-step angles, after the gate that makes them exact."""
+    worst = float(np.abs(turns).max())
+    if not worst < STEP_ANGLE_LIMIT:
+        raise NumericalInvariantError(
+            f"angle change {worst:.3e} in one step is not below "
+            f"{STEP_ANGLE_LIMIT:.3e}; increase steps")
+    return turns
 
 
-def _column_increments(s, x, y):
-    """Per-step winding increments of the column (x, y) at the left nodes.
+def _column_turns(t, x, y):
+    """Per-step angles of the columns (x, y) at the left nodes.
 
-    The rate of the counterclockwise argument of (u, u') is
-    (q u^2 - u'^2) / (u^2 + u'^2), taken at the four stage states.
+    The columns are scaled by their larger entry, which cannot overflow.
     """
-    stages = [(x, y)] + [(f00 * x + f01 * y, f10 * x + f11 * y)
-                         for f00, f01, f10, f11 in s.factors]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = [(qv * u * u - up * up) / (u * u + up * up)
-                 for qv, (u, up) in zip(s.qs, stages)]
-        inc = _rk4_sum(rates, s.h)
-    if not np.all(np.isfinite(inc)):
-        raise _overflow("winding rate is not finite", s.nodes)
-    return inc
+    ta, tb, tc, td = t
+    scale = np.maximum(np.abs(x), np.abs(y))
+    x, y = x / scale, y / scale
+    cross = tc * x * x + (td - ta) * x * y - tb * y * y
+    dot = x * x + y * y + x * (ta * x + tb * y) + y * (tc * x + td * y)
+    return _checked_turns(np.arctan2(cross, dot))
 
 
-def _row_increments(s):
-    """Per-step increments of the first-row winding, rate 1 / |v|^2."""
-    a, b, c, d = s.nodes[:, :-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = [1.0 / (a * a + b * b)]
-        for f00, f01, _, _ in s.factors:
-            v1 = f00 * a + f01 * c
-            v2 = f00 * b + f01 * d
-            rates.append(1.0 / (v1 * v1 + v2 * v2))
-    return _rk4_sum(rates, s.h)
+def _row_turns(t, nodes):
+    """Per-step angles of the first rows at the left nodes.
+
+    Both products are divided by the square of the row's larger entry; for
+    a row too long for double precision the angle underflows to zero.
+    """
+    ta, tb, tc, td = t
+    a, b, c, d = nodes[:, :-1]
+    wronskian = np.ones_like(ta)
+    np.cumprod(((1.0 + ta) * (1.0 + td) - tb * tc)[:-1], out=wronskian[1:])
+    scale = np.maximum(np.abs(a), np.abs(b))
+    a, b = a / scale, b / scale
+    cross = tb * (wronskian / scale) / scale
+    dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale
+    return _checked_turns(np.arctan2(cross, dot))
 
 
 def integrate(q, steps=DEFAULT_STEPS):
@@ -231,16 +222,7 @@ def integrate(q, steps=DEFAULT_STEPS):
     steps : int
         Number of fixed Runge-Kutta steps, at least 16.
     """
-    s = _propagate(q, steps)
-    nodes = s.nodes
-    dtheta = _row_increments(s)
-    if not np.all(dtheta > 0.0):
-        # The rates are positive as long as |v|^2 stays finite.
-        raise _overflow("first-row winding is not increasing", nodes)
-    theta = np.concatenate(([0.0], np.cumsum(dtheta)))
-    domega = _column_increments(s, nodes[1, :-1], nodes[3, :-1])
-    omega = np.concatenate(([0.0], np.cumsum(domega)))
-
+    t, nodes = _propagate(q, steps)
     a, b, c, d = nodes
     # Allowance grows with entry size: ad - bc itself rounds at |mat|^2 eps,
     # and is unbounded once |mat|^2 overflows.
@@ -249,20 +231,29 @@ def integrate(q, steps=DEFAULT_STEPS):
         allowed = np.maximum(1e-6, 16.0 * np.finfo(float).eps
                              * np.abs(nodes).max(axis=0) ** 2)
         worst = int(np.argmax(np.abs(dets - 1.0) - allowed))
+        dtheta = _row_turns(t, nodes)
     if abs(dets[worst] - 1.0) > allowed[worst]:
         raise NumericalInvariantError(
             f"Wronskian drift {abs(dets[worst] - 1.0):.3e}; increase steps")
-    t = np.linspace(0.0, TAU, nodes.shape[1])
-    return FundamentalPath(t, nodes, theta, omega)
+    if not np.all(dtheta > 0.0):
+        # With the Wronskian near 1 the angles are positive unless they
+        # underflow on a row whose squared length overflows.
+        raise _overflow("first-row winding is not increasing", nodes)
+    theta = np.concatenate(([0.0], np.cumsum(dtheta)))
+    domega = _column_turns(t, b[:-1], d[:-1])
+    omega = np.concatenate(([0.0], np.cumsum(domega)))
+    times = np.linspace(0.0, TAU, nodes.shape[1])
+    return FundamentalPath(times, nodes, theta, omega)
 
 
 def monodromy(q, steps=DEFAULT_STEPS):
     """Lifted monodromy of the potential together with its right angle.
 
-    Returns a MonodromyResult (element, theta_r). The integrated first-row
-    winding must agree with the right Iwasawa angle recovered from the
-    element, and the element must land in the monodromy image (negative
-    winding, positive right angle); both are verified.
+    Returns a MonodromyResult (element, theta_r). The first-row winding must
+    agree with the right Iwasawa angle recovered from the element, whose
+    2 pi branch is fixed by the column winding, and the element must land
+    in the monodromy image (negative winding, positive right angle); both
+    are verified.
     """
     path = integrate(q, steps)
     element = CoverElement(path.mats[-1], path.omega[-1])
@@ -282,9 +273,9 @@ def solution_winding(q, phi0, steps=DEFAULT_STEPS):
 
     The initial condition is u(0) = cos(phi0), u'(0) = sin(phi0) and the
     returned value is the total variation of the counterclockwise argument
-    of (u(t), u'(t)) over [0, 2 pi], integrated as an ODE component.
+    of (u(t), u'(t)) over [0, 2 pi], read off the node columns Phi_i u0.
     """
-    s = _propagate(q, steps)
-    a, b, c, d = s.nodes[:, :-1]
+    t, nodes = _propagate(q, steps)
+    a, b, c, d = nodes[:, :-1]
     c0, s0 = math.cos(phi0), math.sin(phi0)
-    return float(np.sum(_column_increments(s, a * c0 + b * s0, c * c0 + d * s0)))
+    return float(np.sum(_column_turns(t, a * c0 + b * s0, c * c0 + d * s0)))

@@ -1,14 +1,18 @@
 """Chart algebra and classification on the two-component cover."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillmono import (
     CoverElement,
     DomainError,
     NumericalInvariantError,
+    Potential,
     arg_variation,
     center_power,
     classify,
@@ -21,6 +25,7 @@ from hillmono import (
     from_schur,
     from_trace_coords,
     identity,
+    monodromy,
     multiply,
     reflection,
     rotation,
@@ -29,8 +34,10 @@ from hillmono import (
     to_right_iwasawa,
     winding_exceeds,
 )
+from oracles import left_chart_path, tracked_arg_variation
 
 TAU = math.tau
+E2 = np.array([0.0, 1.0])
 
 
 def random_element(rng, span=3.0):
@@ -74,6 +81,37 @@ def test_determinant_gate():
     mat = np.array([[big, 0.0], [0.0, 1.0 / big]])
     mat[0, 0] *= 1.0 + 1e-12
     CoverElement(mat, 0.0)
+    # Beyond 1e154 the widened tolerance 16 eps |mat|^2 is not a double;
+    # the gate still rejects a determinant that is off by far more.
+    x = 400.0
+    mat = np.array([[math.cosh(x), math.sinh(x)], [math.sinh(x), math.cosh(x)]])
+    CoverElement(mat, -math.pi / 4)
+    mat[1, 1] *= 1.0 + 1e-10
+    with pytest.raises(NumericalInvariantError, match="determinant"):
+        CoverElement(mat, -math.pi / 4)
+    # The widened tolerance is 16 eps |mat|^2 = 3.55e-7 at |mat| = 1e4; an
+    # error of 6e-7 lies below 16 eps times the square of the next power of
+    # two and must still be rejected.
+    with pytest.raises(NumericalInvariantError, match="determinant"):
+        CoverElement([[1e4, 0.0], [0.0, (1.0 + 6e-7) / 1e4]], 0.0)
+    # Tiny entries: the determinant is about 0, not 1.
+    with pytest.raises(NumericalInvariantError, match="determinant"):
+        CoverElement([[1e-200, 0.0], [0.0, 1e-200]], 0.0)
+    # Entries at both ends of the double range.
+    CoverElement([[1e308, 0.0], [0.0, 1e-308]], 0.0)
+    CoverElement([[-1.7e308, 0.0], [0.0, -1.0 / 1.7e308]], math.pi)
+
+
+def test_huge_monodromy_without_warnings():
+    # Entries reach 6.5e155: the determinant gate and the right Iwasawa
+    # coordinates must not square them. theta_r is the argument of the
+    # first row (cosh, sinh / k), read without forming ad - bc.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        element, theta_r = monodromy(Potential.constant(3200.0))
+    k = math.sqrt(3200.0)
+    assert abs(theta_r - math.atan(math.tanh(TAU * k) / k)) < 1e-9
+    assert 1e308 < to_right_iwasawa(element).rho < math.inf
 
 
 def test_left_iwasawa_roundtrip():
@@ -259,3 +297,99 @@ def test_element_from_dict_rejects_bad_input():
         element_from_dict({"omega": 0.0})
     with pytest.raises(DomainError):
         element_from_dict({"m": [1, 0, 0, 1], "omega": 0.0, "component": "x"})
+
+
+# ---------------------------------------------------------------------------
+# Properties of the lift arithmetic
+# ---------------------------------------------------------------------------
+
+_props = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_theta = st.floats(-3.0 * math.pi, 3.0 * math.pi)
+_log_rho = st.floats(-1.5, 1.5)
+_nu = st.floats(-3.0, 3.0)
+_left = st.tuples(_theta, _log_rho, _nu)
+_component = st.sampled_from([1, -1])
+
+
+def _element(coords, component):
+    theta, log_rho, nu = coords
+    g = from_left_iwasawa(theta, math.exp(log_rho), nu)
+    return g if component == 1 else multiply(reflection(), g)
+
+
+def _same(g, h):
+    scale = max(1.0, np.abs(g.mat).max())
+    assert g.component == h.component
+    assert np.abs(g.mat - h.mat).max() <= 1e-12 * scale ** 2
+    assert abs(g.omega - h.omega) <= 1e-9
+
+
+def _chart_path(coords, component):
+    """Left Iwasawa segment from the component's base point to the element."""
+    theta, log_rho, nu = coords
+    at = left_chart_path(theta, math.exp(log_rho), nu)
+    base = np.eye(2) if component == 1 else reflection().mat
+    return lambda s: base @ at(s)
+
+
+@_props
+@given(_left, _component, _left, _component, _left, _component)
+def test_multiply_is_associative(a, ca, b, cb, c, cc):
+    g1, g2, g3 = _element(a, ca), _element(b, cb), _element(c, cc)
+    _same(multiply(multiply(g1, g2), g3), multiply(g1, multiply(g2, g3)))
+
+
+@_props
+@given(_left, _component, st.integers(-3, 3))
+def test_center_power_commutes(a, component, n):
+    # Reflected elements invert the centre: iota^n g = g iota^-n.
+    g = _element(a, component)
+    _same(multiply(center_power(n), g), multiply(g, center_power(component * n)))
+
+
+@_props
+@given(_left, _component, _left, _component)
+def test_multiply_winding_matches_tracking(a, ca, b, cb):
+    g1, g2 = _element(a, ca), _element(b, cb)
+    path = _chart_path(b, cb)
+    want = g1.omega + tracked_arg_variation(lambda s: g1.mat @ path(s) @ E2)
+    assert abs(multiply(g1, g2).omega - want) <= 1e-9
+
+
+@_props
+@given(_left)
+def test_right_iwasawa_winding_matches_tracking(coords):
+    theta, log_rho, nu = coords
+    rho = math.exp(log_rho)
+
+    def e2_image(s):
+        sr = math.sqrt(1.0 + s * (rho - 1.0))
+        lower = np.array([[sr, 0.0], [0.5 * s * nu / sr, 1.0 / sr]])
+        return lower @ rotation(s * theta) @ E2
+
+    want = tracked_arg_variation(e2_image)
+    assert abs(from_right_iwasawa(theta, rho, nu).omega - want) <= 1e-9
+
+
+@_props
+@given(_theta, _log_rho, _nu)
+def test_schur_winding_matches_tracking(alpha, log_lam, nu):
+    lam = math.exp(log_lam)
+
+    def e2_image(s):
+        lam_s = 1.0 + s * (lam - 1.0)
+        middle = np.array([[-1.0 / lam_s, 0.0], [s * nu, lam_s]])
+        return rotation(s * alpha) @ middle @ rotation(-s * alpha) @ E2
+
+    want = tracked_arg_variation(e2_image)
+    assert abs(from_schur(alpha, lam, nu).omega - want) <= 1e-9
+
+
+@_props
+@given(_left, _component, st.floats(0.0, TAU))
+def test_arg_variation_matches_tracking(coords, component, phi):
+    g = _element(coords, component)
+    v = np.array([math.cos(phi), math.sin(phi)])
+    path = _chart_path(coords, component)
+    want = tracked_arg_variation(lambda s: path(s) @ v)
+    assert abs(arg_variation(g, v) - want) <= 1e-9

@@ -122,20 +122,19 @@ def test_step_validation():
 
 
 def _rk4_loop(q, steps):
-    """Classical RK4 on the augmented system (Phi, theta, omega), one step at
-    a time in Python floats, on the node and midpoint samples of q."""
+    """Classical RK4 on Phi' = [[0, 1], [q, 0]] Phi, one step at a time in
+    Python floats, on the node and midpoint samples of q."""
     h = TAU / steps
     qq = q(np.linspace(0.0, TAU, 2 * steps + 1)).tolist()
 
     def rate(y, qt):
-        a, b, c, d, _, _ = y
-        return (c, d, qt * a, qt * b, 1.0 / (a * a + b * b),
-                (qt * b * b - d * d) / (b * b + d * d))
+        a, b, c, d = y
+        return (c, d, qt * a, qt * b)
 
     def shifted(y, k, dt):
         return tuple(v + dt * r for v, r in zip(y, k))
 
-    y = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    y = (1.0, 0.0, 0.0, 1.0)
     path = [y]
     for i in range(steps):
         qa, qb, qd = qq[2 * i], qq[2 * i + 1], qq[2 * i + 2]
@@ -163,10 +162,13 @@ def test_kernel_matches_stepwise_rk4(cos, sin, const, steps):
                             constant_term=scale * const)
     path = integrate(q, steps)
     ref = _rk4_loop(q, steps)
-    mats = path.mats.reshape(-1, 4)
-    assert np.abs(mats - ref[:, :4]).max() <= 1e-12 * np.abs(ref[:, :4]).max()
-    assert np.abs(path.theta - ref[:, 4]).max() <= 1e-10
-    assert np.abs(path.omega - ref[:, 5]).max() <= 1e-10
+    assert np.abs(path.mats.reshape(-1, 4) - ref).max() <= 1e-12 * np.abs(ref).max()
+    # The windings are the unwrapped arguments of the first row and the
+    # second column of the node matrices.
+    theta = np.unwrap(np.arctan2(ref[:, 1], ref[:, 0]))
+    omega = np.unwrap(np.arctan2(ref[:, 3], ref[:, 1]))
+    assert np.abs(path.theta - (theta - theta[0])).max() <= 1e-12
+    assert np.abs(path.omega - (omega - omega[0])).max() <= 1e-12
 
 
 def test_solution_winding_matches_path_omega():
@@ -182,14 +184,43 @@ def test_overflow_is_named_without_warnings():
         with pytest.raises(NumericalInvariantError,
                            match=r"overflows; largest finite \|entry\| .* 3\.\d+e\+274"):
             monodromy(Potential.constant(1e4))
-        for q in (1e4, 2e4):
-            with pytest.raises(NumericalInvariantError, match="overflows"):
-                solution_winding(Potential.constant(q), 0.0)
+        # Column directions need no squared entries: (cosh, k sinh) from e1.
+        k = 100.0
+        want = math.atan(k * math.tanh(TAU * k))
+        assert abs(solution_winding(Potential.constant(k * k), 0.0) - want) < 1e-12
+        with pytest.raises(NumericalInvariantError, match="overflows"):
+            solution_winding(Potential.constant(2e4), 0.0)
 
 
 def test_error_messages_print_plain_floats():
-    # 4096 steps are too few for q = -60.1875; the cover element's
-    # congruence gate rejects the result.
-    with pytest.raises(NumericalInvariantError) as info:
-        monodromy(Potential.constant(-60.1875), 4096)
+    # 4096 steps are too few for q = -400; the cover element's determinant
+    # gate rejects the result.
+    with pytest.raises(NumericalInvariantError, match="determinant") as info:
+        monodromy(Potential.constant(-400.0), 4096)
     assert "np.float64" not in str(info.value)
+
+
+def test_windings_are_exact_at_coarse_steps():
+    # The quadrature of the angle rates used to break the congruence gate
+    # here; the arguments read off the matrices agree across step counts.
+    coarse = monodromy(Potential.constant(-60.1875), 4096)
+    fine = monodromy(Potential.constant(-60.1875), 16384)
+    assert abs(coarse.element.omega - fine.element.omega) < 1e-6
+    assert abs(coarse.theta_r - fine.theta_r) < 1e-6
+    assert np.abs(coarse.element.mat - fine.element.mat).max() < 1e-6
+
+
+def test_step_angle_gate():
+    # Near u' = 0 the column (u, u') of q = -2500 turns at up to 2500 rad
+    # per unit time, far beyond pi/2 per step at 160 steps; the gate names
+    # the angle and the limit. It gives no step count: the first row turns
+    # at W / |v|^2, which no bound on |q| limits.
+    q = Potential.constant(-2500.0)
+    for run in (lambda: integrate(q, 160), lambda: solution_winding(q, 0.0, 160)):
+        with pytest.raises(NumericalInvariantError,
+                           match=r"angle change .* not below 1\.571e\+00; "
+                                 r"increase steps$"):
+            run()
+    # At 16384 steps u = cos(50 t) winds 50 turns clockwise, up to the
+    # Runge-Kutta phase error.
+    assert abs(solution_winding(q, 0.0, 16384) + 50.0 * TAU) < 1e-4

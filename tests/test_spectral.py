@@ -65,6 +65,30 @@ def test_flat_line_spectrum():
     assert s[0] < s[1] <= s[2] < s[3] <= s[4]
 
 
+def test_flat_line_vertices_through_sixteen():
+    # Between the vertices 7 and 8 the scan meets q = -60.1875, whose
+    # windings at 4096 steps must stay inside the congruence gate.
+    records = oscillation_eigenvalues(Potential.constant(0.0),
+                                      Potential.constant(1.0), 16)
+    assert len(records) == 17
+    for k in range(1, 9):
+        for r in records[2 * k - 1:2 * k + 1]:
+            assert r.component == C1Component("vertex", k)
+            assert abs(r.s - k * k) < 1e-6
+
+
+def test_half_period_shift_keeps_mathieu_records():
+    # q0 = -2 cos t is 2 cos t shifted by pi: the same periodic spectrum.
+    plain = oscillation_eigenvalues(Potential.trig_poly([2.0]),
+                                    Potential.constant(1.0), 4)
+    shifted = oscillation_eigenvalues(Potential.trig_poly([-2.0]),
+                                      Potential.constant(1.0), 4)
+    assert len(plain) == len(shifted) == 5
+    for a, b in zip(plain, shifted):
+        assert abs(a.s - b.s) < 1e-9
+        assert a.component == b.component and a.multiplicity == b.multiplicity
+
+
 def test_flat_line_against_fd_oracle():
     oracle = fd_line_eigenvalues(lambda t: np.zeros_like(t),
                                  lambda t: np.ones_like(t), 5, sigma=-1.0)
