@@ -1,8 +1,11 @@
 """Two-point boundary conditions for -v'' + q v = 0 on [0, 2 pi].
 
-Separated conditions constrain the solution direction at each endpoint and
-are parametrized by a pair of angles (theta0, theta2pi). Coupled conditions
-identify the endpoint data through an invertible matrix A, as
+Every problem is decided by the lifted monodromy mu = (Phi(2 pi), omega)
+that integrate.monodromy returns; nothing here integrates. Separated
+conditions constrain the solution direction at each endpoint and are
+parametrized by a pair of angles (theta0, theta2pi); mu fixes the winding
+of the solution, which gives the index. Coupled conditions identify the
+endpoint data through an invertible matrix A, as
 (v, v')(2 pi) = A (v, v')(0). Solvability of the coupled problem reduces to
 a trace identity for M1 = a A^{-1} Phi(2 pi) with a = sqrt(|det A|); the
 lifted product beta = B~ mu, with B~ a distinguished lift of a A^{-1}, is
@@ -13,9 +16,8 @@ import math
 
 import numpy as np
 
-from .cover import CoverElement, classify, multiply
+from .cover import CoverElement, arg_variation, classify, multiply
 from .errors import DomainError, NumericalInvariantError
-from .integrate import DEFAULT_STEPS, integrate, solution_winding
 
 TAU = math.tau
 
@@ -62,36 +64,38 @@ class SeparatedBC:
         return cls(0.0, math.pi)
 
 
-def separated_residual(q, bc, steps=DEFAULT_STEPS):
+def separated_residual(mu, bc):
     """Signed, scale-free defect of the condition at t = 2 pi.
 
-    The solution with direction theta0 at t = 0 is propagated and the
-    component of (u, u')(2 pi) across the target line is returned, divided
-    by the norm of the endpoint state. Zero crossings in a parameter are
-    simple, so the sign is kept for use with bracketing root finders.
+    mu is the lifted monodromy. The endpoint state (u, u')(2 pi) of the
+    solution with direction theta0 at t = 0 is mu.mat applied to that
+    direction; its component across the target line is returned, divided
+    by its norm. Zero crossings in a parameter are simple, so the sign is
+    kept for use with bracketing root finders.
     """
-    end = integrate(q, steps).mats[-1]
-    u = end @ np.array([math.cos(bc.theta0), math.sin(bc.theta0)])
+    u = mu.mat @ np.array([math.cos(bc.theta0), math.sin(bc.theta0)])
     resid = -math.sin(bc.theta2pi) * u[0] + math.cos(bc.theta2pi) * u[1]
     return resid / math.hypot(u[0], u[1])
 
 
-def separated_has_solution(q, bc, tol=BOUNDARY_TOL, steps=DEFAULT_STEPS):
+def separated_has_solution(mu, bc, tol=BOUNDARY_TOL):
     """Whether the separated problem has a nontrivial solution."""
-    return abs(separated_residual(q, bc, steps)) <= tol
+    return abs(separated_residual(mu, bc)) <= tol
 
 
-def separated_index(q, bc, steps=DEFAULT_STEPS):
+def separated_index(mu, bc):
     """Hyperplane index of a solvable separated problem.
 
     The clockwise-positive angle swept by the solution is W =
-    -solution_winding(q, theta0); for a solution of the boundary problem
+    -arg_variation(mu, (cos theta0, sin theta0)): every path to mu in the
+    cover turns a direction by the same angle, so W equals
+    -solution_winding(q, theta0). For a solution of the boundary problem
     W - (theta2pi - theta0) is a multiple of pi and the multiplier is the
     index. The raw count is returned; the ground state of the Neumann
     problem sits at -1 under this labeling while the Dirichlet family
     q = -k^2/4 sits at k.
     """
-    w = -solution_winding(q, bc.theta0, steps)
+    w = -arg_variation(mu, (math.cos(bc.theta0), math.sin(bc.theta0)))
     x = w - (bc.theta2pi - bc.theta0)
     n = round(x / math.pi)
     if abs(x - n * math.pi) > INDEX_RESIDUAL_TOL * math.pi:
@@ -134,34 +138,32 @@ class GeneralBC:
         return (self.a / det) * adj
 
 
-def general_residual(q, bc, steps=DEFAULT_STEPS):
+def general_residual(mu, bc):
     """Signed defect of the trace criterion for the coupled problem.
 
     Returns tr(a A^{-1} Phi(2 pi)) - (a + sign(det A)/a), which vanishes
     exactly when the problem has a nontrivial solution.
     """
-    end = integrate(q, steps).mats[-1]
-    m1 = bc.normalized_inverse() @ end
+    m1 = bc.normalized_inverse() @ mu.mat
     target = bc.a + bc.det_sign / bc.a
     return float(m1[0, 0] + m1[1, 1] - target)
 
 
-def general_has_solution(q, bc, tol=BOUNDARY_TOL, steps=DEFAULT_STEPS):
+def general_has_solution(mu, bc, tol=BOUNDARY_TOL):
     """Whether the coupled problem has a nontrivial solution."""
-    return abs(general_residual(q, bc, steps)) <= tol
+    return abs(general_residual(mu, bc)) <= tol
 
 
-def general_all_solutions(q, bc, tol=BOUNDARY_TOL, steps=DEFAULT_STEPS):
+def general_all_solutions(mu, bc, tol=BOUNDARY_TOL):
     """Whether every solution of the equation satisfies the condition.
 
     This happens exactly when A is unimodular and equals the endpoint
-    matrix Phi(2 pi).
+    matrix Phi(2 pi) of the lifted monodromy mu.
     """
     det = bc.det_sign * bc.a * bc.a
     if abs(det - 1.0) > tol:
         return False
-    end = integrate(q, steps).mats[-1]
-    return bool(np.abs(end - bc.mat).max() <= tol)
+    return bool(np.abs(mu.mat - bc.mat).max() <= tol)
 
 
 def principal_lift(mat):

@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import boundary
-from .cover import CoverElement, classify, element_to_dict
+from .cover import classify, element_from_dict, element_to_dict
 from .errors import DomainError, NumericalInvariantError
-from .integrate import DEFAULT_STEPS, MIN_STEPS, monodromy
+from .integrate import DEFAULT_STEPS, MAX_STEPS, MIN_STEPS, monodromy
 from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
@@ -37,8 +37,9 @@ PLOT_IDENTITY_TOL = 1e-12
 
 def _steps_arg(text):
     steps = int(text)
-    if steps < MIN_STEPS:
-        raise argparse.ArgumentTypeError(f"steps must be >= {MIN_STEPS}")
+    if not MIN_STEPS <= steps <= MAX_STEPS:
+        raise argparse.ArgumentTypeError(
+            f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}]")
     return steps
 
 
@@ -73,21 +74,13 @@ def _stratum_dict(stratum):
 def _load_element(path):
     """Cover element from a file in element or monodromy-output format."""
     data = read_json(path)
-    if not isinstance(data, dict):
-        raise DomainError("element file must hold a JSON object")
-    if "m" not in data and "matrix" in data:
-        mat = data["matrix"]
-        data = dict(data, m=[mat[0][0], mat[0][1], mat[1][0], mat[1][1]])
-    try:
-        raw = data["m"]
-        omega = float(data["omega"])
-        comp = data.get("component", "+")
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise DomainError(f"malformed element file: {exc}") from None
-    if comp not in ("+", "-"):
-        raise DomainError(f"component must be '+' or '-', got {comp!r}")
-    mat = np.array(raw, dtype=float).reshape(2, 2)
-    return CoverElement(mat, omega, component=1 if comp == "+" else -1)
+    if isinstance(data, dict) and "m" not in data and "matrix" in data:
+        try:
+            (a, b), (c, d) = data["matrix"]
+        except (TypeError, ValueError):
+            raise DomainError("field 'matrix' must be [[a, b], [c, d]]") from None
+        data = dict(data, m=[a, b, c, d])
+    return element_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +158,12 @@ def cmd_spectrum(args):
 def cmd_boundary_separated(args):
     q = load_potential(args.potential)
     bc = boundary.SeparatedBC(args.theta0, args.theta2pi)
-    residual = boundary.separated_residual(q, bc, args.steps)
+    mu = monodromy(q, args.steps).element
+    residual = boundary.separated_residual(mu, bc)
     has = abs(residual) <= args.tol
     out = {"has_solution": has, "residual": residual}
     if has:
-        out["index"] = boundary.separated_index(q, bc, args.steps)
+        out["index"] = boundary.separated_index(mu, bc)
     _write_text(dumps_json(out), args.output)
     return 0
 
@@ -180,13 +174,13 @@ def cmd_boundary_general(args):
     if len(a) != 4:
         raise DomainError("--A needs four comma separated entries a,b,c,d")
     bc = boundary.GeneralBC([[a[0], a[1]], [a[2], a[3]]])
-    residual = boundary.general_residual(q, bc, args.steps)
-    image = boundary.beta_image(bc, monodromy(q, args.steps).element)
+    mu = monodromy(q, args.steps).element
+    residual = boundary.general_residual(mu, bc)
+    image = boundary.beta_image(bc, mu)
     out = {
         "has_solution": abs(residual) <= args.tol,
         "residual": residual,
-        "all_solutions": boundary.general_all_solutions(q, bc, args.tol,
-                                                        args.steps),
+        "all_solutions": boundary.general_all_solutions(mu, bc, args.tol),
         "beta": element_to_dict(image.element),
         "beta_trace": image.trace,
     }

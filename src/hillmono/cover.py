@@ -107,20 +107,25 @@ class CoverElement:
             raise DomainError("cover element needs a finite 2x2 matrix")
         if component not in (1, -1):
             raise DomainError("component must be +1 or -1")
+        if not math.isfinite(omega):
+            raise DomainError("cover element needs a finite winding")
         # ad - bc cannot be evaluated better than ~ |mat|^2 eps in doubles,
         # so the gate is widened for matrices with large entries. A matrix
         # whose largest |entry| is at least 2 is divided by the power of two
         # at or below it, which rounds as mat does but cannot overflow.
         largest = float(np.abs(mat).max())
-        scale = math.ldexp(1.0, max(0, math.frexp(largest)[1] - 1))
+        k = max(0, math.frexp(largest)[1] - 1)
+        scale = math.ldexp(1.0, k)
         (a, b), (c, d) = (mat / scale).tolist()
         m = largest / scale
-        det = a * d - b * c
+        dev = abs(a * d - b * c - component / scale / scale)
         det_tol = max(DET_TOL / scale / scale, 16.0 * sys.float_info.epsilon * m * m)
-        if abs(det - component / scale / scale) > det_tol:
+        if dev > det_tol:
+            # The deviation and tolerance of the scaled matrix stay finite.
             raise NumericalInvariantError(
-                f"matrix determinant {det * scale * scale!r} is not {component} "
-                f"within {det_tol * scale * scale!r}")
+                f"matrix determinant deviates from {component} by {dev:.3e}, "
+                f"above the tolerance {det_tol:.3e}"
+                + (f" (both scaled by 4**-{k})" if k else ""))
         col = mat @ _E2
         mismatch = _principal(math.atan2(col[1], col[0]) - math.pi / 2 - omega)
         if abs(mismatch) > CONGRUENCE_TOL:
@@ -503,7 +508,10 @@ def element_from_dict(data):
         raise DomainError(f"component must be '+' or '-', got {comp!r}")
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise DomainError("field 'm' must be a flat list [a, b, c, d]")
-    mat = np.array(raw, dtype=float).reshape(2, 2)
+    try:
+        mat = np.array(raw, dtype=float).reshape(2, 2)
+    except (TypeError, ValueError):
+        raise DomainError("the entries of field 'm' must be numbers") from None
     try:
         return CoverElement(mat, omega, component=1 if comp == "+" else -1)
     except NumericalInvariantError as exc:

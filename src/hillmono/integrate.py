@@ -48,6 +48,9 @@ TAU = math.tau
 
 DEFAULT_STEPS = 16384
 MIN_STEPS = 16
+# Largest step count accepted. monodromy peaks at about 160 MB per 2^20
+# steps, so this bounds one call at about 0.65 GB.
+MAX_STEPS = 2 ** 22
 
 # Consistency bound between the integrated first-row winding and the right
 # Iwasawa angle recovered from the monodromy element.
@@ -158,8 +161,8 @@ def _overflow(what, nodes):
 def _propagate(q, steps):
     """Sample q; entries of T - I per step and of Phi at the nodes."""
     steps = int(steps)
-    if steps < MIN_STEPS:
-        raise DomainError(f"steps must be >= {MIN_STEPS}")
+    if not MIN_STEPS <= steps <= MAX_STEPS:
+        raise DomainError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}]")
     h = TAU / steps
     qq = _sample_q(q, steps)
     t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h)
@@ -249,14 +252,18 @@ def integrate(q, steps=DEFAULT_STEPS):
 def monodromy(q, steps=DEFAULT_STEPS):
     """Lifted monodromy of the potential together with its right angle.
 
-    Returns a MonodromyResult (element, theta_r). The first-row winding must
-    agree with the right Iwasawa angle recovered from the element, whose
-    2 pi branch is fixed by the column winding, and the element must land
-    in the monodromy image (negative winding, positive right angle); both
-    are verified.
+    Returns a MonodromyResult (element, theta_r). The endpoint must pass
+    the CoverElement checks, the first-row winding must agree with the
+    right Iwasawa angle recovered from the element, whose 2 pi branch is
+    fixed by the column winding, and the element must land in the
+    monodromy image (negative winding, positive right angle); all are
+    verified.
     """
     path = integrate(q, steps)
-    element = CoverElement(path.mats[-1], path.omega[-1])
+    try:
+        element = CoverElement(path.mats[-1], path.omega[-1])
+    except NumericalInvariantError as exc:
+        raise NumericalInvariantError(f"{exc}; increase steps") from None
     theta_r = float(path.theta[-1])
     recovered = to_right_iwasawa(element).theta
     if abs(recovered - theta_r) > THETA_CONSISTENCY_TOL:

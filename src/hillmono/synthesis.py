@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 
 from .cover import to_right_iwasawa, winding_exceeds
 from .errors import DomainError, NumericalInvariantError
+from .integrate import MAX_STEPS
 from .kepler import Orbit, potential_of_orbit
 
 TAU = math.tau
@@ -209,14 +210,20 @@ def auto_steps(orb):
 
     In terms of the exponent E = log rho, the potential along the orbit is
     (2E'' - E'^2 - 4) / (4 rho^2), so its extreme value is available in
-    closed form before any integration.
+    closed form before any integration. A profile that needs more than
+    integrate.MAX_STEPS is refused.
     """
     grid = np.linspace(0.0, orb.theta_max, 16385)
     rho = orb.rho(grid)
     e1 = orb.exponent.deriv()(grid)
     e2 = orb.exponent.deriv(2)(grid)
-    qmax = np.abs((2.0 * e2 - e1 ** 2 - 4.0) / (4.0 * rho ** 2)).max()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        qmax = np.abs((2.0 * e2 - e1 ** 2 - 4.0) / (4.0 * rho ** 2)).max()
     need = TAU * math.sqrt(qmax) / _STEP_PHASE_BOUND
+    if not need <= MAX_STEPS:
+        raise NumericalInvariantError(
+            f"the synthesized profile reaches |q| = {qmax:.3e} and needs "
+            f"{need:.3e} steps, above the limit {MAX_STEPS}")
     steps = MIN_SYNTH_STEPS
     while steps < need:
         steps *= 2

@@ -27,7 +27,6 @@ from hillmono import (
     from_schur,
     from_trace_coords,
     general_residual,
-    integrate,
     center_power,
     monodromy,
     multiply,
@@ -200,8 +199,8 @@ def test_criterion_8_boundary_conditions():
     dirichlet = SeparatedBC.dirichlet()
 
     def dirichlet_defect(s):
-        return separated_residual(Potential.constant(-s), dirichlet,
-                                  steps=2048)
+        return separated_residual(
+            monodromy(Potential.constant(-s), 2048).element, dirichlet)
 
     for k in (1, 2, 3, 4):
         root = brentq(dirichlet_defect, k * k / 4.0 - 0.3, k * k / 4.0 + 0.3,
@@ -209,9 +208,9 @@ def test_criterion_8_boundary_conditions():
         assert abs(root - k * k / 4.0) <= 1e-6
 
     antiperiodic = GeneralBC(-np.eye(2))
-    assert abs(general_residual(Potential.constant(-0.25),
+    assert abs(general_residual(monodromy(Potential.constant(-0.25)).element,
                                 antiperiodic)) <= 1e-8
-    assert abs(general_residual(Potential.constant(0.0),
+    assert abs(general_residual(monodromy(Potential.constant(0.0)).element,
                                 antiperiodic)) > 1e-3
 
     rng = np.random.default_rng(808)
@@ -224,9 +223,9 @@ def test_criterion_8_boundary_conditions():
         if abs(np.linalg.det(a_mat)) <= 1e-6:
             continue
         bc = GeneralBC(a_mat)
-        end = integrate(q).mats[-1]
-        p1 = char_poly_at_one(np.linalg.inv(a_mat) @ end)
-        resid = general_residual(q, bc)
+        mu = monodromy(q).element
+        p1 = char_poly_at_one(np.linalg.inv(a_mat) @ mu.mat)
+        resid = general_residual(mu, bc)
         assert abs(resid + bc.a * p1) <= 1e-8 * max(1.0, abs(resid))
         assert (abs(resid) <= 1e-8) == (abs(p1) <= 1e-8 / bc.a)
         checked += 1
@@ -235,7 +234,7 @@ def test_criterion_8_boundary_conditions():
     for _ in range(20):
         q = Potential.trig_poly(rng.normal(0.0, 0.5, size=3), (),
                                 constant_term=rng.normal(0.0, 0.3))
-        assert abs(general_residual(q, reversal)) <= 1e-8
+        assert abs(general_residual(monodromy(q).element, reversal)) <= 1e-8
     print("PASS criterion 8: boundary conditions against direct oracles")
 
 

@@ -17,7 +17,6 @@ from hillmono import (
     general_has_solution,
     general_residual,
     identity,
-    integrate,
     monodromy,
     multiply,
     principal_lift,
@@ -25,9 +24,14 @@ from hillmono import (
     separated_index,
     separated_residual,
 )
+from hillmono.integrate import DEFAULT_STEPS
 from oracles import char_poly_at_one
 
 TAU = math.tau
+
+
+def lift(q, steps=DEFAULT_STEPS):
+    return monodromy(q, steps).element
 
 
 def test_separated_bc_validation():
@@ -43,36 +47,37 @@ def test_separated_bc_validation():
 def test_separated_worked_examples():
     dirichlet = SeparatedBC.dirichlet()
     neumann = SeparatedBC.neumann()
-    assert separated_has_solution(Potential.constant(-0.25), dirichlet)
-    assert not separated_has_solution(Potential.constant(0.0), dirichlet)
-    assert separated_has_solution(Potential.constant(0.0), neumann)
+    assert separated_has_solution(lift(Potential.constant(-0.25)), dirichlet)
+    assert not separated_has_solution(lift(Potential.constant(0.0)), dirichlet)
+    assert separated_has_solution(lift(Potential.constant(0.0)), neumann)
 
 
 def test_separated_index_dirichlet_family():
     dirichlet = SeparatedBC.dirichlet()
     for k in (1, 2, 3, 4):
-        q = Potential.constant(-k * k / 4.0)
-        assert separated_has_solution(q, dirichlet)
-        assert separated_index(q, dirichlet) == k
+        mu = lift(Potential.constant(-k * k / 4.0))
+        assert separated_has_solution(mu, dirichlet)
+        assert separated_index(mu, dirichlet) == k
 
 
 def test_separated_index_neumann_raw_offset():
-    assert separated_index(Potential.constant(0.0), SeparatedBC.neumann()) == -1
+    assert separated_index(lift(Potential.constant(0.0)),
+                           SeparatedBC.neumann()) == -1
 
 
 def test_separated_index_step_invariance():
     q = Potential.constant(-1.0)
     bc = SeparatedBC.dirichlet()
-    assert separated_index(q, bc, steps=16384) == \
-        separated_index(q, bc, steps=32768)
+    assert separated_index(lift(q, steps=16384), bc) == \
+        separated_index(lift(q, steps=32768), bc)
 
 
 def test_dirichlet_detection_by_bisection():
     dirichlet = SeparatedBC.dirichlet()
 
     def f(s):
-        return separated_residual(Potential.constant(-s), dirichlet,
-                                  steps=2048)
+        return separated_residual(lift(Potential.constant(-s), steps=2048),
+                                  dirichlet)
 
     for k in (1, 2, 3, 4):
         want = k * k / 4.0
@@ -93,19 +98,20 @@ def test_general_bc_validation():
 def test_general_worked_examples():
     periodic = GeneralBC(np.eye(2))
     antiperiodic = GeneralBC(-np.eye(2))
-    assert general_has_solution(Potential.constant(-1.0), periodic)
-    assert general_has_solution(Potential.constant(-0.25), antiperiodic)
-    assert not general_has_solution(Potential.constant(0.0), antiperiodic)
-    assert abs(general_residual(Potential.constant(0.0), antiperiodic)
+    assert general_has_solution(lift(Potential.constant(-1.0)), periodic)
+    assert general_has_solution(lift(Potential.constant(-0.25)), antiperiodic)
+    assert not general_has_solution(lift(Potential.constant(0.0)), antiperiodic)
+    assert abs(general_residual(lift(Potential.constant(0.0)), antiperiodic)
                + 4.0) < 1e-9
 
 
 def test_general_all_solutions():
     periodic = GeneralBC(np.eye(2))
     antiperiodic = GeneralBC(-np.eye(2))
-    assert general_all_solutions(Potential.constant(-1.0), periodic, 1e-6)
-    assert not general_all_solutions(Potential.constant(0.0), periodic, 1e-6)
-    assert general_all_solutions(Potential.constant(-0.25), antiperiodic, 1e-6)
+    assert general_all_solutions(lift(Potential.constant(-1.0)), periodic, 1e-6)
+    assert not general_all_solutions(lift(Potential.constant(0.0)), periodic, 1e-6)
+    assert general_all_solutions(lift(Potential.constant(-0.25)), antiperiodic,
+                                 1e-6)
 
 
 def test_general_agrees_with_char_poly_oracle():
@@ -119,9 +125,9 @@ def test_general_agrees_with_char_poly_oracle():
         if abs(np.linalg.det(a_mat)) <= 1e-6:
             continue
         bc = GeneralBC(a_mat)
-        end = integrate(q).mats[-1]
-        p1 = char_poly_at_one(np.linalg.inv(a_mat) @ end)
-        resid = general_residual(q, bc)
+        mu = lift(q)
+        p1 = char_poly_at_one(np.linalg.inv(a_mat) @ mu.mat)
+        resid = general_residual(mu, bc)
         # The two residuals differ exactly by the factor -a.
         assert abs(resid + bc.a * p1) < 1e-8 * max(1.0, abs(resid))
         assert (abs(resid) <= tol) == (abs(p1) <= tol / bc.a)
@@ -134,7 +140,7 @@ def test_symmetric_potentials_satisfy_reversal_condition():
         # Pure cosine series are symmetric about t = pi: q(2 pi - t) = q(t).
         q = Potential.trig_poly(rng.normal(0.0, 0.5, size=3), (),
                                 constant_term=rng.normal(0.0, 0.3))
-        assert general_has_solution(q, bc)
+        assert general_has_solution(lift(q), bc)
 
 
 def test_principal_lift_windows():

@@ -1,11 +1,14 @@
 """Command line interface: outputs, formats, and exit codes."""
 
+import importlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hillmono import Potential, load_potential, read_json, write_json
+from hillmono import (Potential, element_to_dict, load_potential, monodromy,
+                      read_json, write_json)
 from hillmono.cli import main
 from oracles import rel_l2
 
@@ -176,9 +179,57 @@ def test_boundary_general_output(files):
     assert read_json(antiperiodic_on_zero)["has_solution"] is False
 
 
+def test_boundary_commands_integrate_once(files, monkeypatch):
+    integ = importlib.import_module("hillmono.integrate")
+    original = integ._propagate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(integ, "_propagate", counted)
+    half_pi = repr(math.pi / 2)
+    for argv in (["general", "--A=-1,0,0,-1"],      # unimodular A
+                 ["general", "--A=-2,0,0,-1"],
+                 ["separated", "--theta0", half_pi, "--theta2pi", half_pi]):
+        calls.clear()
+        out = str(files["dir"] / "once.json")
+        assert main(["boundary", *argv, "--potential", files["qq"],
+                     "-o", out]) == 0
+        assert read_json(out)["has_solution"] is True
+        assert len(calls) == 1
+
+
 def test_boundary_singular_matrix_exits_2(files):
     assert main(["boundary", "general", "--potential", files["q0"],
                  "--A=1,0,0,0"]) == 2
+
+
+def test_steps_above_the_limit_exit_2(files):
+    with pytest.raises(SystemExit) as info:
+        main(["monodromy", "--potential", files["q0"], "--steps", str(10**12)])
+    assert info.value.code == 2
+
+
+def test_malformed_element_files_exit_2(files):
+    bad = ['{"m": [1, 0, 0], "omega": 0}',
+           '{"matrix": [[1, 0], [0]], "omega": 0}',
+           '{"matrix": 5, "omega": 0}',
+           '{"m": [1, 0, 0, 2], "omega": 0}',
+           '{"m": ["a", 0, 0, 1], "omega": 0}',
+           '{"m": [1, 0, 0, 1], "omega": NaN}',
+           '{"m": [1, 0, 0, 1], "omega": Infinity}',
+           '[1, 0, 0, 1]']
+    path = files["dir"] / "element.json"
+    for text in bad:
+        path.write_text(text)
+        assert main(["classify", "--element", str(path)]) == 2, text
+        assert main(["synthesize", "--target", str(path)]) == 2, text
+    # The flat form loads, as does the output of monodromy (next test).
+    path.write_text(json.dumps(element_to_dict(
+        monodromy(Potential.trig_poly([0.3], [0.0, 0.1])).element)))
+    assert main(["classify", "--element", str(path)]) == 0
 
 
 def test_classify_command(files):

@@ -87,8 +87,11 @@ def test_determinant_gate():
     mat = np.array([[math.cosh(x), math.sinh(x)], [math.sinh(x), math.cosh(x)]])
     CoverElement(mat, -math.pi / 4)
     mat[1, 1] *= 1.0 + 1e-10
-    with pytest.raises(NumericalInvariantError, match="determinant"):
+    with pytest.raises(NumericalInvariantError, match="determinant") as info:
         CoverElement(mat, -math.pi / 4)
+    # The message gives the scaled deviation and tolerance, both finite.
+    assert "inf" not in str(info.value)
+    assert "scaled by 4**-" in str(info.value)
     # The widened tolerance is 16 eps |mat|^2 = 3.55e-7 at |mat| = 1e4; an
     # error of 6e-7 lies below 16 eps times the square of the next power of
     # two and must still be rejected.

@@ -12,6 +12,7 @@ from hillmono import (
     DomainError,
     NumericalInvariantError,
     Potential,
+    arg_variation,
     classify,
     integrate,
     monodromy,
@@ -119,6 +120,11 @@ def test_step_validation():
         integrate(Potential.constant(0.0), steps=8)
     with pytest.raises(DomainError):
         solution_winding(Potential.constant(0.0), 0.0, steps=2)
+    # Above MAX_STEPS the count is refused before anything is allocated.
+    with pytest.raises(DomainError, match="4194304"):
+        integrate(Potential.constant(0.0), steps=10**12)
+    with pytest.raises(DomainError, match="4194304"):
+        solution_winding(Potential.constant(0.0), 0.0, steps=10**12)
 
 
 def _rk4_loop(q, steps):
@@ -176,6 +182,18 @@ def test_solution_winding_matches_path_omega():
     assert abs(solution_winding(q, math.pi / 2) - integrate(q).omega[-1]) < 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(_coef, max_size=3), st.lists(_coef, max_size=3), _coef,
+       st.floats(0.0, math.pi), st.sampled_from([256, 1000, 4096]))
+def test_solution_winding_is_read_off_the_lift(cos, sin, const, phi, steps):
+    # The cover is simply connected, so the lift alone fixes the winding of
+    # every solution: the per-step sum must equal the closed form.
+    q = Potential.trig_poly(cos, sin, constant_term=const)
+    mu = monodromy(q, steps).element
+    u0 = (math.cos(phi), math.sin(phi))
+    assert abs(arg_variation(mu, u0) - solution_winding(q, phi, steps)) <= 1e-12
+
+
 def test_overflow_is_named_without_warnings():
     # For q = 1e4 the largest entry, sqrt(q) sinh(2 pi sqrt(q)), is finite
     # but its square is not; for q = 2e4 the entries themselves overflow.
@@ -198,6 +216,16 @@ def test_error_messages_print_plain_floats():
     with pytest.raises(NumericalInvariantError, match="determinant") as info:
         monodromy(Potential.constant(-400.0), 4096)
     assert "np.float64" not in str(info.value)
+
+
+def test_endpoint_check_asks_for_more_steps():
+    # The Wronskian allowance of integrate passes at 16384 steps, but the
+    # cover element's determinant gate does not; twice the steps pass.
+    q = Potential.constant(-2500.0)
+    with pytest.raises(NumericalInvariantError,
+                       match=r"determinant .*; increase steps$"):
+        monodromy(q, 16384)
+    monodromy(q, 32768)
 
 
 def test_windings_are_exact_at_coarse_steps():

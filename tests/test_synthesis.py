@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 
 from hillmono import (
     DomainError,
+    NumericalInvariantError,
     Potential,
     base_polynomial,
     center_power,
@@ -106,6 +107,12 @@ def test_stiff_profile_gets_more_steps():
     tame = synthesize_orbit(TAU, 1.0, 0.0)
     stiff = synthesize_orbit(0.5, 1.0, 0.0)
     assert auto_steps(stiff) > auto_steps(tame)
+    # Beyond integrate.MAX_STEPS the profile is refused before anything of
+    # its size is allocated. Where rho underflows, |q| is infinite.
+    for theta_m, rho0, nu0 in ((20.0, 2.0, -1.0), (13.0, 100.0, -50.0)):
+        with pytest.raises(NumericalInvariantError,
+                           match=r"needs .* steps, above the limit 4194304"):
+            auto_steps(synthesize_orbit(theta_m, rho0, nu0))
 
 
 def test_targets_outside_image_are_rejected():
