@@ -72,7 +72,6 @@ from .spectral import (
     in_c1,
     in_c2,
     c1_component,
-    is_critical_point_quadratic,
     oscillation_eigenvalues,
 )
 from .boundary import (

@@ -20,7 +20,7 @@ import numpy as np
 from . import boundary
 from .cover import classify, element_from_dict, element_to_dict
 from .errors import DomainError, NumericalInvariantError
-from .integrate import DEFAULT_STEPS, MAX_STEPS, MIN_STEPS, monodromy
+from .integrate import DEFAULT_STEPS, checked_steps, monodromy
 from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
@@ -36,11 +36,10 @@ PLOT_IDENTITY_TOL = 1e-12
 
 
 def _steps_arg(text):
-    steps = int(text)
-    if not MIN_STEPS <= steps <= MAX_STEPS:
-        raise argparse.ArgumentTypeError(
-            f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}]")
-    return steps
+    try:
+        return checked_steps(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tol_arg(text):

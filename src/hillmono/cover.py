@@ -302,16 +302,21 @@ def to_cartan(g):
     """Cartan coordinates of g (identity component only)."""
     if g.component != 1:
         raise DomainError("Cartan coordinates live on the identity component")
-    m = g.mat
+    # S = sqrt(m^T m) squares the entries, so above 2^500 m is divided by
+    # 2^k. S is divided by 2^k too, which keeps its ratios, and the scaled sh
+    # exceeds 2^497, where asinh(2^k sh) is asinh(sh) + k ln 2 to rounding.
+    k = max(0, math.frexp(float(np.abs(g.mat).max()))[1] - 500)
+    m = g.mat / math.ldexp(1.0, k)
+    eye = math.ldexp(1.0, -2 * k)
     mtm = m.T @ m
-    S = (mtm + np.eye(2)) / math.sqrt(mtm[0, 0] + mtm[1, 1] + 2.0)
+    S = (mtm + eye * np.eye(2)) / math.sqrt(mtm[0, 0] + mtm[1, 1] + 2.0 * eye)
     alpha = -g.omega + math.atan2(S[1, 1], S[0, 1]) - math.pi / 2
     u = 0.5 * (S[0, 0] - S[1, 1])
     w = S[0, 1]
     sh = math.hypot(u, w)
     if sh == 0.0:
         return CartanTriple(alpha, 0.0, 0.0)
-    r = math.asinh(sh)
+    r = math.asinh(sh) + k * math.log(2.0)
     return CartanTriple(alpha, r * u / sh, r * w / sh)
 
 

@@ -158,11 +158,17 @@ def _overflow(what, nodes):
         f"fundamental matrix is {float(largest):.3e}")
 
 
-def _propagate(q, steps):
-    """Sample q; entries of T - I per step and of Phi at the nodes."""
+def checked_steps(steps):
+    """steps as an int, checked against [MIN_STEPS, MAX_STEPS] before use."""
     steps = int(steps)
     if not MIN_STEPS <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}]")
+    return steps
+
+
+def _propagate(q, steps):
+    """Sample q; entries of T - I per step and of Phi at the nodes."""
+    steps = checked_steps(steps)
     h = TAU / steps
     qq = _sample_q(q, steps)
     t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h)
@@ -185,13 +191,24 @@ def _checked_turns(turns):
     return turns
 
 
+def _scale(x, y):
+    """Larger |entry| of each vector (x, y); a zero vector has no angle."""
+    scale = np.maximum(np.abs(x), np.abs(y))
+    if not scale.all():  # steps with det T << 1 can round a vector to zero
+        raise NumericalInvariantError(
+            f"the first row or a solution vector is zero at node "
+            f"{int(np.argmin(scale))} of {scale.size}: the step determinants "
+            "shrank it below rounding; increase steps")
+    return scale
+
+
 def _column_turns(t, x, y):
     """Per-step angles of the columns (x, y) at the left nodes.
 
     The columns are scaled by their larger entry, which cannot overflow.
     """
     ta, tb, tc, td = t
-    scale = np.maximum(np.abs(x), np.abs(y))
+    scale = _scale(x, y)
     x, y = x / scale, y / scale
     cross = tc * x * x + (td - ta) * x * y - tb * y * y
     dot = x * x + y * y + x * (ta * x + tb * y) + y * (tc * x + td * y)
@@ -208,7 +225,7 @@ def _row_turns(t, nodes):
     a, b, c, d = nodes[:, :-1]
     wronskian = np.ones_like(ta)
     np.cumprod(((1.0 + ta) * (1.0 + td) - tb * tc)[:-1], out=wronskian[1:])
-    scale = np.maximum(np.abs(a), np.abs(b))
+    scale = _scale(a, b)
     a, b = a / scale, b / scale
     cross = tb * (wronskian / scale) / scale
     dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale

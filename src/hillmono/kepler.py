@@ -29,7 +29,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError, NumericalInvariantError
-from .integrate import DEFAULT_STEPS, integrate
+from .integrate import DEFAULT_STEPS, checked_steps, integrate
 from .potentials import Potential
 from .serialize import fmt_float
 
@@ -287,9 +287,9 @@ def curve_of_orbit(orbit, steps=DEFAULT_STEPS):
     v' = [(rho'/(2 sqrt(rho))) (cos, sin) + sqrt(rho) (-sin, cos)] / rho
     along theta(t).
     """
+    t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
     value_fn = _value_model(orbit)
     slope_fn = _slope_model(orbit)
-    t = np.linspace(0.0, TAU, int(steps) + 1)
     th = _invert_times(orbit, value_fn, t)
     rho = value_fn(th)
     drho = slope_fn(th)
@@ -318,10 +318,10 @@ def potential_of_curve(curve):
 
 def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
     """Potential along the time grid from the orbit curvature formula."""
+    t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
     value_fn = _value_model(orbit)
     slope_fn = _slope_model(orbit, for_curvature=True)
     curv_fn = _curvature_model(orbit)
-    t = np.linspace(0.0, TAU, int(steps) + 1)
     th = _invert_times(orbit, value_fn, t)
     rho = value_fn(th)
     drho = slope_fn(th)

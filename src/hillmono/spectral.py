@@ -8,6 +8,9 @@ locus splits into a hyperplane piece (no full winding) and a family of
 cones indexed by the winding count, each cone being two parabolic leaves
 glued at a central vertex.
 
+Both sets are preimages under the monodromy map, so in_c1, in_c2 and
+c1_component take the lift mu = monodromy(q).element and never integrate.
+
 oscillation_eigenvalues walks the line q0 - s * qplus: the right Iwasawa
 angle of the monodromy grows strictly with s, so the line meets the
 hyperplane once and then each cone in either two leaf points or one vertex,
@@ -92,67 +95,43 @@ class EigenvalueRecord:
                 f"multiplicity={self.multiplicity}, component={self.component})")
 
 
-def in_c1(q, tol=DEFAULT_TOL, steps=DEFAULT_SCAN_STEPS):
-    """True when the equation admits a periodic solution (trace 2)."""
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    element, _ = monodromy(q, steps)
-    return abs(element.trace - 2.0) <= tol
+def in_c1(mu, tol=DEFAULT_TOL):
+    """True when the lifted monodromy mu of q has trace 2: q is in C1.
 
-
-def in_c2(q, tol=DEFAULT_TOL, steps=DEFAULT_SCAN_STEPS):
-    """True when every solution is periodic (even central monodromy)."""
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    element, _ = monodromy(q, steps)
-    if np.abs(element.mat - np.eye(2)).max() > tol:
-        return False
-    k = round(-element.omega / TAU)
-    return k >= 1 and abs(element.omega + TAU * k) <= tol
-
-
-def _component_of_element(element, tol):
-    """Stratum label for a trace-2 element."""
-    if abs(element.trace - 2.0) > tol:
-        raise DomainError("element is not on the trace-2 locus")
-    stratum = classify(element, tol=tol)
-    if stratum.kind == "parabolic_vertex":
-        m = stratum.component_index
-        if m < 2 or m % 2:
-            raise NumericalInvariantError(
-                f"trace-2 vertex with odd or zero winding index {m}")
-        return C1Component("vertex", m // 2)
-    if stratum.kind in ("parabolic_leaf_plus", "parabolic_leaf_minus"):
-        m = stratum.component_index
-        if m % 2:
-            raise NumericalInvariantError(
-                f"trace-2 leaf with odd winding index {m}")
-        if m == 0:
-            return C1Component("hyperplane")
-        sign = 1 if stratum.kind.endswith("plus") else -1
-        return C1Component("cone_leaf", m // 2, sign)
-    raise NumericalInvariantError(
-        f"classification {stratum.kind} off the trace-2 locus")
-
-
-def c1_component(q, tol=DEFAULT_TOL, steps=DEFAULT_SCAN_STEPS):
-    """Stratum label of a degenerate potential; error when not in C1."""
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    element, _ = monodromy(q, steps)
-    if abs(element.trace - 2.0) > tol:
-        raise DomainError(
-            f"potential is not degenerate: trace {element.trace!r}")
-    return _component_of_element(element, tol)
-
-
-def is_critical_point_quadratic(u, tol=DEFAULT_TOL, steps=DEFAULT_SCAN_STEPS):
-    """Critical-point test for the quadratic map u -> -u'' + u^2/2.
-
-    u is critical exactly when the linearization -v'' + u v = 0 has a
-    periodic solution, so this is the degeneracy test again.
+    This is also the critical-point test of the quadratic map
+    u -> -u'' + u^2/2: u is critical exactly when -v'' + u v = 0 has a
+    periodic solution, i.e. when in_c1(monodromy(u).element).
     """
-    return in_c1(u, tol=tol, steps=steps)
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    return abs(mu.trace - 2.0) <= tol
+
+
+def in_c2(mu, tol=DEFAULT_TOL):
+    """True when every solution is periodic: mu is an even central element."""
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    k = round(-mu.omega / TAU)
+    return (k >= 1 and abs(mu.omega + TAU * k) <= tol
+            and np.abs(mu.mat - np.eye(2)).max() <= tol)
+
+
+def c1_component(mu, tol=DEFAULT_TOL):
+    """Stratum label of a trace-2 lift; DomainError off the trace-2 locus."""
+    if not in_c1(mu, tol):
+        raise DomainError(f"not on the trace-2 locus: trace {mu.trace!r}")
+    stratum = classify(mu, tol=tol)
+    kind, m = stratum.kind, stratum.component_index
+    vertex = kind == "parabolic_vertex"
+    if not kind.startswith("parabolic") or m % 2 or (vertex and m < 2):
+        # Trace 2 needs an even Cartan index, and a vertex winds at least once.
+        raise NumericalInvariantError(
+            f"trace-2 lift classified as {kind} with winding index {m}")
+    if vertex:
+        return C1Component("vertex", m // 2)
+    if m == 0:
+        return C1Component("hyperplane")
+    return C1Component("cone_leaf", m // 2, 1 if kind.endswith("plus") else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +202,15 @@ def _scan_line(line, n_max):
     return nodes
 
 
-def _crossings(line, nodes, value_of, refine):
-    """Bracketed sign changes of a node-sampled quantity, refined by brentq."""
+def _crossings(nodes, f):
+    """Bracketed sign changes of f at the nodes, refined by brentq."""
     out = []
-    vals = [value_of(s) for s in nodes]
+    vals = [f(s) for s in nodes]
     for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
         if fa == 0.0:
             out.append(a)
         elif fa * fb < 0:
-            out.append(brentq(refine, a, b, xtol=1e-13, rtol=8.9e-16))
+            out.append(brentq(f, a, b, xtol=1e-13, rtol=8.9e-16))
     if vals[-1] == 0.0:
         out.append(nodes[-1])
     return out
@@ -254,13 +233,11 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
     # Walls between windows: the zeros of the trace, labeled by which
     # quarter-turn boundary they sit on.
     walls = {}
-    for s in _crossings(line, nodes, lambda s: line(s)[2], line.trace):
+    for s in _crossings(nodes, line.trace):
         walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
 
     # Ground crossing: the one trace-2 root before the first wall.
-    ground = [s for s in _crossings(line, nodes,
-                                    lambda s: line(s)[2] - 2.0,
-                                    lambda s: line.trace(s) - 2.0)
+    ground = [s for s in _crossings(nodes, lambda s: line.trace(s) - 2.0)
               if round(line(s)[3] / math.pi) == 0]
     if len(ground) != 1:
         raise NumericalInvariantError(
@@ -268,7 +245,7 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
 
     records = []
     el, theta_r, trace, _ = line(ground[0])
-    comp = _component_of_element(el, 1e-7)
+    comp = c1_component(el, 1e-7)
     if comp.variant != "hyperplane":
         raise NumericalInvariantError(
             f"ground crossing classified as {comp!r}")
@@ -299,7 +276,7 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
         if roots[1] - roots[0] >= S_RESOLUTION:
             for s_leaf, want in zip(roots, (-1, 1)):
                 el, theta_r, trace, _ = line(s_leaf)
-                comp = _component_of_element(el, 1e-7)
+                comp = c1_component(el, 1e-7)
                 if comp != C1Component("cone_leaf", pair, want):
                     raise NumericalInvariantError(
                         f"window {m} crossing at s={s_leaf!r} "

@@ -201,6 +201,17 @@ def test_boundary_commands_integrate_once(files, monkeypatch):
         assert len(calls) == 1
 
 
+def test_huge_monodromy_commands_exit_0(files, capsys):
+    # Entries near 1e154: classify must not square them.
+    q = str(files["dir"] / "q3200.json")
+    write_json(Potential.constant(3200.0).to_dict(), q)
+    assert main(["monodromy", "--potential", q]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["stratum"]["kind"] == "hyperbolic"
+    assert data["stratum"]["component_index"] == 0
+    assert main(["boundary", "general", "--potential", q, "--A=1,0,0,1"]) == 0
+
+
 def test_boundary_singular_matrix_exits_2(files):
     assert main(["boundary", "general", "--potential", files["q0"],
                  "--A=1,0,0,0"]) == 2

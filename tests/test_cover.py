@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillmono import (
@@ -106,12 +106,14 @@ def test_determinant_gate():
 
 
 def test_huge_monodromy_without_warnings():
-    # Entries reach 6.5e155: the determinant gate and the right Iwasawa
-    # coordinates must not square them. theta_r is the argument of the
+    # Entries reach 6.5e155: the determinant gate, the right Iwasawa
+    # coordinates and the Cartan angle of classify must not square them. theta_r is the argument of the
     # first row (cosh, sinh / k), read without forming ad - bc.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         element, theta_r = monodromy(Potential.constant(3200.0))
+        stratum = classify(element)
+    assert (stratum.kind, stratum.component_index) == ("hyperbolic", 0)
     k = math.sqrt(3200.0)
     assert abs(theta_r - math.atan(math.tanh(TAU * k) / k)) < 1e-9
     assert 1e308 < to_right_iwasawa(element).rho < math.inf
@@ -154,6 +156,16 @@ def test_cartan_roundtrip_and_trace():
         r = math.hypot(x, y)
         assert abs(g.trace - 2.0 * math.cos(alpha) * math.cosh(r)) < 1e-10 * (
             1.0 + math.cosh(r))
+    # Entries up to cosh(700) ~ 5e303: m^T m would overflow without scaling.
+    rng = np.random.default_rng(106)
+    for _ in range(200):
+        alpha = rng.uniform(-3 * math.pi, 3 * math.pi)
+        r = rng.uniform(2.0, 700.0)
+        phi = rng.uniform(0.0, TAU)
+        x, y = r * math.cos(phi), r * math.sin(phi)
+        got = to_cartan(from_cartan(alpha, x, y))
+        np.testing.assert_allclose([got.alpha, got.x, got.y], [alpha, x, y],
+                                   rtol=1e-9, atol=1e-9)
 
 
 def test_cone_chart_trace_identity():
@@ -396,3 +408,21 @@ def test_arg_variation_matches_tracking(coords, component, phi):
     path = _chart_path(coords, component)
     want = tracked_arg_variation(lambda s: path(s) @ v)
     assert abs(arg_variation(g, v) - want) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_theta, st.floats(0.0, 2.5), st.floats(0.0, TAU), st.booleans(),
+       _theta, _log_rho, _nu)
+def test_strata_are_invariant_under_conjugation(alpha, r, phi, rotate,
+                                                theta, log_rho, nu):
+    g = from_cartan(alpha, r * math.cos(phi), r * math.sin(phi))
+    assume(abs(g.trace) > 0.01 and abs(abs(g.trace) - 2.0) > 0.01)
+    if rotate:
+        h = from_left_iwasawa(theta, 1.0, 0.0)
+        h_inv = from_left_iwasawa(-theta, 1.0, 0.0)
+    else:
+        rho = math.exp(log_rho)
+        h = from_left_iwasawa(0.0, rho, nu)
+        h_inv = from_left_iwasawa(0.0, 1.0 / rho, -nu / rho)
+    _same(multiply(h, h_inv), identity())
+    assert classify(multiply(multiply(h, g), h_inv)) == classify(g)

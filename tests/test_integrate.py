@@ -1,6 +1,7 @@
 """Fundamental path integration and the lifted monodromy map."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -226,6 +227,24 @@ def test_endpoint_check_asks_for_more_steps():
                        match=r"determinant .*; increase steps$"):
         monodromy(q, 16384)
     monodromy(q, 32768)
+
+
+def test_vanishing_vectors_are_named_without_warnings():
+    # At 128 steps each Runge-Kutta step of q = -2500 has det T near 0.25,
+    # so from node 65 on some first rows and solution vectors round to exactly
+    # zero. No angle is taken of them: no division by zero and no nan.
+    q = Potential.constant(-2500.0)
+    for run in (lambda: monodromy(q, 128),
+                lambda: solution_winding(q, 0.0, 128),
+                lambda: solution_winding(q, 1.0, 128)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInvariantError,
+                               match=r"first row or a solution vector is zero "
+                                     r"at node \d+ of 128: .*; increase "
+                                     r"steps$") as info:
+                run()
+        assert not re.search(r"\bnan\b", str(info.value))
 
 
 def test_windings_are_exact_at_coarse_steps():

@@ -18,7 +18,9 @@ from hillmono import (
     orbit_of,
     orbit_to_dict,
     potential_of_curve,
+    from_right_iwasawa,
     potential_of_orbit,
+    potential_with_monodromy,
     save_curve_csv,
 )
 from oracles import rel_l2
@@ -89,6 +91,17 @@ def test_curve_of_orbit_reproduces_curve():
     curve2 = curve_of_orbit(orbit, steps=4096)
     dev = np.abs(curve2.v - curve.v).max() / np.abs(curve.v).max()
     assert dev < 1e-6
+
+
+def test_step_count_is_checked_before_allocation():
+    # 10**12 steps would need terabytes; the count is refused first.
+    orbit = orbit_of(curve_of(Potential.constant(-1.0), steps=256))
+    for run in (lambda: curve_of_orbit(orbit, steps=10**12),
+                lambda: potential_of_orbit(orbit, steps=10**12),
+                lambda: potential_with_monodromy(
+                    from_right_iwasawa(2.0, 1.0, 0.5), steps=10**12)):
+        with pytest.raises(DomainError, match=r"\[16, 4194304\]"):
+            run()
 
 
 def test_analytic_orbit_sec_squared():

@@ -12,34 +12,35 @@ from hillmono import (
     c1_component,
     in_c1,
     in_c2,
-    is_critical_point_quadratic,
+    monodromy,
     oscillation_eigenvalues,
 )
+from hillmono.spectral import DEFAULT_SCAN_STEPS
 from oracles import FROZEN_MATHIEU_FD2048, fd_line_eigenvalues
 
 TAU = math.tau
 
 
+def lift(q):
+    """Lifted monodromy of q at the resolution of the spectrum scan."""
+    return monodromy(q, DEFAULT_SCAN_STEPS).element
+
+
 def test_membership_examples():
-    assert in_c1(Potential.constant(-1.0))
-    assert in_c2(Potential.constant(-1.0))
-    assert in_c1(Potential.constant(0.0))
-    assert not in_c2(Potential.constant(0.0))
-    assert not in_c1(Potential.constant(1.0))
-    assert not in_c1(Potential.constant(-0.25))  # trace -2
+    assert in_c1(lift(Potential.constant(-1.0)))
+    assert in_c2(lift(Potential.constant(-1.0)))
+    assert in_c1(lift(Potential.constant(0.0)))
+    assert not in_c2(lift(Potential.constant(0.0)))
+    assert not in_c1(lift(Potential.constant(1.0)))
+    assert not in_c1(lift(Potential.constant(-0.25)))  # trace -2
 
 
 def test_component_examples():
-    assert c1_component(Potential.constant(0.0)) == C1Component("hyperplane")
-    assert c1_component(Potential.constant(-1.0)) == C1Component("vertex", 1)
-    assert c1_component(Potential.constant(-4.0)) == C1Component("vertex", 2)
+    assert c1_component(lift(Potential.constant(0.0))) == C1Component("hyperplane")
+    assert c1_component(lift(Potential.constant(-1.0))) == C1Component("vertex", 1)
+    assert c1_component(lift(Potential.constant(-4.0))) == C1Component("vertex", 2)
     with pytest.raises(DomainError):
-        c1_component(Potential.constant(1.0))
-
-
-def test_critical_point_predicate_matches_membership():
-    assert is_critical_point_quadratic(Potential.constant(-1.0))
-    assert not is_critical_point_quadratic(Potential.constant(1.0))
+        c1_component(lift(Potential.constant(1.0)))
 
 
 def test_component_labels():
