@@ -23,6 +23,7 @@ otherwise estimated by differences or spline differentiation.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
@@ -31,7 +32,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .errors import DomainError, NumericalInvariantError
 from .integrate import DEFAULT_STEPS, checked_steps, integrate
 from .potentials import Potential
-from .serialize import fmt_float
+from .serialize import fmt_csv_rows
 
 TAU = math.tau
 
@@ -237,8 +238,9 @@ def _invert_times(orbit, value_fn, t_targets):
     for _ in range(6):
         delta = th - thj
         mid = thj + 0.5 * delta
-        resid = tj + (delta / 6.0) * (rj + 4.0 * value_fn(mid) + value_fn(th)) - t
-        th = np.clip(th - resid / value_fn(th), 0.0, orbit.theta_max)
+        rth = value_fn(th)
+        resid = tj + (delta / 6.0) * (rj + 4.0 * value_fn(mid) + rth) - t
+        th = np.clip(th - resid / rth, 0.0, orbit.theta_max)
         if np.abs(resid).max() < 1e-13 * TAU:
             break
     if np.abs(resid).max() > 1e-9:
@@ -251,9 +253,22 @@ def _invert_times(orbit, value_fn, t_targets):
 # ---------------------------------------------------------------------------
 
 def curve_of(q, steps=DEFAULT_STEPS):
-    """Fundamental curve of a potential over one period."""
+    """Fundamental curve of a potential over one period.
+
+    The Wronskian of entries of size |v| and |v'| rounds by up to
+    16 eps |v| |v'|; a curve where that alone exceeds WRONSKIAN_TOL cannot be
+    checked in double precision and is refused as a numerical failure.
+    """
     path = integrate(q, steps)
-    return FundamentalCurve(path.t, path.mats[:, 0, :], path.mats[:, 1, :])
+    v, vp = path.mats[:, 0, :], path.mats[:, 1, :]
+    v_max, vp_max = float(np.abs(v).max()), float(np.abs(vp).max())
+    floor = 16.0 * sys.float_info.epsilon * v_max * vp_max
+    if floor > WRONSKIAN_TOL:
+        raise NumericalInvariantError(
+            f"curve entries reach |v| = {v_max:.3e} and |v'| = {vp_max:.3e}: "
+            f"rounding alone moves the Wronskian by up to {floor:.3e}, above "
+            f"its tolerance {WRONSKIAN_TOL}")
+    return FundamentalCurve(path.t, v, vp)
 
 
 def orbit_of(curve, nodes=None):
@@ -335,12 +350,10 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
 # ---------------------------------------------------------------------------
 
 def save_curve_csv(curve, path):
+    rows = np.column_stack([curve.t, curve.v, curve.vp])
     with open(path, "w") as fh:
         fh.write(",".join(CURVE_COLUMNS) + "\n")
-        for i in range(curve.t.size):
-            row = (curve.t[i], curve.v[i, 0], curve.v[i, 1],
-                   curve.vp[i, 0], curve.vp[i, 1])
-            fh.write(",".join(fmt_float(x) for x in row) + "\n")
+        fh.write(fmt_csv_rows(rows))
 
 
 def load_curve_csv(path):
@@ -362,11 +375,11 @@ def load_curve_csv(path):
 
 
 def orbit_to_dict(orbit):
-    out = {"theta_max": orbit.theta_max, "rho": list(orbit.rho)}
+    out = {"theta_max": orbit.theta_max, "rho": orbit.rho.tolist()}
     if orbit.rho_prime is not None:
-        out["rho_prime"] = list(orbit.rho_prime)
+        out["rho_prime"] = orbit.rho_prime.tolist()
     if orbit.rho_second is not None:
-        out["rho_second"] = list(orbit.rho_second)
+        out["rho_second"] = orbit.rho_second.tolist()
     return out
 
 

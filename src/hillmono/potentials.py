@@ -120,7 +120,7 @@ class Potential:
                     "sin_coeffs": list(self.sin_coeffs),
                     "constant_term": self.constant_term}
         return {"kind": "sampled",
-                "samples": [float(v) for v in self.samples],
+                "samples": self.samples.tolist(),
                 "interp": self.interp}
 
     @classmethod

@@ -153,12 +153,14 @@ def normalize_c(theta_m, p1, r, panels=4096):
 class SynthesizedOrbit:
     """Orbit with the closed-form exponential profile.
 
-    Holds the polynomial exponent and exposes the profile and its first
-    two derivatives as callables; sample() materializes a kepler.Orbit
-    carrying both the samples and the analytic callables.
+    Holds the polynomial exponent with its first two derivatives and exposes
+    the profile and its first two derivatives as callables; sample()
+    materializes a kepler.Orbit carrying both the samples and the analytic
+    callables.
     """
 
-    __slots__ = ("theta_max", "p1", "r", "c", "exponent")
+    __slots__ = ("theta_max", "p1", "r", "c", "exponent", "exponent_d1",
+                 "exponent_d2")
 
     def __init__(self, theta_max, p1, r, c):
         theta_max = float(theta_max)
@@ -171,6 +173,8 @@ class SynthesizedOrbit:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", float(c))
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "exponent_d1", exponent.deriv())
+        object.__setattr__(self, "exponent_d2", exponent.deriv(2))
 
     def __setattr__(self, name, value):
         raise AttributeError("SynthesizedOrbit is immutable")
@@ -180,12 +184,12 @@ class SynthesizedOrbit:
 
     def rho_prime(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return self.exponent.deriv()(theta) * self.rho(theta)
+        return self.exponent_d1(theta) * self.rho(theta)
 
     def rho_second(self, theta):
         theta = np.asarray(theta, dtype=float)
-        e1 = self.exponent.deriv()(theta)
-        e2 = self.exponent.deriv(2)(theta)
+        e1 = self.exponent_d1(theta)
+        e2 = self.exponent_d2(theta)
         return (e2 + e1 ** 2) * self.rho(theta)
 
     def sample(self, nodes=4097):
@@ -215,8 +219,8 @@ def auto_steps(orb):
     """
     grid = np.linspace(0.0, orb.theta_max, 16385)
     rho = orb.rho(grid)
-    e1 = orb.exponent.deriv()(grid)
-    e2 = orb.exponent.deriv(2)(grid)
+    e1 = orb.exponent_d1(grid)
+    e2 = orb.exponent_d2(grid)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         qmax = np.abs((2.0 * e2 - e1 ** 2 - 4.0) / (4.0 * rho ** 2)).max()
     need = TAU * math.sqrt(qmax) / _STEP_PHASE_BOUND
@@ -241,6 +245,11 @@ def potential_with_monodromy(g, coeffs=None, steps=None):
     if not winding_exceeds(g, 0.0):
         raise DomainError("monodromy targets must have positive winding")
     triple = to_right_iwasawa(g)
+    if not (math.isfinite(triple.rho) and math.isfinite(triple.nu)):
+        raise NumericalInvariantError(
+            f"the right Iwasawa coordinates (rho, nu) = ({triple.rho:.3e}, "
+            f"{triple.nu:.3e}) of the target overflow double precision; its "
+            f"largest matrix entry is {float(np.abs(g.mat).max()):.3e}")
     orb = synthesize_orbit(triple.theta, triple.rho, triple.nu, coeffs)
     if steps is None:
         steps = auto_steps(orb)

@@ -1,5 +1,6 @@
 """Command line interface: outputs, formats, and exit codes."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -108,6 +109,22 @@ def test_synthesize_from_monodromy_output(files):
     assert abs(a["omega"] - b["omega"]) < 1e-6
 
 
+def test_synthesize_output_is_byte_stable(files):
+    # Digest of the bytes written before float lists were formatted in one
+    # call; a change in any of the 16385 samples' 17 digits changes it.
+    target = files["dir"] / "golden_target.json"
+    out = files["dir"] / "golden.json"
+    write_json({"m": [0.34741380685381607, -1.1744375874465782,
+                      0.817699772316434, 0.11416544582455293],
+                "omega": -4.809293123751127, "component": "+"}, target)
+    assert main(["synthesize", "--target", str(target), "--coeffs=0.05,-0.02",
+                 "--steps", "16384", "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 424251
+    assert hashlib.sha256(data).hexdigest() == (
+        "1fc157a009234136a9f7fdcd0907202a51ec78b8ec0b4f042ccbf086130815fe")
+
+
 def test_synthesize_rejects_targets_off_image(files):
     ident = files["dir"] / "ident.json"
     write_json({"m": [1.0, 0.0, 0.0, 1.0], "omega": 0.0, "component": "+"},
@@ -210,6 +227,23 @@ def test_huge_monodromy_commands_exit_0(files, capsys):
     assert data["stratum"]["kind"] == "hyperbolic"
     assert data["stratum"]["component_index"] == 0
     assert main(["boundary", "general", "--potential", q, "--A=1,0,0,1"]) == 0
+
+
+def test_huge_monodromy_targets_exit_3(files, capsys):
+    # The monodromy of constant(3200) is valid output, but its right Iwasawa
+    # coordinates and its curve's Wronskian check leave double precision.
+    q = str(files["dir"] / "q3200.json")
+    target = str(files["dir"] / "m3200.json")
+    write_json(Potential.constant(3200.0).to_dict(), q)
+    assert main(["monodromy", "--potential", q, "-o", target]) == 0
+    capsys.readouterr()
+    assert main(["synthesize", "--target", target]) == 3
+    err = capsys.readouterr().err
+    assert "right Iwasawa coordinates" in err and "overflow" in err
+    assert "largest matrix entry is 6.503e+155" in err
+    assert main(["kepler", "to-orbit", "--potential", q]) == 3
+    err = capsys.readouterr().err
+    assert "curve entries reach |v| = 1.150e+154 and |v'| = 6.503e+155" in err
 
 
 def test_boundary_singular_matrix_exits_2(files):

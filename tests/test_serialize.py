@@ -1,10 +1,15 @@
 """Deterministic float-exact JSON serialization."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillmono import DomainError, dumps_json, fmt_float, read_json, write_json
+from hillmono.serialize import fmt_csv_rows
 
 
 def test_fmt_float_round_trips_doubles():
@@ -23,6 +28,7 @@ def test_dumps_structure():
     text = dumps_json({"a": [1, 2.5], "b": None, "c": True, "d": "x"})
     assert text.endswith("\n")
     assert '"a"' in text and "2.5" in text and "null" in text
+
 
 def test_dumps_empty_containers():
     assert dumps_json({}) == "{}\n"
@@ -53,3 +59,72 @@ def test_identical_inputs_identical_bytes(tmp_path):
     write_json(obj, a)
     write_json(obj, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _walk(values, indent):
+    """A float sequence as the item-by-item walk writes it."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    return ("[\n" + ",\n".join(inner + fmt_float(v) for v in values)
+            + "\n" + pad + "]")
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    float(2 ** 53 - 1), float(2 ** 53), float(2 ** 53 + 2), -float(2 ** 53 - 1),
+    1e16, 1e17, -1e17, 1e16 - 2.0, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
+_finite_floats = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits_to_float).filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _edge_floats)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_finite_floats, min_size=1, max_size=40),
+       st.sampled_from(["list", "tuple", "float64 items", "array"]))
+def test_float_sequences_match_the_item_walk(values, form):
+    obj = {"list": values, "tuple": tuple(values),
+           "float64 items": [np.float64(v) for v in values],
+           "array": np.array(values)}[form]
+    assert dumps_json(obj) == _walk(values, 0) + "\n"
+    assert dumps_json({"x": obj}) == '{\n  "x": ' + _walk(values, 1) + "\n}\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_finite_floats, min_size=3, max_size=3), min_size=1,
+                max_size=5))
+def test_two_dimensional_arrays_match_the_item_walk(rows):
+    arr = np.array(rows)
+    expected = ("[\n" + ",\n".join("  " + _walk(r, 1) for r in arr.tolist())
+                + "\n]\n")
+    assert dumps_json(arr) == expected
+    lines = "".join(",".join(fmt_float(v) for v in r) + "\n" for r in arr.tolist())
+    assert fmt_csv_rows(arr) == lines
+
+
+def test_mixed_sequences_keep_their_bytes():
+    assert dumps_json([1.5, True, 3, 2 ** 70, None, -0.0]) == (
+        "[\n  1.5,\n  true,\n  3,\n  1180591620717411303424,\n  null,\n  -0\n]\n")
+    doc = {"a": [[1.0, 2.0], [3, np.float64(4.0)]], "b": (np.int64(7), 0.25),
+           "c": np.array([1, 2]), "d": np.array([True, False]),
+           "e": [np.float32(0.1)]}
+    assert dumps_json(doc) == (
+        '{\n  "a": [\n    [\n      1,\n      2\n    ],\n    [\n      3,\n'
+        '      4\n    ]\n  ],\n  "b": [\n    7,\n    0.25\n  ],\n'
+        '  "c": [\n    1,\n    2\n  ],\n  "d": [\n    true,\n    false\n  ],\n'
+        '  "e": [\n    0.10000000149011612\n  ]\n}\n')
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", [0, 50_000, 99_999])
+def test_non_finite_items_are_refused(bad, where):
+    values = np.linspace(-1.0, 1.0, 100_000)
+    values[where] = bad
+    for obj in (values, {"samples": values.tolist()}, values.reshape(1000, 100)):
+        with pytest.raises(DomainError, match="non-finite"):
+            dumps_json(obj)
+    with pytest.raises(DomainError, match="non-finite"):
+        fmt_csv_rows(values.reshape(20_000, 5))
