@@ -279,12 +279,22 @@ def to_right_iwasawa(g):
 # ---------------------------------------------------------------------------
 
 def _cartan_symmetric(x, y):
+    """cosh r I + sinh r K, K the unit reflection along (x, y), r = |(x, y)|.
+
+    The smaller diagonal entry cosh r - sinh r |x| / r is written as
+    exp(-r) + sinh r y^2 / (r (r + |x|)), which does not cancel: from about
+    r = 19 on, cosh r - sinh r rounds to 0 or below.
+    """
     r = math.hypot(x, y)
-    ch, sh = math.cosh(r), math.sinh(r)
     if r == 0.0:
         return np.eye(2)
-    cx, cy = x / r, y / r
-    return np.array([[ch + sh * cx, sh * cy], [sh * cy, ch - sh * cx]])
+    ch, sh = math.cosh(r), math.sinh(r)
+    large = ch + sh * (abs(x) / r)
+    small = math.exp(-r) + sh * ((y / r) * (y / (r + abs(x))))
+    off = sh * (y / r)
+    if x < 0:
+        large, small = small, large
+    return np.array([[large, off], [off, small]])
 
 
 def from_cartan(alpha, x, y):

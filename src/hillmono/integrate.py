@@ -21,10 +21,13 @@ The node path Phi_i = T_{i-1} ... T_0 is a prefix product, evaluated by a
 blocked scan (reduce, then scan; Blelloch 1990): a sequential scan inside
 blocks of BLOCK steps, vectorized across the blocks; the same scan over the
 block totals; and one pass that carries each block's predecessor product
-into it. The scan works on deviations from the identity, T - I and P - I,
-so the O(h^2) diagonal terms of T are not rounded against 1 at every step;
-at 4096 steps this cuts the round-off in the trace of the monodromy about a
-hundredfold.
+into it. A level of fewer than BLOCK blocks, such as the 127 block totals of
+a 4096-step run, is scanned inside its blocks in Python floats, where
+numpy's per-call cost would dominate; the composition tree is the same, and
+so is every bit of the result. The scan works on deviations from the identity,
+T - I and P - I, so the O(h^2) diagonal terms of T are not rounded against 1
+at every step; at 4096 steps this cuts the round-off in the trace of the
+monodromy about a hundredfold.
 
 Each step's angle is one arctan2 of the cross and dot products of a row or
 column with its image under T_i, written with the entries of T_i - I so
@@ -37,6 +40,7 @@ increment. solution_winding applies the column rule to Phi_i u0.
 """
 
 import math
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -96,8 +100,13 @@ class MonodromyResult(NamedTuple):
     theta_r: float
 
 
+def sample_times(steps):
+    """The node and midpoint times at which q is sampled for `steps` steps."""
+    return np.linspace(0.0, TAU, 2 * steps + 1)
+
+
 def _sample_q(q, steps):
-    tt = np.linspace(0.0, TAU, 2 * steps + 1)
+    tt = sample_times(steps)
     qq = np.asarray(q(tt), dtype=float)
     if qq.shape != tt.shape or not np.all(np.isfinite(qq)):
         raise DomainError("potential evaluation must give finite values")
@@ -116,8 +125,8 @@ def _transfer(qa, qb, qd, h):
     return t
 
 
-def _compose(x, y):
-    """Entries of XY - I from those of X - I and Y - I."""
+def _compose(y, x):
+    """Entries of XY - I (Y, then X) from those of Y - I and X - I."""
     xa, xb, xc, xd = x
     ya, yb, yc, yd = y
     return (xa + ya + (xa * ya + xb * yc), xb + yb + (xa * yb + xb * yd),
@@ -127,27 +136,42 @@ def _compose(x, y):
 def _blocked_scan(t):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
-    Both are (4, n) arrays. A single block is scanned step by step; longer
-    runs go through the blocked scan with the block totals scanned by the
-    same function.
+    Both are (4, n) arrays. A single block is scanned step by step from the
+    identity. Longer runs are scanned inside blocks of BLOCK steps, the
+    block totals are scanned by the same function, and each block's
+    predecessor total is composed into it. With fewer blocks than a block
+    has steps, the scans inside the blocks run in Python floats: numpy would
+    make BLOCK rounds of calls on vectors shorter than BLOCK, which costs
+    more than it saves. The composition tree, and so every bit of the
+    result, is the same either way.
     """
     n = t.shape[1]
     if n <= BLOCK:
-        out = np.empty_like(t)
-        e = (0.0, 0.0, 0.0, 0.0)
-        for i, step in enumerate(zip(*t.tolist())):
-            e = _compose(step, e)
-            out[:, i] = e
-        return out
+        scan = accumulate(zip(*t.tolist()), _compose,
+                          initial=(0.0, 0.0, 0.0, 0.0))
+        return _entries(islice(scan, 1, None), n)
     m = -(-n // BLOCK)
     padded = np.zeros((4, m * BLOCK))  # the padding steps are I
-    padded[:, :n] = t
     # Block layout: p[:, j, k] is step k * BLOCK + j.
-    p = np.ascontiguousarray(padded.reshape(4, m, BLOCK).transpose(0, 2, 1))
-    for j in range(1, BLOCK):
-        p[:, j] = _compose(p[:, j], p[:, j - 1])
-    p[:, :, 1:] = _compose(p[:, :, 1:], _blocked_scan(p[:, -1, :-1])[:, None])
+    if m < BLOCK:
+        steps = list(zip(*t.tolist()))
+        padded[:, :n] = _entries(chain.from_iterable(
+            accumulate(steps[k:k + BLOCK], _compose)
+            for k in range(0, n, BLOCK)), n)
+        p = padded.reshape(4, m, BLOCK).transpose(0, 2, 1)
+    else:
+        padded[:, :n] = t
+        p = np.ascontiguousarray(padded.reshape(4, m, BLOCK).transpose(0, 2, 1))
+        for j in range(1, BLOCK):
+            p[:, j] = _compose(p[:, j - 1], p[:, j])
+    p[:, :, 1:] = _compose(_blocked_scan(p[:, -1, :-1])[:, None], p[:, :, 1:])
     return p.transpose(0, 2, 1).reshape(4, m * BLOCK)[:, :n]
+
+
+def _entries(matrices, n):
+    """(4, n) entries of n matrices given as 4-tuples of Python floats."""
+    return np.fromiter(chain.from_iterable(matrices), float,
+                       4 * n).reshape(n, 4).T
 
 
 def _overflow(what, nodes):

@@ -25,7 +25,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .cover import classify, to_cartan
 from .errors import DomainError, NumericalInvariantError
-from .integrate import monodromy
+from .integrate import checked_steps, monodromy, sample_times
 
 TAU = math.tau
 
@@ -139,20 +139,27 @@ def c1_component(mu, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 class _LineScan:
-    """Evaluation cache for the family q0 - s * qplus."""
+    """Evaluation cache for the family q0 - s * qplus.
+
+    q0 and qplus are sampled once, at the times monodromy samples at these
+    steps; each s then costs one array operation, q0 - s * qplus, on those
+    samples, which gives the same values as evaluating the line there.
+    """
 
     def __init__(self, q0, qplus, steps):
         self.q0 = q0
         self.qplus = qplus
-        self.steps = steps
+        self.steps = checked_steps(steps)
+        times = sample_times(self.steps)
+        self.samples = (q0(times), qplus(times))
         self.cache = {}
 
     def __call__(self, s):
         rec = self.cache.get(s)
         if rec is None:
-            q0, qplus = self.q0, self.qplus
+            q0v, qplusv = self.samples
             element, theta_r = monodromy(
-                lambda t: q0(t) - s * qplus(t), self.steps)
+                lambda t: q0v - s * qplusv, self.steps)
             alpha = to_cartan(element).alpha
             rec = (element, theta_r, element.trace, alpha)
             self.cache[s] = rec

@@ -104,3 +104,44 @@ def rel_l2(f_vals, g_vals, t):
     num = math.sqrt(np.trapezoid((f_vals - g_vals) ** 2, t))
     den = math.sqrt(np.trapezoid(g_vals ** 2, t))
     return num / den
+
+
+# The blocked prefix scan of hillmono.integrate with every level of more
+# than one block vectorized across its blocks in numpy. The package runs
+# levels of at most BLOCK * BLOCK steps in Python floats instead; both
+# compose in the same order, so they must agree bit for bit.
+BLOCK = 32
+
+
+def _compose(x, y):
+    """Entries of XY - I from those of X - I and Y - I."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (xa + ya + (xa * ya + xb * yc), xb + yb + (xa * yb + xb * yd),
+            xc + yc + (xc * ya + xd * yc), xd + yd + (xc * yb + xd * yd))
+
+
+def blocked_scan(t):
+    """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
+
+    Both are (4, n) arrays. A single block is scanned step by step; longer
+    runs go through the blocked scan with the block totals scanned by the
+    same function.
+    """
+    n = t.shape[1]
+    if n <= BLOCK:
+        out = np.empty_like(t)
+        e = (0.0, 0.0, 0.0, 0.0)
+        for i, step in enumerate(zip(*t.tolist())):
+            e = _compose(step, e)
+            out[:, i] = e
+        return out
+    m = -(-n // BLOCK)
+    padded = np.zeros((4, m * BLOCK))  # the padding steps are I
+    padded[:, :n] = t
+    # Block layout: p[:, j, k] is step k * BLOCK + j.
+    p = np.ascontiguousarray(padded.reshape(4, m, BLOCK).transpose(0, 2, 1))
+    for j in range(1, BLOCK):
+        p[:, j] = _compose(p[:, j], p[:, j - 1])
+    p[:, :, 1:] = _compose(p[:, :, 1:], blocked_scan(p[:, -1, :-1])[:, None])
+    return p.transpose(0, 2, 1).reshape(4, m * BLOCK)[:, :n]

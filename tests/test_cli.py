@@ -125,6 +125,29 @@ def test_synthesize_output_is_byte_stable(files):
         "1fc157a009234136a9f7fdcd0907202a51ec78b8ec0b4f042ccbf086130815fe")
 
 
+# Digests of the CSVs written while every monodromy call of the scan
+# sampled q0 and qplus afresh; a change in any record's 17 digits changes
+# them.
+@pytest.mark.parametrize("name, q0, qplus, size, digest", [
+    ("mathieu", Potential.trig_poly([2.0]), Potential.constant(1.0), 265,
+     "2d9e32b2e3f88b8cecc33a14c9877306c19a1e23f898f9da1662122e1d729181"),
+    ("generic", Potential.trig_poly([1.0], [0.0, 0.0, 0.5]),
+     Potential.trig_poly([0.2], constant_term=1.0), 266,
+     "3779aae5363bf9e46ae0d3927f898bf045b8b696d3129d81242589b5712a2f57"),
+])
+def test_spectrum_output_is_byte_stable(tmp_path, name, q0, qplus, size,
+                                        digest):
+    write_json(q0.to_dict(), tmp_path / "q0.json")
+    write_json(qplus.to_dict(), tmp_path / "qplus.json")
+    out = tmp_path / f"{name}.csv"
+    assert main(["spectrum", "--q0", str(tmp_path / "q0.json"),
+                 "--qplus", str(tmp_path / "qplus.json"), "--nmax", "2",
+                 "--steps", "4096", "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_synthesize_rejects_targets_off_image(files):
     ident = files["dir"] / "ident.json"
     write_json({"m": [1.0, 0.0, 0.0, 1.0], "omega": 0.0, "component": "+"},

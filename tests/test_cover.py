@@ -426,3 +426,98 @@ def test_strata_are_invariant_under_conjugation(alpha, r, phi, rotate,
         h_inv = from_left_iwasawa(0.0, 1.0 / rho, -nu / rho)
     _same(multiply(h, h_inv), identity())
     assert classify(multiply(multiply(h, g), h_inv)) == classify(g)
+
+
+# ---------------------------------------------------------------------------
+# Chart round trips
+# ---------------------------------------------------------------------------
+
+# Angles up to a thousand turns: every chart reads the branch of its angle
+# off the winding, so large windings must come back exactly too.
+_wide_theta = st.floats(-2000.0 * math.pi, 2000.0 * math.pi)
+
+
+def _close(got, want, tol=1e-9):
+    """Entrywise |got - want| <= tol * max(1, |want|)."""
+    for g, w in zip(got, want):
+        assert abs(g - w) <= tol * max(1.0, abs(w)), (got, want)
+
+
+@_props
+@given(_wide_theta, st.floats(-3.0, 3.0), _nu, _component)
+def test_left_iwasawa_chart_round_trip(theta, log_rho, nu, component):
+    rho = math.exp(log_rho)
+    g = _element((theta, log_rho, nu), component)
+    assert g.component == component
+    _close(to_left_iwasawa(g), (theta, rho, nu))
+
+
+@_props
+@given(_wide_theta, st.floats(-3.0, 3.0), _nu)
+def test_right_iwasawa_chart_round_trip(theta, log_rho, nu):
+    rho = math.exp(log_rho)
+    g = from_right_iwasawa(theta, rho, nu)
+    _close(to_right_iwasawa(g), (theta, rho, nu))
+    with pytest.raises(DomainError):
+        to_right_iwasawa(multiply(reflection(), g))
+
+
+@_props
+@given(_wide_theta, st.floats(0.0, 40.0), st.floats(0.0, TAU))
+def test_cartan_chart_round_trip(alpha, r, phi):
+    x, y = r * math.cos(phi), r * math.sin(phi)
+    g = from_cartan(alpha, x, y)
+    _close(to_cartan(g), (alpha, x, y))
+    with pytest.raises(DomainError):
+        to_cartan(multiply(reflection(), g))
+
+
+@_props
+@given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_cone_chart_identities(x, y, z):
+    # The Cartan angle lies in [-pi/2, pi/2] with cosine exp(-x^2) and the
+    # sign of x; the boost points along (y, z), and the cosh of its
+    # rapidity is exp(y^2 + z^2).
+    g = from_cone_coords(x, y, z)
+    alpha, bx, by = to_cartan(g)
+    want = 2.0 * math.exp(-x * x + y * y + z * z)
+    assert abs(g.trace - want) <= 1e-10 * want
+    assert abs(alpha) <= math.pi / 2
+    assert abs(math.cos(alpha) - math.exp(-x * x)) <= 1e-12
+    sine = math.copysign(math.sqrt(-math.expm1(-2.0 * x * x)), x)
+    assert abs(math.sin(alpha) - sine) <= 1e-12
+    rb, s = math.hypot(bx, by), math.hypot(y, z)
+    assert abs(math.cosh(rb) - math.exp(s * s)) <= 1e-9 * math.exp(s * s)
+    assert abs(bx * s - rb * y) <= 1e-9 * max(1.0, rb)
+    assert abs(by * s - rb * z) <= 1e-9 * max(1.0, rb)
+
+
+@_props
+@given(_wide_theta, st.floats(-2.0, 2.0), st.floats(-5.0, 5.0))
+def test_trace_chart_identities(theta, log_rho, trace):
+    assume(abs(math.sin(theta)) >= 1e-3)
+    rho = math.exp(log_rho)
+    g = from_trace_coords(theta, rho, trace)
+    sr = math.sqrt(rho)
+    nu = 2.0 * sr * (trace - (sr + 1.0 / sr) * math.cos(theta)) / math.sin(theta)
+    _close(to_left_iwasawa(g), (theta, rho, nu))
+    assert abs(g.trace - trace) <= 1e-10 * (1.0 + abs(trace) + sr + 1.0 / sr)
+
+
+@_props
+@given(_wide_theta, st.floats(-2.0, 2.0), _nu)
+def test_schur_chart_identities(alpha, log_lam, nu):
+    # Conjugating back by the rotation lifts must leave the middle factor,
+    # whose column e2 never turns: winding 0 at any alpha.
+    lam = math.exp(log_lam)
+    g = from_schur(alpha, lam, nu)
+    middle = np.array([[-1.0 / lam, 0.0], [nu, lam]])
+    assert g.component == -1
+    scale = max(1.0, np.abs(middle).max())
+    assert np.abs(g.mat - rotation(alpha) @ middle @ rotation(-alpha)).max() <= (
+        1e-12 * scale)
+    assert abs(g.trace - (lam - 1.0 / lam)) <= 1e-12 * scale
+    back = multiply(multiply(from_left_iwasawa(-alpha, 1.0, 0.0), g),
+                    from_left_iwasawa(alpha, 1.0, 0.0))
+    assert np.abs(back.mat - middle).max() <= 1e-12 * scale
+    assert abs(back.omega) <= 1e-9 * max(1.0, abs(alpha))

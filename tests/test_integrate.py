@@ -20,6 +20,8 @@ from hillmono import (
     solution_winding,
     to_right_iwasawa,
 )
+from hillmono.integrate import MIN_STEPS, _blocked_scan, _transfer
+from oracles import blocked_scan
 
 TAU = math.tau
 
@@ -271,3 +273,30 @@ def test_step_angle_gate():
     # At 16384 steps u = cos(50 t) winds 50 turns clockwise, up to the
     # Runge-Kutta phase error.
     assert abs(solution_winding(q, 0.0, 16384) + 50.0 * TAU) < 1e-4
+
+
+# Lengths on either side of one block (32) and of the switch from Python
+# floats to numpy (992 | 993 steps, 31 | 32 blocks); 31745 steps leave 992
+# block totals, the longest level scanned in Python floats, under a numpy
+# level.
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 992, 993, 1023, 1024,
+                               1025, 4096, 16385, 31745, 32769])
+def test_blocked_scan_matches_reference_bits(n):
+    rng = np.random.default_rng(n)
+    for scale in (0.01, 1.0, 100.0):
+        q = scale * rng.standard_normal(2 * n + 1)
+        t = _transfer(q[0:-1:2], q[1::2], q[2::2], TAU / max(n, MIN_STEPS))
+        assert _blocked_scan(t).tobytes() == blocked_scan(t).tobytes()
+
+
+def test_blocked_scan_matches_reference_past_overflow():
+    # Steps of 1e200 overflow the products to inf and then to nan. A nan
+    # made from two nans takes the sign bit of whichever operand the
+    # hardware picks, so nans are compared as nans, other entries by value.
+    rng = np.random.default_rng(7)
+    for n in (20, 700, 40000):
+        t = 1e200 * rng.standard_normal((4, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _blocked_scan(t), blocked_scan(t)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.isfinite(got[:, -1]).any()

@@ -15,6 +15,7 @@ from hillmono import (
     monodromy,
     oscillation_eigenvalues,
 )
+import hillmono.spectral as spectral
 from hillmono.spectral import DEFAULT_SCAN_STEPS
 from oracles import FROZEN_MATHIEU_FD2048, fd_line_eigenvalues
 
@@ -151,3 +152,34 @@ def test_direction_must_be_positive():
     with pytest.raises(DomainError):
         oscillation_eigenvalues(Potential.constant(0.0),
                                 Potential.trig_poly([1.5]), 2)
+
+
+class _Counting:
+    """A potential that counts its evaluations."""
+
+    def __init__(self, q):
+        self.q = q
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.q(t)
+
+
+@pytest.mark.parametrize("n_max", [2, 4])
+def test_scan_samples_the_line_once(monkeypatch, n_max):
+    # One evaluation each for the positivity check and one for the grid the
+    # monodromy calls share, however many calls the scan makes.
+    monodromy_calls = []
+
+    def counted(q, steps):
+        monodromy_calls.append(steps)
+        return monodromy(q, steps)
+
+    monkeypatch.setattr(spectral, "monodromy", counted)
+    q0 = _Counting(Potential.trig_poly([2.0]))
+    qplus = _Counting(Potential.constant(1.0))
+    records = oscillation_eigenvalues(q0, qplus, n_max)
+    assert len(records) == n_max + 1
+    assert len(monodromy_calls) > 50
+    assert (q0.calls, qplus.calls) == (2, 2)
