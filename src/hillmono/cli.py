@@ -11,6 +11,7 @@ outputs are deterministic and round-trip exactly.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -20,7 +21,8 @@ import numpy as np
 from . import boundary
 from .cover import classify, element_from_dict, element_to_dict
 from .errors import DomainError, NumericalInvariantError
-from .integrate import DEFAULT_STEPS, checked_steps, monodromy
+from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
+                        monodromy)
 from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
@@ -205,7 +207,10 @@ def cmd_plotdata(args):
         return 0
     if not args.levels:
         raise DomainError("plotdata needs --levels or --curve-of")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_samples)
+    if not 0.0 <= args.rmax < math.inf:
+        raise DomainError("--rmax must be finite and non-negative")
+    alphas = np.linspace(args.alpha_min, args.alpha_max,
+                         checked_count(args.alpha_samples, "--alpha-samples"))
     lines = ["c,alpha,r"]
     for c in args.levels:
         if c == 0.0:
@@ -263,7 +268,10 @@ def _add_common(p, steps_default=DEFAULT_STEPS):
                    help="output file, '-' or omitted for stdout")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process: every main call
+    parses with it, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hillmono",
         description="Lifted monodromy of Hill's equation: integration, "

@@ -21,13 +21,17 @@ The node path Phi_i = T_{i-1} ... T_0 is a prefix product, evaluated by a
 blocked scan (reduce, then scan; Blelloch 1990): a sequential scan inside
 blocks of BLOCK steps, vectorized across the blocks; the same scan over the
 block totals; and one pass that carries each block's predecessor product
-into it. A level of fewer than BLOCK blocks, such as the 127 block totals of
-a 4096-step run, is scanned inside its blocks in Python floats, where
-numpy's per-call cost would dominate; the composition tree is the same, and
-so is every bit of the result. The scan works on deviations from the identity,
-T - I and P - I, so the O(h^2) diagonal terms of T are not rounded against 1
-at every step; at 4096 steps this cuts the round-off in the trace of the
-monodromy about a hundredfold.
+into it. The numpy passes compose in place through (2, 2, ...) matrix
+views of the (4, ...) entry arrays: five calls a round inside the blocks,
+and the carry one row at a time, so that its temporaries are half the size
+of the level. A level is padded with identity steps only when BLOCK does
+not divide its length. A level of fewer than BLOCK blocks, such as the 127
+block totals of a 4096-step run, is scanned inside its blocks in Python
+floats, where numpy's per-call cost would dominate; the composition tree
+is the same, and so is every bit of the result. The scan works on
+deviations from the identity, T - I and P - I, so the O(h^2) diagonal
+terms of T are not rounded against 1 at every step; at 4096 steps this
+cuts the round-off in the trace of the monodromy about a hundredfold.
 
 Each step's angle is one arctan2 of the cross and dot products of a row or
 column with its image under T_i, written with the entries of T_i - I so
@@ -40,7 +44,7 @@ increment. solution_winding applies the column rule to Phi_i u0.
 """
 
 import math
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -133,17 +137,30 @@ def _compose(y, x):
             xc + yc + (xc * ya + xd * yc), xd + yd + (xc * yb + xd * yd))
 
 
+def _compose_into(x, y, rows=slice(None)):
+    """x <- XY - I in place, associated as in _compose, on (2, 2, ...) views
+    of the entries of X - I and Y - I; only the given rows of x change."""
+    x = x[rows]
+    prod = x[:, :1] * y[:1]
+    prod += x[:, 1:] * y[1:]
+    x += y[rows]
+    x += prod
+
+
 def _blocked_scan(t):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
-    Both are (4, n) arrays. A single block is scanned step by step from the
-    identity. Longer runs are scanned inside blocks of BLOCK steps, the
-    block totals are scanned by the same function, and each block's
-    predecessor total is composed into it. With fewer blocks than a block
-    has steps, the scans inside the blocks run in Python floats: numpy would
-    make BLOCK rounds of calls on vectors shorter than BLOCK, which costs
-    more than it saves. The composition tree, and so every bit of the
-    result, is the same either way.
+    Both are (4, n) arrays; t is left as it was. A single block is scanned
+    step by step from the identity. Longer runs are scanned inside blocks
+    of BLOCK steps, the block totals are scanned by the same function, and
+    each block's predecessor total is composed into it. The blocks are a
+    copy of t, padded with identity steps only when BLOCK does not divide
+    n, and both numpy passes compose into that copy in place through its
+    (2, 2, BLOCK, blocks) matrix view, the carry one row at a time. With
+    fewer blocks than a block has steps, the scans inside the blocks run in
+    Python floats: numpy would make BLOCK rounds of calls on vectors
+    shorter than BLOCK, which costs more than it saves. The composition
+    tree, and so every bit of the result, is the same either way.
     """
     n = t.shape[1]
     if n <= BLOCK:
@@ -151,27 +168,34 @@ def _blocked_scan(t):
                           initial=(0.0, 0.0, 0.0, 0.0))
         return _entries(islice(scan, 1, None), n)
     m = -(-n // BLOCK)
-    padded = np.zeros((4, m * BLOCK))  # the padding steps are I
-    # Block layout: p[:, j, k] is step k * BLOCK + j.
+    pad = m * BLOCK - n  # the padding steps are I
     if m < BLOCK:
         steps = list(zip(*t.tolist()))
-        padded[:, :n] = _entries(chain.from_iterable(
+        t = _entries(chain(chain.from_iterable(
             accumulate(steps[k:k + BLOCK], _compose)
-            for k in range(0, n, BLOCK)), n)
-        p = padded.reshape(4, m, BLOCK).transpose(0, 2, 1)
-    else:
-        padded[:, :n] = t
-        p = np.ascontiguousarray(padded.reshape(4, m, BLOCK).transpose(0, 2, 1))
+            for k in range(0, n, BLOCK)), repeat((0.0,) * 4, pad)), n + pad)
+    elif pad:
+        t = np.concatenate((t, np.zeros((4, pad))), axis=1)
+    # Block layout: p[:, :, j, k] is step k * BLOCK + j as a 2x2 matrix.
+    p = t.reshape(2, 2, m, BLOCK).transpose(0, 1, 3, 2)
+    if m >= BLOCK:
+        p = np.ascontiguousarray(p)  # a copy: t is left as it was
         for j in range(1, BLOCK):
-            p[:, j] = _compose(p[:, j - 1], p[:, j])
-    p[:, :, 1:] = _compose(_blocked_scan(p[:, -1, :-1])[:, None], p[:, :, 1:])
-    return p.transpose(0, 2, 1).reshape(4, m * BLOCK)[:, :n]
+            _compose_into(p[:, :, j], p[:, :, j - 1])
+    carry = _blocked_scan(p[:, :, -1, :-1].reshape(4, m - 1))
+    carry = carry.reshape(2, 2, 1, m - 1)
+    for i in range(2):  # a row at a time halves the full-size temporaries
+        _compose_into(p[:, :, :, 1:], carry, slice(i, i + 1))
+    return p.transpose(0, 1, 3, 2).reshape(4, m * BLOCK)[:, :n]
 
 
 def _entries(matrices, n):
-    """(4, n) entries of n matrices given as 4-tuples of Python floats."""
-    return np.fromiter(chain.from_iterable(matrices), float,
-                       4 * n).reshape(n, 4).T
+    """(4, n) entries of n matrices given as 4-tuples of Python floats.
+
+    Each entry is one contiguous row, as numpy reads it fastest.
+    """
+    return np.ascontiguousarray(np.fromiter(chain.from_iterable(matrices),
+                                            float, 4 * n).reshape(n, 4).T)
 
 
 def _overflow(what, nodes):
@@ -188,6 +212,18 @@ def checked_steps(steps):
     if not MIN_STEPS <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}]")
     return steps
+
+
+def checked_count(count, name):
+    """count as an int, checked against [0, MAX_STEPS + 1] before use.
+
+    MAX_STEPS + 1 is the node count of the longest integration; name is
+    the quantity the error message names.
+    """
+    count = int(count)
+    if not 0 <= count <= MAX_STEPS + 1:
+        raise DomainError(f"{name} must lie in [0, {MAX_STEPS + 1}]")
+    return count
 
 
 def _propagate(q, steps):

@@ -30,7 +30,8 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError, NumericalInvariantError
-from .integrate import DEFAULT_STEPS, checked_steps, integrate
+from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
+                        integrate)
 from .potentials import Potential
 from .serialize import fmt_csv_rows
 
@@ -281,6 +282,7 @@ def orbit_of(curve, nodes=None):
     values ride along; later transforms then never have to differentiate the
     interpolated profile.
     """
+    n = curve.t.size if nodes is None else checked_count(nodes, "nodes")
     theta_t = np.unwrap(np.arctan2(curve.v[:, 1], curve.v[:, 0]))
     theta_t -= theta_t[0]
     if not np.all(np.diff(theta_t) > 0):
@@ -288,7 +290,6 @@ def orbit_of(curve, nodes=None):
     rho_t = curve.v[:, 0] ** 2 + curve.v[:, 1] ** 2
     slope_t = rho_t * 2.0 * (curve.v[:, 0] * curve.vp[:, 0]
                              + curve.v[:, 1] * curve.vp[:, 1])
-    n = curve.t.size if nodes is None else int(nodes)
     grid = np.linspace(0.0, theta_t[-1], n)
     rho = PchipInterpolator(theta_t, rho_t)(grid)
     rho_prime = PchipInterpolator(theta_t, slope_t)(grid)

@@ -4,12 +4,14 @@ import hashlib
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hillmono import (Potential, element_to_dict, load_potential, monodromy,
-                      read_json, write_json)
+from hillmono import (DomainError, Potential, cli, curve_of, element_to_dict,
+                      load_potential, monodromy, orbit_of, read_json,
+                      write_json)
 from hillmono.cli import main
 from oracles import rel_l2
 
@@ -367,3 +369,71 @@ def test_outputs_are_deterministic(files):
         assert main(["monodromy", "--potential", files["mathieu"],
                      "-o", out]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_main_builds_its_parser_once(files):
+    cli.build_parser.cache_clear()
+    out = str(files["dir"] / "parser.json")
+    for _ in range(3):
+        assert main(["sample-potential", "--constant", "-1", "-o", out]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_parser_survives_a_rejected_argv(files):
+    out = str(files["dir"] / "after.json")
+    with pytest.raises(SystemExit) as info:
+        main(["monodromy", "--steps", "8", "--potential", files["q0"]])
+    assert info.value.code == 2
+    assert main(["monodromy", "--potential", files["q0"], "-o", out]) == 0
+    assert read_json(out)["stratum"]["kind"] == "parabolic_leaf_plus"
+
+
+def test_options_do_not_leak_between_calls(files, capsys):
+    # q = 0 at 64 steps differs from the default in its trailing digits.
+    argv = ["monodromy", "--potential", files["q0"]]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    assert main([*argv, "--steps", "64"]) == 0
+    assert capsys.readouterr().out != before
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kepler", "to-orbit", "--nodes", "-3"], "nodes must lie in [0, 4194305]"),
+    (["kepler", "to-orbit", "--nodes", str(10**12)], "nodes must lie in"),
+    (["plotdata", "--levels=1", "--alpha-samples", "-1"],
+     "--alpha-samples must lie in [0, 4194305]"),
+    (["plotdata", "--levels=1", "--alpha-samples", str(10**12)],
+     "--alpha-samples must lie in"),
+    (["plotdata", "--levels=1,0", "--rmax", "-1"], "--rmax must be finite"),
+    (["plotdata", "--levels=1,0", "--rmax", "nan"], "--rmax must be finite"),
+    (["plotdata", "--levels=1,0", "--rmax", "inf"], "--rmax must be finite"),
+])
+def test_bad_counts_and_radii_exit_2(files, capsys, argv, message):
+    if argv[0] == "kepler":
+        argv = [*argv, "--potential", files["qm1"]]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_huge_counts_are_refused_before_allocation(files):
+    curve = curve_of(load_potential(files["qm1"]), 1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"^nodes must lie in \[0, "):
+            orbit_of(curve, 10**12)
+        assert main(["plotdata", "--levels=1",
+                     "--alpha-samples", str(10**12)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_plotdata_zero_radius_still_works(files, capsys):
+    assert main(["plotdata", "--levels=0", "--alpha-min", "0",
+                 "--alpha-max", "3", "--rmax", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 101
+    assert {row.split(",")[2] for row in rows} == {"0"}

@@ -1,7 +1,9 @@
 """Fundamental path integration and the lifted monodromy map."""
 
+import importlib
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -300,3 +302,48 @@ def test_blocked_scan_matches_reference_past_overflow():
             got, want = _blocked_scan(t), blocked_scan(t)
         assert np.array_equal(got, want, equal_nan=True)
         assert not np.isfinite(got[:, -1]).any()
+
+
+def _scan_peak(scan, t):
+    tracemalloc.start()
+    try:
+        scan(t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_scan_peak_memory_is_no_higher_than_reference():
+    rng = np.random.default_rng(17)
+    n = 2 ** 17
+    q = rng.standard_normal(2 * n + 1)
+    t = _transfer(q[0:-1:2], q[1::2], q[2::2], TAU / n)
+    assert _scan_peak(_blocked_scan, t) <= _scan_peak(blocked_scan, t)
+
+
+# One block; fewer than BLOCK blocks, a whole and a partial last block; BLOCK
+# or more blocks, whole and partial, the last over a level of 992 totals.
+@pytest.mark.parametrize("n", [20, 32, 500, 512, 1024, 4097, 31745])
+def test_blocked_scan_leaves_its_input_unchanged(n):
+    rng = np.random.default_rng(n)
+    t = _transfer(*rng.standard_normal((3, n)), TAU / max(n, MIN_STEPS))
+    before = t.tobytes()
+    _blocked_scan(t)
+    assert t.tobytes() == before
+
+
+def test_windings_read_the_transfer_matrices_that_were_scanned(monkeypatch):
+    integ = importlib.import_module("hillmono.integrate")
+    q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
+    steps = 4096
+    qq = q(integ.sample_times(steps))
+    want = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], TAU / steps).tobytes()
+    seen = []
+    for name in ("_row_turns", "_column_turns"):
+        def spy(t, *args, original=getattr(integ, name)):
+            seen.append(t)
+            return original(t, *args)
+        monkeypatch.setattr(integ, name, spy)
+    integrate(q, steps)
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0].tobytes() == want

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from hillmono import (
@@ -13,6 +15,7 @@ from hillmono import (
     base_polynomial,
     center_power,
     from_left_iwasawa,
+    from_right_iwasawa,
     identity,
     monodromy,
     normalize_c,
@@ -130,3 +133,24 @@ def test_normalize_c_matches_direct_sweep():
     c = normalize_c(3.5, p1, r)
     orb = synthesize_orbit(3.5, 1.4, 0.2, [0.1])
     assert orb.c == c
+
+
+_fiber = st.lists(st.floats(-0.1, 0.1), min_size=8, max_size=8)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.floats(2.0, 8.0), st.floats(-1.0, 1.0), st.floats(-1.5, 1.5),
+       _fiber, _fiber)
+def test_synthesis_round_trips_over_targets_and_fibers(theta_m, log_rho, nu,
+                                                       ca, cb):
+    assume(max(abs(a - b) for a, b in zip(ca, cb)) >= 0.01)
+    target = from_right_iwasawa(theta_m, math.exp(log_rho), nu)
+    t = np.linspace(0.0, TAU, 2049)
+    profiles = []
+    for coeffs in (ca, cb):
+        q = potential_with_monodromy(target, coeffs)
+        element, _ = monodromy(q, q.samples.size - 1)
+        assert np.abs(element.mat - target.mat).max() <= 1e-6
+        assert abs(element.omega - target.omega) <= 1e-6
+        profiles.append(q(t))
+    assert rel_l2(profiles[0], profiles[1], t) > 1e-6
