@@ -114,7 +114,12 @@ class GeneralBC:
         mat = np.array(mat, dtype=float)
         if mat.shape != (2, 2) or not np.all(np.isfinite(mat)):
             raise DomainError("boundary matrix must be a finite 2x2 matrix")
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        (a, b), (c, d) = mat.tolist()
+        det = a * d - b * c  # Python floats overflow to inf without warning
+        if not math.isfinite(det):
+            raise DomainError(
+                f"boundary matrix [[{a!r}, {b!r}], [{c!r}, {d!r}]] has a "
+                f"determinant that overflows double precision")
         if abs(det) <= MIN_DET:
             raise DomainError("boundary matrix is singular")
         mat.setflags(write=False)

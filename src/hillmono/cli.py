@@ -207,6 +207,10 @@ def cmd_plotdata(args):
         return 0
     if not args.levels:
         raise DomainError("plotdata needs --levels or --curve-of")
+    if not all(map(math.isfinite, args.levels)):
+        raise DomainError("--levels must be finite")
+    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
+        raise DomainError("--alpha-min and --alpha-max must be finite")
     if not 0.0 <= args.rmax < math.inf:
         raise DomainError("--rmax must be finite and non-negative")
     alphas = np.linspace(args.alpha_min, args.alpha_max,
@@ -252,7 +256,7 @@ def cmd_sample_potential(args):
     else:
         raise DomainError("give --constant or trig coefficients")
     if args.grid is not None:
-        q = Potential.sampled(q.sample(args.grid))
+        q = Potential.sampled(q.sample(checked_count(args.grid, "--grid")))
     _write_text(dumps_json(q.to_dict()), args.output)
     return 0
 

@@ -18,8 +18,15 @@ The transforms here move between the three value types:
                                q = (2 rho'' rho - 3 rho'^2 - 4 rho^2)/(4 rho^4)
 
 Sampled orbits are interpolated shape-preservingly for values; derivative
-data is taken from supplied samples or analytic callables when present and
+data is taken from supplied samples or an analytic 2-jet when present and
 otherwise estimated by differences or spline differentiation.
+
+Inverting the swept-time map is the costly step at large step counts. Each
+Newton sweep moves every point from that point's own data alone, so a
+point that a sweep leaves unchanged is a fixed point; later sweeps run only
+on the points that still move, and the result is the same to the bit as
+sweeping all of them. An analytic orbit's profile and its derivatives are
+evaluated once per point set.
 """
 
 import math
@@ -92,15 +99,17 @@ class Orbit:
     """Radius-squared profile rho on a uniform grid over [0, theta_max].
 
     Optional derivative samples rho_prime, rho_second and analytic
-    callables (value_fn, slope_fn, curvature_fn) refine later
-    transforms; the callables are not serialized.
+    callables refine later transforms: value_fn maps theta to rho, and
+    jet_fn maps theta to the tuple (rho, rho', rho''). Both must reproduce
+    the rho samples exactly at the grid nodes. The callables are not
+    serialized.
     """
 
     __slots__ = ("theta_max", "rho", "rho_prime", "rho_second",
-                 "value_fn", "slope_fn", "curvature_fn")
+                 "value_fn", "jet_fn")
 
     def __init__(self, theta_max, rho, rho_prime=None, rho_second=None,
-                 value_fn=None, slope_fn=None, curvature_fn=None):
+                 value_fn=None, jet_fn=None):
         theta_max = float(theta_max)
         rho = np.array(rho, dtype=float)
         if not (math.isfinite(theta_max) and theta_max > 0):
@@ -121,8 +130,8 @@ class Orbit:
             raise DomainError(
                 f"rho(0) = {float(rho[0])!r} but must be 1 within {RHO_START_TOL}")
         grid = np.linspace(0.0, theta_max, rho.size)
-        if slope_fn is not None:
-            slope0 = float(slope_fn(0.0))
+        if jet_fn is not None:
+            slope0 = float(jet_fn(0.0)[1])
         elif rho_prime is not None:
             slope0 = float(rho_prime[0])
         else:
@@ -143,8 +152,7 @@ class Orbit:
         object.__setattr__(self, "rho_prime", rho_prime)
         object.__setattr__(self, "rho_second", rho_second)
         object.__setattr__(self, "value_fn", value_fn)
-        object.__setattr__(self, "slope_fn", slope_fn)
-        object.__setattr__(self, "curvature_fn", curvature_fn)
+        object.__setattr__(self, "jet_fn", jet_fn)
 
     def __setattr__(self, name, value):
         raise AttributeError("Orbit is immutable")
@@ -176,15 +184,13 @@ def _edge_slopes(values, h):
     return left, right
 
 
-def _slope_model(orbit, for_curvature=False):
-    """rho' as a callable: analytic, supplied samples, or estimated.
+def _slope_model(orbit, for_curvature):
+    """rho' of a sampled orbit as a callable: supplied samples or estimated.
 
     Estimation uses centered differences for curve reconstruction and the
     cubic spline derivative when curvature is also required, so rho'' stays
     continuous in the latter case.
     """
-    if orbit.slope_fn is not None:
-        return orbit.slope_fn
     grid = orbit.theta_grid
     if orbit.rho_prime is not None:
         return PchipInterpolator(grid, orbit.rho_prime)
@@ -198,14 +204,24 @@ def _slope_model(orbit, for_curvature=False):
 
 
 def _curvature_model(orbit):
-    if orbit.curvature_fn is not None:
-        return orbit.curvature_fn
     grid = orbit.theta_grid
     if orbit.rho_second is not None:
         return PchipInterpolator(grid, orbit.rho_second)
     if orbit.rho_prime is not None:
         return CubicSpline(grid, orbit.rho_prime).derivative()
     return CubicSpline(grid, orbit.rho).derivative(2)
+
+
+def _jet_model(orbit, value_fn, for_curvature=False):
+    """theta -> (rho, rho', rho'') as a callable; without for_curvature a
+    sampled orbit's rho'' is None. An analytic orbit's jet_fn is used as is,
+    so its profile is evaluated once per point set."""
+    if orbit.jet_fn is not None:
+        return orbit.jet_fn
+    slope_fn = _slope_model(orbit, for_curvature)
+    curv_fn = _curvature_model(orbit) if for_curvature else None
+    return lambda th: (value_fn(th), slope_fn(th),
+                       None if curv_fn is None else curv_fn(th))
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +236,72 @@ def _time_table(orbit):
     return table
 
 
+def _newton_sweep(value_fn, th, thj, tj, rj, t, theta_max):
+    """One Newton step on each point: (new theta, residual before it).
+
+    The residual is tj + (delta/6) (rj + 4 rho(mid) + rho(th)) - t with
+    delta = th - thj and mid = thj + delta/2: the swept time to th by the
+    Simpson rule from the bracketing node, minus the target. The in-place
+    operations round exactly as that expression does.
+    """
+    delta = th - thj
+    mid = np.multiply(delta, 0.5)
+    mid += thj
+    resid = 4.0 * value_fn(mid)
+    del mid
+    rth = value_fn(th)
+    resid += rj
+    resid += rth
+    delta /= 6.0
+    resid *= delta
+    resid += tj
+    resid -= t
+    new = np.divide(resid, rth, out=delta)
+    np.subtract(th, new, out=new)
+    return np.clip(new, 0.0, theta_max, out=new), resid
+
+
 def _invert_times(orbit, value_fn, t_targets):
     """theta(t) for the swept-time map t(theta), by table lookup and Newton.
 
-    The cumulative table gives the bracket; each target is refined with
-    Newton steps whose residual uses a local Simpson correction from the
-    bracketing node.
+    The cumulative table gives the bracket; each target is refined with up
+    to six Newton sweeps whose residual uses a local Simpson correction from
+    the bracketing node, whose value is read off orbit.rho. A sweep updates
+    each point from that point's own data alone, so a point whose theta a
+    sweep leaves unchanged keeps it and its residual in every later sweep:
+    after the first sweep, each sweep runs only on the points that moved in
+    the one before. One full-length residual array holds every point's
+    latest residual, so the stop test and the convergence gate see the same
+    maximum as a sweep over all points would, and theta is the same to the
+    bit.
     """
     grid = orbit.theta_grid
     table = _time_table(orbit)
     t = np.asarray(t_targets, dtype=float)
     j = np.clip(np.searchsorted(table, t, side="right") - 1, 0, grid.size - 2)
-    thj = grid[j]
-    tj = table[j]
-    rj = value_fn(thj)
+    thj, tj, rj = grid[j], table[j], orbit.rho[j]
+    del j
     th = np.clip(thj + (t - tj) / rj, 0.0, orbit.theta_max)
-    resid = None
-    for _ in range(6):
-        delta = th - thj
-        mid = thj + 0.5 * delta
-        rth = value_fn(th)
-        resid = tj + (delta / 6.0) * (rj + 4.0 * value_fn(mid) + rth) - t
-        th = np.clip(th - resid / rth, 0.0, orbit.theta_max)
-        if np.abs(resid).max() < 1e-13 * TAU:
+    new, resid = _newton_sweep(value_fn, th, thj, tj, rj, t, orbit.theta_max)
+    # live indexes the moving points in th and resid; moved indexes them in
+    # the arrays of the last sweep.
+    moved = live = np.flatnonzero(new != th)
+    th = new
+    for _ in range(5):
+        if not live.size or np.abs(resid).max() < 1e-13 * TAU:
             break
+        # One array at a time, so that no two full-length copies coexist.
+        thj = thj[moved]
+        tj = tj[moved]
+        rj = rj[moved]
+        t = t[moved]
+        old = th[live]
+        new, resid[live] = _newton_sweep(value_fn, old, thj, tj, rj, t,
+                                         orbit.theta_max)
+        th[live] = new
+        moved = np.flatnonzero(new != old)
+        del old, new
+        live = live[moved]
     if np.abs(resid).max() > 1e-9:
         raise NumericalInvariantError("swept-time inversion did not converge")
     return th
@@ -305,10 +363,8 @@ def curve_of_orbit(orbit, steps=DEFAULT_STEPS):
     """
     t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
     value_fn = _value_model(orbit)
-    slope_fn = _slope_model(orbit)
     th = _invert_times(orbit, value_fn, t)
-    rho = value_fn(th)
-    drho = slope_fn(th)
+    rho, drho, _ = _jet_model(orbit, value_fn)(th)
     c, s = np.cos(th), np.sin(th)
     sq = np.sqrt(rho)
     v = np.stack([sq * c, sq * s], axis=-1)
@@ -336,12 +392,8 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
     """Potential along the time grid from the orbit curvature formula."""
     t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
     value_fn = _value_model(orbit)
-    slope_fn = _slope_model(orbit, for_curvature=True)
-    curv_fn = _curvature_model(orbit)
     th = _invert_times(orbit, value_fn, t)
-    rho = value_fn(th)
-    drho = slope_fn(th)
-    d2rho = curv_fn(th)
+    rho, drho, d2rho = _jet_model(orbit, value_fn, for_curvature=True)(th)
     q = (2.0 * d2rho * rho - 3.0 * drho ** 2 - 4.0 * rho ** 2) / (4.0 * rho ** 4)
     return Potential.sampled(q, "cubic")
 

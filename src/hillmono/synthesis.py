@@ -13,9 +13,13 @@ angular endpoint data pins the monodromy exactly, so every choice of r
 yields a different potential with the same lifted monodromy.
 
 All pieces of the exponent are polynomials, so every rho derivative used by
-the downstream transforms is an exact closed form.
+the downstream transforms is an exact closed form. The exponent E and its
+derivatives are evaluated by one blocked Horner pass each (polyval), bit for
+bit as numpy's Polynomial would, and rho, rho' and rho'' at a point set come
+from one evaluation of E, E' and E'' (SynthesizedOrbit.jet).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +49,36 @@ _EXP_CAP = 700.0
 
 _BUMP = Polynomial([0.0, 0.0, 1.0, -2.0, 1.0])  # x^2 (1-x)^2
 
+# Points per Horner block: a block and its argument (256 kB) stay in cache
+# across the passes over the coefficients.
+_BLOCK = 16384
+
+
+def polyval(coef, x):
+    """The power series coef at x, bit for bit as Polynomial(coef)(x).
+
+    With its default domain and window, Polynomial maps x to 0.0 + 1.0 * x,
+    which is x except that -0.0 becomes 0.0, and then runs
+    c0 = c[-1] + x * 0, c0 = c[i] + c0 * x down the coefficients. Here the
+    same IEEE operations run in place, one block of points at a time, so
+    no temporary is allocated per coefficient. The result is an array of
+    x's shape, 0-d for a scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    arg = np.empty(min(flat.size, _BLOCK))
+    top, *rest = np.asarray(coef, dtype=float)[::-1].tolist()
+    for lo in range(0, flat.size, _BLOCK):
+        o = out[lo:lo + _BLOCK]
+        xs = np.add(flat[lo:lo + _BLOCK], 0.0, out=arg[:o.size])
+        np.multiply(xs, 0.0, out=o)
+        o += top
+        for c in rest:
+            o *= xs
+            o += c
+    return out.reshape(x.shape)
+
 
 def base_polynomial(theta_m, rho0, nu0):
     """Hermite cubic P1 with P1(0) = P1'(0) = 0, P1(tm) = log rho0, P1'(tm) = nu0."""
@@ -63,9 +97,13 @@ def base_polynomial(theta_m, rho0, nu0):
     return Polynomial([0.0, 0.0, a, b])
 
 
+@functools.cache
 def perturbation_basis(size=DEFAULT_BASIS_SIZE):
     """Polynomials b_1..b_size on [0,1], each with double zeros at both ends
-    and zero mean: Chebyshev-weighted bumps recentered against the plain bump."""
+    and zero mean: Chebyshev-weighted bumps recentered against the plain bump.
+
+    Built once per size; the tuple and the coefficient arrays are read-only,
+    so no caller can change the cached basis."""
     size = int(size)
     if size < 0:
         raise DomainError("basis size must be nonnegative")
@@ -75,8 +113,10 @@ def perturbation_basis(size=DEFAULT_BASIS_SIZE):
     for k in range(1, size + 1):
         cheb = Polynomial(chebyshev.cheb2poly(np.eye(k + 1)[k]))
         psi = _BUMP * cheb(affine)
-        basis.append(psi - (_poly_mass(psi) / bump_mass) * _BUMP)
-    return basis
+        b = psi - (_poly_mass(psi) / bump_mass) * _BUMP
+        b.coef.setflags(write=False)
+        basis.append(b)
+    return tuple(basis)
 
 
 def _poly_mass(p):
@@ -154,7 +194,7 @@ class SynthesizedOrbit:
     """Orbit with the closed-form exponential profile.
 
     Holds the polynomial exponent with its first two derivatives and exposes
-    the profile and its first two derivatives as callables; sample()
+    the profile (rho) and its 2-jet (jet) as callables; sample()
     materializes a kepler.Orbit carrying both the samples and the analytic
     callables.
     """
@@ -180,25 +220,27 @@ class SynthesizedOrbit:
         raise AttributeError("SynthesizedOrbit is immutable")
 
     def rho(self, theta):
-        return np.exp(self.exponent(np.asarray(theta, dtype=float)))
+        """exp(E(theta))."""
+        e = polyval(self.exponent.coef, theta)
+        return np.exp(e, out=e)[()]
 
-    def rho_prime(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.exponent_d1(theta) * self.rho(theta)
-
-    def rho_second(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        e1 = self.exponent_d1(theta)
-        e2 = self.exponent_d2(theta)
-        return (e2 + e1 ** 2) * self.rho(theta)
+    def jet(self, theta):
+        """(rho, rho', rho'') at theta, from one evaluation each of E, E'
+        and E'': rho' = E' rho and rho'' = (E'' + E'^2) rho."""
+        rho = self.rho(theta)
+        e1 = polyval(self.exponent_d1.coef, theta)
+        e2 = polyval(self.exponent_d2.coef, theta)
+        e2 += e1 ** 2
+        e2 *= rho
+        e1 *= rho
+        return rho, e1[()], e2[()]
 
     def sample(self, nodes=4097):
         grid = np.linspace(0.0, self.theta_max, int(nodes))
-        return Orbit(self.theta_max, self.rho(grid),
-                     rho_prime=self.rho_prime(grid),
-                     rho_second=self.rho_second(grid),
-                     value_fn=self.rho, slope_fn=self.rho_prime,
-                     curvature_fn=self.rho_second)
+        rho, rho_prime, rho_second = self.jet(grid)
+        return Orbit(self.theta_max, rho, rho_prime=rho_prime,
+                     rho_second=rho_second, value_fn=self.rho,
+                     jet_fn=self.jet)
 
 
 def synthesize_orbit(theta_m, rho0, nu0, coeffs=None):
@@ -219,8 +261,8 @@ def auto_steps(orb):
     """
     grid = np.linspace(0.0, orb.theta_max, 16385)
     rho = orb.rho(grid)
-    e1 = orb.exponent_d1(grid)
-    e2 = orb.exponent_d2(grid)
+    e1 = polyval(orb.exponent_d1.coef, grid)
+    e2 = polyval(orb.exponent_d2.coef, grid)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         qmax = np.abs((2.0 * e2 - e1 ** 2 - 4.0) / (4.0 * rho ** 2)).max()
     need = TAU * math.sqrt(qmax) / _STEP_PHASE_BOUND

@@ -13,6 +13,9 @@ import numpy as np
 from scipy.sparse import diags_array, eye_array
 from scipy.sparse.linalg import eigsh
 
+from hillmono import NumericalInvariantError
+from hillmono.kepler import _time_table
+
 TAU = math.tau
 
 # Five lowest periodic eigenvalues of -v'' + 2 cos(t) v = s v on [0, 2 pi],
@@ -145,3 +148,36 @@ def blocked_scan(t):
         p[:, j] = _compose(p[:, j], p[:, j - 1])
     p[:, :, 1:] = _compose(p[:, :, 1:], blocked_scan(p[:, -1, :-1])[:, None])
     return p.transpose(0, 2, 1).reshape(4, m * BLOCK)[:, :n]
+
+
+# The swept-time inversion of hillmono.kepler as it was before later sweeps
+# were narrowed to the points that still move and the node values were read
+# off the orbit's samples: every sweep runs on every point. Both must give
+# the same theta bit for bit.
+def invert_times(orbit, value_fn, t_targets):
+    """theta(t) for the swept-time map t(theta), by table lookup and Newton.
+
+    The cumulative table gives the bracket; each target is refined with
+    Newton steps whose residual uses a local Simpson correction from the
+    bracketing node.
+    """
+    grid = orbit.theta_grid
+    table = _time_table(orbit)
+    t = np.asarray(t_targets, dtype=float)
+    j = np.clip(np.searchsorted(table, t, side="right") - 1, 0, grid.size - 2)
+    thj = grid[j]
+    tj = table[j]
+    rj = value_fn(thj)
+    th = np.clip(thj + (t - tj) / rj, 0.0, orbit.theta_max)
+    resid = None
+    for _ in range(6):
+        delta = th - thj
+        mid = thj + 0.5 * delta
+        rth = value_fn(th)
+        resid = tj + (delta / 6.0) * (rj + 4.0 * value_fn(mid) + rth) - t
+        th = np.clip(th - resid / rth, 0.0, orbit.theta_max)
+        if np.abs(resid).max() < 1e-13 * TAU:
+            break
+    if np.abs(resid).max() > 1e-9:
+        raise NumericalInvariantError("swept-time inversion did not converge")
+    return th

@@ -95,6 +95,16 @@ def test_general_bc_validation():
         GeneralBC(np.full((2, 2), np.nan))
 
 
+@pytest.mark.parametrize("mat", [np.full((2, 2), 1e308),
+                                 [[1e160, 1e160], [-1e160, 1e160]]])
+def test_general_bc_refuses_an_overflowing_determinant(mat):
+    # Finite entries whose determinant overflows: refused by name, with no
+    # RuntimeWarning (pytest turns those into errors).
+    with pytest.raises(DomainError, match=r"^boundary matrix \[\[.*\]\] has "
+                       r"a determinant that overflows"):
+        GeneralBC(mat)
+
+
 def test_general_worked_examples():
     periodic = GeneralBC(np.eye(2))
     antiperiodic = GeneralBC(-np.eye(2))

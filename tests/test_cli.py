@@ -437,3 +437,75 @@ def test_plotdata_zero_radius_still_works(files, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 101
     assert {row.split(",")[2] for row in rows} == {"0"}
+
+
+def test_boundary_general_overflowing_matrix_exits_2(files, capsys):
+    assert main(["boundary", "general", "--potential", files["qm1"],
+                 "--A=1e308,1e308,1e308,1e308", "--steps", "256"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary matrix [[1e+308, 1e+308], ")
+    assert "determinant that overflows" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--levels", "nan"], "--levels must be finite"),
+    (["--levels", "inf"], "--levels must be finite"),
+    (["--levels=1,-inf"], "--levels must be finite"),
+    (["--levels=1", "--alpha-min", "nan"], "--alpha-min and --alpha-max"),
+    (["--levels=1", "--alpha-max=-inf"], "--alpha-min and --alpha-max"),
+])
+def test_plotdata_refuses_non_finite_bounds(capsys, argv, message):
+    assert main(["plotdata", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_sample_potential_grid_is_checked_before_allocation(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["sample-potential", "--cos", "1",
+                     "--grid", str(10**11)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert "--grid must lie in [0, 4194305]" in capsys.readouterr().err
+    assert main(["sample-potential", "--cos", "1", "--grid", "-1"]) == 2
+    assert main(["sample-potential", "--cos", "1", "--grid", "17"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) == 17
+
+
+# Digests of the bytes written while the swept-time inversion ran every
+# Newton sweep on every point and evaluated the exponent polynomials with
+# numpy's Polynomial; a change in any sample's 17 digits changes them.
+def test_stiff_synthesize_output_is_byte_stable(files):
+    # The right Iwasawa target (0.3, 0.5, -2), for which auto_steps picks
+    # 131072 steps.
+    target = files["dir"] / "stiff_target.json"
+    out = files["dir"] / "stiff.json"
+    write_json({"m": [0.6755249097756645, 0.20896434210788314,
+                      -1.7689785037670949, 0.9331211353355625],
+                "omega": -0.22030650989861766, "component": "+"}, target)
+    assert main(["synthesize", "--target", str(target), "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 3396661
+    assert hashlib.sha256(data).hexdigest() == (
+        "4284ddd03846777392bf584c04da27f2cf3e549d1830a8e35fe9a22e9d0d3258")
+
+
+def test_kepler_round_trip_output_is_byte_stable(files):
+    orbit = files["dir"] / "pinned_orbit.json"
+    back = files["dir"] / "pinned_back.json"
+    assert main(["kepler", "to-orbit", "--potential", files["trig"],
+                 "--steps", "4096", "-o", str(orbit)]) == 0
+    assert main(["kepler", "to-potential", "--orbit", str(orbit),
+                 "--steps", "4096", "-o", str(back)]) == 0
+    for path, size, digest in (
+            (orbit, 197913,
+             "7328b99400dd2ef92f837afae920b730b6dc815ad7a9c3a98128e26ca01f9294"),
+            (back, 105460,
+             "6c080623edd1224257286201ff0b95b2594ccf2b0ddf3f96ee9c8aec669e0b2f")):
+        data = path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest

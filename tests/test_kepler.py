@@ -1,6 +1,7 @@
 """Orbit transforms: curves, polar profiles, and their inverses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import simpson
 
 from hillmono import (
     DomainError,
+    NumericalInvariantError,
     FundamentalCurve,
     Orbit,
     Potential,
@@ -22,8 +24,11 @@ from hillmono import (
     potential_of_orbit,
     potential_with_monodromy,
     save_curve_csv,
+    synthesize_orbit,
 )
-from oracles import rel_l2
+from hillmono.kepler import _invert_times, _value_model
+from hillmono.synthesis import auto_steps
+from oracles import invert_times, rel_l2
 
 TAU = math.tau
 
@@ -154,3 +159,81 @@ def test_orbit_json_roundtrip():
     assert back.theta_max == orbit.theta_max
     np.testing.assert_array_equal(back.rho, orbit.rho)
     np.testing.assert_array_equal(back.rho_prime, orbit.rho_prime)
+
+
+def _counted(fn, sizes):
+    def wrapped(theta):
+        sizes.append(np.size(theta))
+        return fn(theta)
+    return wrapped
+
+
+@pytest.mark.parametrize("target, coeffs, steps, sweeps", [
+    ((13.0, 2.0, -1.0), None, 524288, 6),
+    ((0.3, 0.5, -2.0), [-0.067, 0.0017], 131072, 3),
+    ((5.3, 1.9, 0.84), None, 16384, 6),
+    ((5.3, 1.9, 0.84), [0.05, -0.02], 16384, 6),
+    ((2.65, 1.18, 0.26), None, 16384, 2),
+])
+def test_invert_times_matches_full_sweeps_on_synthesized_orbits(
+        target, coeffs, steps, sweeps):
+    # The reference evaluates rho with numpy's Polynomial, runs every sweep
+    # on every point and evaluates the node values; the targets include
+    # ones whose residual stalls above the stop test, so that all six
+    # sweeps run.
+    orb = synthesize_orbit(*target, coeffs)
+    assert auto_steps(orb) == steps
+    orbit = orb.sample()
+    t = np.linspace(0.0, TAU, steps + 1)
+    ref_sizes, sizes = [], []
+    want = invert_times(orbit, _counted(lambda th: np.exp(orb.exponent(th)),
+                                        ref_sizes), t)
+    got = _invert_times(orbit, _counted(orbit.value_fn, sizes), t)
+    assert got.tobytes() == want.tobytes()
+    assert len(ref_sizes) == 1 + 2 * sweeps
+    assert sizes[:2] == [steps + 1] * 2
+    if sweeps > 2:
+        # The later sweeps only see the points that still move.
+        assert sizes[-1] < sizes[2] <= steps + 1
+    assert len(sizes) <= 2 * sweeps
+
+
+@pytest.mark.parametrize("q, steps, nodes", [
+    (Potential.trig_poly([0.3], [0.0, 0.1]), 4096, None),
+    (Potential.trig_poly([0.3], [0.0, 0.1]), 4096, 1000),
+    (Potential.trig_poly([0.2, 0.1], [0.1], -1.2), 4096, None),
+    (Potential.constant(-1.0), 1024, 4097),
+])
+def test_invert_times_matches_full_sweeps_on_sampled_orbits(q, steps, nodes):
+    orbit = orbit_of(curve_of(q, steps), nodes)
+    value_fn = _value_model(orbit)
+    t = np.linspace(0.0, TAU, 2 * steps + 1)
+    want = invert_times(orbit, value_fn, t)
+    assert _invert_times(orbit, value_fn, t).tobytes() == want.tobytes()
+
+
+def test_invert_times_fails_where_full_sweeps_fail():
+    # At 2048 steps this orbit's residual stays above the 1e-9 gate.
+    orbit = orbit_of(curve_of(Potential.trig_poly([0.2, 0.1], [0.1], -1.2),
+                              2048))
+    t = np.linspace(0.0, TAU, 4097)
+    for invert in (invert_times, _invert_times):
+        with pytest.raises(NumericalInvariantError, match="did not converge"):
+            invert(orbit, _value_model(orbit), t)
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_invert_times_peak_is_no_higher_than_full_sweeps():
+    orb = synthesize_orbit(0.3, 0.5, -2.0)
+    orbit = orb.sample()
+    t = np.linspace(0.0, TAU, auto_steps(orb) + 1)
+    full = _peak(lambda: invert_times(orbit, orbit.value_fn, t))
+    assert _peak(lambda: _invert_times(orbit, orbit.value_fn, t)) <= full

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from scipy.integrate import simpson
 
 from hillmono import (
@@ -25,7 +26,7 @@ from hillmono import (
     reflection,
     synthesize_orbit,
 )
-from hillmono.synthesis import auto_steps
+from hillmono.synthesis import _BLOCK, auto_steps, polyval
 from oracles import rel_l2
 
 TAU = math.tau
@@ -154,3 +155,54 @@ def test_synthesis_round_trips_over_targets_and_fibers(theta_m, log_rho, nu,
         assert abs(element.omega - target.omega) <= 1e-6
         profiles.append(q(t))
     assert rel_l2(profiles[0], profiles[1], t) > 1e-6
+
+
+def test_perturbation_basis_is_cached_and_read_only():
+    basis = perturbation_basis(8)
+    assert isinstance(basis, tuple)
+    assert perturbation_basis(8) is basis
+    assert perturbation_basis(3) == basis[:3]
+    with pytest.raises(ValueError):
+        basis[0].coef[0] = 1.0
+    with pytest.raises(DomainError):
+        perturbation_basis(-1)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=17),
+       st.sampled_from([0, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                        2 * _BLOCK + 5]),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+@example([-0.0, 1.0], 1, [-0.0], 0)  # Polynomial maps x = -0.0 to 0.0
+def test_polyval_is_polynomial_call_bit_for_bit(coef, size, specials, seed):
+    # Degrees 0 to 16, lengths on both sides of the block size, and drawn
+    # points (signed zeros among them) spread through uniform ones.
+    p = Polynomial(coef)
+    x = np.random.default_rng(seed).uniform(-50.0, 50.0, size)
+    x[:len(specials)] = specials[:size]
+    assert _bits(polyval(p.coef, x)) == _bits(p(x))
+    for scalar in (specials[0], np.float64(specials[0]),
+                   np.array(specials[0])):
+        got = polyval(p.coef, scalar)
+        assert got.shape == ()
+        assert _bits(got) == _bits(p(scalar))
+
+
+def test_jet_is_the_closed_forms_bit_for_bit():
+    orb = synthesize_orbit(5.3, 1.9, 0.84, [0.05, -0.02])
+    theta = np.linspace(0.0, orb.theta_max, 3 * _BLOCK + 7)
+    rho = np.exp(orb.exponent(theta))
+    e1, e2 = orb.exponent_d1(theta), orb.exponent_d2(theta)
+    got = orb.jet(theta)
+    assert _bits(orb.rho(theta)) == _bits(rho)
+    assert _bits(got[0]) == _bits(rho)
+    assert _bits(got[1]) == _bits(e1 * rho)
+    assert _bits(got[2]) == _bits((e2 + e1 ** 2) * rho)
+    orbit = orb.sample()
+    assert _bits(orbit.rho_prime) == _bits(orb.jet(orbit.theta_grid)[1])
+    assert orb.jet(0.0)[1] == 0.0
