@@ -7,8 +7,10 @@ matrices as continuous arguments:
     theta   argument of the first row (v1, v2), increasing
     omega   argument of the second column (v2, v2')
 
-theta(2 pi) is the right Iwasawa angle of the monodromy; omega(2 pi) is the
-winding that lifts Phi(2 pi) to the universal cover.
+omega is summed from per-step angles; omega(2 pi) is the winding that lifts
+Phi(2 pi) to the universal cover. Each node (Phi_i, omega_i) is then a point
+of the cover, so theta_i is its right Iwasawa angle in closed form, and
+theta(2 pi) is that of the monodromy.
 
 The integrator is the classical 4-stage Runge-Kutta scheme with a fixed
 step h. Because the system is linear, step i maps Phi_i to
@@ -33,14 +35,15 @@ deviations from the identity, T - I and P - I, so the O(h^2) diagonal
 terms of T are not rounded against 1 at every step; at 4096 steps this
 cuts the round-off in the trace of the monodromy about a hundredfold.
 
-Each step's angle is one arctan2 of the cross and dot products of a row or
-column with its image under T_i, written with the entries of T_i - I so
-that nothing cancels. A column x turns by the angle of
-(x ^ (T - I) x, |x|^2 + x . (T - I) x). The first row v, with second row w,
-turns by the angle of (T01 W_i, T00 |v|^2 + T01 v . w), where
-W_i = det Phi_i is the running product of det T. Every step must turn by
-less than pi/2, so the principal value of each angle is the exact
-increment. solution_winding applies the column rule to Phi_i u0.
+Each step's angle is one arctan2 of the cross and dot products of a
+column x with its image under T_i, written with the entries of T_i - I so
+that nothing cancels: x turns by the angle of
+(x ^ (T - I) x, |x|^2 + x . (T - I) x). theta_i is the argument of the
+first row on the 2 pi branch nearest -omega_i, the rule of
+cover.to_right_iwasawa. Every step must turn the column, and the first
+row, by less than pi/2, so the principal value of each column angle is the
+exact increment, and a 2 pi slip of omega shows as a step of theta.
+solution_winding applies the column rule to Phi_i u0.
 """
 
 import math
@@ -60,12 +63,9 @@ MIN_STEPS = 16
 # steps, so this bounds one call at about 0.65 GB.
 MAX_STEPS = 2 ** 22
 
-# Consistency bound between the integrated first-row winding and the right
-# Iwasawa angle recovered from the monodromy element.
-THETA_CONSISTENCY_TOL = 1e-6
-
-# Largest angle a row or column may turn by in one step; below it the
-# principal value of the step's angle is its continuous increment.
+# Largest angle a column or the first row may turn by in one step; below it
+# the principal value of a column's step angle is its continuous increment,
+# and a 2 pi slip of omega shows in the row's.
 STEP_ANGLE_LIMIT = math.pi / 2
 
 # Steps per block of the prefix scan.
@@ -80,7 +80,8 @@ class FundamentalPath:
     t : (n+1,) node times over [0, 2 pi]
     mats : (n+1, 2, 2) fundamental matrices at the nodes, a read-only view
         of the (4, n+1) entry store
-    theta : (n+1,) first-row winding, theta[0] = 0
+    theta : (n+1,) first-row winding, theta[0] = 0: at each node the right
+        Iwasawa angle of (Phi_i, omega_i), in closed form
     omega : (n+1,) second-column winding, omega[0] = 0
     """
 
@@ -256,7 +257,7 @@ def _scale(x, y):
     scale = np.maximum(np.abs(x), np.abs(y))
     if not scale.all():  # steps with det T << 1 can round a vector to zero
         raise NumericalInvariantError(
-            f"the first row or a solution vector is zero at node "
+            f"the second column or a solution vector is zero at node "
             f"{int(np.argmin(scale))} of {scale.size}: the step determinants "
             "shrank it below rounding; increase steps")
     return scale
@@ -275,23 +276,6 @@ def _column_turns(t, x, y):
     return _checked_turns(np.arctan2(cross, dot))
 
 
-def _row_turns(t, nodes):
-    """Per-step angles of the first rows at the left nodes.
-
-    Both products are divided by the square of the row's larger entry; for
-    a row too long for double precision the angle underflows to zero.
-    """
-    ta, tb, tc, td = t
-    a, b, c, d = nodes[:, :-1]
-    wronskian = np.ones_like(ta)
-    np.cumprod(((1.0 + ta) * (1.0 + td) - tb * tc)[:-1], out=wronskian[1:])
-    scale = _scale(a, b)
-    a, b = a / scale, b / scale
-    cross = tb * (wronskian / scale) / scale
-    dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale
-    return _checked_turns(np.arctan2(cross, dot))
-
-
 def integrate(q, steps=DEFAULT_STEPS):
     """Fundamental path of -v'' + q v = 0 over [0, 2 pi].
 
@@ -304,6 +288,13 @@ def integrate(q, steps=DEFAULT_STEPS):
     """
     t, nodes = _propagate(q, steps)
     a, b, c, d = nodes
+    domega = _column_turns(t, b[:-1], d[:-1])
+    omega = np.concatenate(([0.0], np.cumsum(domega)))
+    # The branch rule of cover.to_right_iwasawa at every node; the gate on
+    # its steps refuses a 2 pi slip of omega wherever it falls.
+    phi = np.arctan2(b, a)
+    theta = phi + TAU * np.round((-omega - phi) / TAU)
+    _checked_turns(np.diff(theta))
     # Allowance grows with entry size: ad - bc itself rounds at |mat|^2 eps,
     # and is unbounded once |mat|^2 overflows.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,17 +302,9 @@ def integrate(q, steps=DEFAULT_STEPS):
         allowed = np.maximum(1e-6, 16.0 * np.finfo(float).eps
                              * np.abs(nodes).max(axis=0) ** 2)
         worst = int(np.argmax(np.abs(dets - 1.0) - allowed))
-        dtheta = _row_turns(t, nodes)
     if abs(dets[worst] - 1.0) > allowed[worst]:
         raise NumericalInvariantError(
             f"Wronskian drift {abs(dets[worst] - 1.0):.3e}; increase steps")
-    if not np.all(dtheta > 0.0):
-        # With the Wronskian near 1 the angles are positive unless they
-        # underflow on a row whose squared length overflows.
-        raise _overflow("first-row winding is not increasing", nodes)
-    theta = np.concatenate(([0.0], np.cumsum(dtheta)))
-    domega = _column_turns(t, b[:-1], d[:-1])
-    omega = np.concatenate(([0.0], np.cumsum(domega)))
     times = np.linspace(0.0, TAU, nodes.shape[1])
     return FundamentalPath(times, nodes, theta, omega)
 
@@ -330,23 +313,17 @@ def monodromy(q, steps=DEFAULT_STEPS):
     """Lifted monodromy of the potential together with its right angle.
 
     Returns a MonodromyResult (element, theta_r). The endpoint must pass
-    the CoverElement checks, the first-row winding must agree with the
-    right Iwasawa angle recovered from the element, whose 2 pi branch is
-    fixed by the column winding, and the element must land in the
-    monodromy image (negative winding, positive right angle); all are
-    verified.
+    the CoverElement checks; theta_r is the right Iwasawa angle of the
+    element, whose 2 pi branch is fixed by the column winding; and the
+    element must land in the monodromy image (negative winding, positive
+    right angle). All are verified.
     """
     path = integrate(q, steps)
     try:
         element = CoverElement(path.mats[-1], path.omega[-1])
     except NumericalInvariantError as exc:
         raise NumericalInvariantError(f"{exc}; increase steps") from None
-    theta_r = float(path.theta[-1])
-    recovered = to_right_iwasawa(element).theta
-    if abs(recovered - theta_r) > THETA_CONSISTENCY_TOL:
-        raise NumericalInvariantError(
-            f"winding inconsistency {abs(recovered - theta_r):.3e} between "
-            "integrated and recovered right angles; increase steps")
+    theta_r = to_right_iwasawa(element).theta
     if not (winding_exceeds(element, 0.0) and theta_r > 0.0):
         raise NumericalInvariantError("monodromy left the expected image set")
     return MonodromyResult(element, theta_r)

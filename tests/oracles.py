@@ -14,6 +14,7 @@ from scipy.sparse import diags_array, eye_array
 from scipy.sparse.linalg import eigsh
 
 from hillmono import NumericalInvariantError
+from hillmono.integrate import _scale
 from hillmono.kepler import _time_table
 
 TAU = math.tau
@@ -181,3 +182,25 @@ def invert_times(orbit, value_fn, t_targets):
     if np.abs(resid).max() > 1e-9:
         raise NumericalInvariantError("swept-time inversion did not converge")
     return th
+
+
+# The first-row winding of hillmono.integrate as it was integrated step by
+# step, before theta was read off the lift: the arctan2 of the row's cross
+# and dot products with its image, the cross product carried by a running
+# Wronskian. Verbatim but for the last line, which returns the angles
+# without the step-angle gate, so that a test can see the largest of them.
+def row_turns(t, nodes):
+    """Per-step angles of the first rows at the left nodes.
+
+    Both products are divided by the square of the row's larger entry; for
+    a row too long for double precision the angle underflows to zero.
+    """
+    ta, tb, tc, td = t
+    a, b, c, d = nodes[:, :-1]
+    wronskian = np.ones_like(ta)
+    np.cumprod(((1.0 + ta) * (1.0 + td) - tb * tc)[:-1], out=wronskian[1:])
+    scale = _scale(a, b)
+    a, b = a / scale, b / scale
+    cross = tb * (wronskian / scale) / scale
+    dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale
+    return np.arctan2(cross, dot)

@@ -127,15 +127,14 @@ def test_synthesize_output_is_byte_stable(files):
         "1fc157a009234136a9f7fdcd0907202a51ec78b8ec0b4f042ccbf086130815fe")
 
 
-# Digests of the CSVs written while every monodromy call of the scan
-# sampled q0 and qplus afresh; a change in any record's 17 digits changes
-# them.
+# Digests of the spectrum CSVs at 4096 steps; a change in any record's 17
+# digits changes them.
 @pytest.mark.parametrize("name, q0, qplus, size, digest", [
     ("mathieu", Potential.trig_poly([2.0]), Potential.constant(1.0), 265,
-     "2d9e32b2e3f88b8cecc33a14c9877306c19a1e23f898f9da1662122e1d729181"),
+     "cea86c7f48673af54fd52312d81417cc09ef1aaa9b986625fbf3e30c14221134"),
     ("generic", Potential.trig_poly([1.0], [0.0, 0.0, 0.5]),
-     Potential.trig_poly([0.2], constant_term=1.0), 266,
-     "3779aae5363bf9e46ae0d3927f898bf045b8b696d3129d81242589b5712a2f57"),
+     Potential.trig_poly([0.2], constant_term=1.0), 267,
+     "cdb86d6695b2ba8d4418617b1263d98c687acb829cec8ec30f95bf1e9e788e22"),
 ])
 def test_spectrum_output_is_byte_stable(tmp_path, name, q0, qplus, size,
                                         digest):

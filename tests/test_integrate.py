@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillmono import (
@@ -19,11 +19,15 @@ from hillmono import (
     classify,
     integrate,
     monodromy,
+    read_json,
     solution_winding,
     to_right_iwasawa,
+    write_json,
 )
-from hillmono.integrate import MIN_STEPS, _blocked_scan, _transfer
-from oracles import blocked_scan
+from hillmono.cli import main
+from hillmono.integrate import (MIN_STEPS, STEP_ANGLE_LIMIT, _blocked_scan,
+                                _propagate, _transfer)
+from oracles import blocked_scan, row_turns
 
 TAU = math.tau
 
@@ -199,20 +203,36 @@ def test_solution_winding_is_read_off_the_lift(cos, sin, const, phi, steps):
     assert abs(arg_variation(mu, u0) - solution_winding(q, phi, steps)) <= 1e-12
 
 
-def test_overflow_is_named_without_warnings():
+def test_overflow_is_named_without_warnings(tmp_path):
     # For q = 1e4 the largest entry, sqrt(q) sinh(2 pi sqrt(q)), is finite
-    # but its square is not; for q = 2e4 the entries themselves overflow.
+    # but its square is not. Neither winding squares an entry, so the lift
+    # and its right angle keep their closed forms: the second column turns
+    # clockwise from (0, 1) to (sinh / k, cosh), and the first row
+    # counterclockwise from (1, 0) to (cosh, sinh / k). For q = 2e4 the
+    # entries themselves overflow.
+    k = 100.0
+    ch, sh = math.cosh(TAU * k), math.sinh(TAU * k)
+    want = np.array([[ch, sh / k], [k * sh, ch]])
+    angle = math.atan(math.tanh(TAU * k) / k)
+    q = Potential.constant(k * k)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalInvariantError,
-                           match=r"overflows; largest finite \|entry\| .* 3\.\d+e\+274"):
-            monodromy(Potential.constant(1e4))
+        element, theta_r = monodromy(q)
+        assert np.abs(element.mat / want - 1.0).max() <= 1e-4
+        assert abs(element.omega + angle) <= 1e-12
+        assert abs(theta_r - angle) <= 1e-12
+        assert classify(element).kind == "hyperbolic"
+        write_json(q.to_dict(), tmp_path / "q.json")
+        assert main(["monodromy", "--potential", str(tmp_path / "q.json"),
+                     "-o", str(tmp_path / "mono.json")]) == 0
+        assert read_json(tmp_path / "mono.json")["stratum"]["kind"] == "hyperbolic"
         # Column directions need no squared entries: (cosh, k sinh) from e1.
-        k = 100.0
-        want = math.atan(k * math.tanh(TAU * k))
-        assert abs(solution_winding(Potential.constant(k * k), 0.0) - want) < 1e-12
-        with pytest.raises(NumericalInvariantError, match="overflows"):
-            solution_winding(Potential.constant(2e4), 0.0)
+        winding = math.atan(k * math.tanh(TAU * k))
+        assert abs(solution_winding(q, 0.0) - winding) < 1e-12
+        for run in (monodromy, lambda q: solution_winding(q, 0.0)):
+            with pytest.raises(NumericalInvariantError,
+                               match=r"overflows; largest finite \|entry\|"):
+                run(Potential.constant(2e4))
 
 
 def test_error_messages_print_plain_floats():
@@ -235,7 +255,7 @@ def test_endpoint_check_asks_for_more_steps():
 
 def test_vanishing_vectors_are_named_without_warnings():
     # At 128 steps each Runge-Kutta step of q = -2500 has det T near 0.25,
-    # so from node 65 on some first rows and solution vectors round to exactly
+    # so from node 65 on some columns and solution vectors round to exactly
     # zero. No angle is taken of them: no division by zero and no nan.
     q = Potential.constant(-2500.0)
     for run in (lambda: monodromy(q, 128),
@@ -244,8 +264,8 @@ def test_vanishing_vectors_are_named_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalInvariantError,
-                               match=r"first row or a solution vector is zero "
-                                     r"at node \d+ of 128: .*; increase "
+                               match=r"second column or a solution vector is "
+                                     r"zero at node 65 of 128: .*; increase "
                                      r"steps$") as info:
                 run()
         assert not re.search(r"\bnan\b", str(info.value))
@@ -339,11 +359,58 @@ def test_windings_read_the_transfer_matrices_that_were_scanned(monkeypatch):
     qq = q(integ.sample_times(steps))
     want = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], TAU / steps).tobytes()
     seen = []
-    for name in ("_row_turns", "_column_turns"):
-        def spy(t, *args, original=getattr(integ, name)):
-            seen.append(t)
-            return original(t, *args)
-        monkeypatch.setattr(integ, name, spy)
+
+    def spy(t, *args, original=integ._column_turns):
+        seen.append(t)
+        return original(t, *args)
+
+    monkeypatch.setattr(integ, "_column_turns", spy)
     integrate(q, steps)
-    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen) == 1
     assert seen[0].tobytes() == want
+
+
+# A slip of the column winding by 2 pi at one step moves theta by 2 pi at
+# every later node, so the step gate on theta sees it wherever it falls. A
+# pair of opposite slips leaves the endpoint winding as it was.
+@pytest.mark.parametrize("slips", [{0: 1}, {0: -1}, {2048: 1}, {2048: -1},
+                                   {4095: 1}, {4095: -1}, {1000: 1, 3000: -1}])
+def test_a_slipped_column_winding_is_refused(monkeypatch, slips):
+    integ = importlib.import_module("hillmono.integrate")
+
+    def slipped(*args, original=integ._column_turns):
+        turns = original(*args)
+        turns[list(slips)] += TAU * np.array(list(slips.values()))
+        return turns
+
+    monkeypatch.setattr(integ, "_column_turns", slipped)
+    q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
+    for run in (integrate, monodromy):
+        with pytest.raises(NumericalInvariantError,
+                           match=r"angle change 6\.\d+e\+00 in one step"):
+            run(q, 4096)
+
+
+_wide = st.floats(-30.0, 30.0)
+
+
+# The steps of theta read off the lift are the first-row angles that were
+# integrated step by step, and where one of those reaches the step limit
+# integrate refuses. q = 10 cos t - 5 turns its first row by up to 1.48 in
+# one of 1024 steps; q = 15 cos t - 5 by 3.03, which only the gate on theta
+# refuses.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(_wide, max_size=2), st.lists(_wide, max_size=2), _wide,
+       st.sampled_from([1024, 4096]))
+@example([10.0], [], -5.0, 1024)
+@example([15.0], [], -5.0, 1024)
+def test_theta_steps_match_the_integrated_row_angles(cos, sin, const, steps):
+    q = Potential.trig_poly(cos, sin, constant_term=const)
+    turns = row_turns(*_propagate(q, steps))
+    worst = float(np.abs(turns).max())
+    if worst < STEP_ANGLE_LIMIT - 1e-9:
+        theta = integrate(q, steps).theta
+        assert np.abs(np.diff(theta) - turns).max() <= 1e-12
+    elif worst > STEP_ANGLE_LIMIT + 1e-9:
+        with pytest.raises(NumericalInvariantError):
+            integrate(q, steps)
