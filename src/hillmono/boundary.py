@@ -13,11 +13,12 @@ provided separately for stratum inspection.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .cover import CoverElement, arg_variation, classify, multiply
-from .errors import DomainError, NumericalInvariantError
+from .cover import CoverElement, Stratum, arg_variation, classify, multiply
+from .errors import DomainError, Immutable, NumericalInvariantError
 
 TAU = math.tau
 
@@ -29,7 +30,7 @@ MIN_DET = 1e-12
 INDEX_RESIDUAL_TOL = 1e-4
 
 
-class SeparatedBC:
+class SeparatedBC(Immutable):
     """Separated condition: v(0) parallel to (cos theta0, sin theta0) and
     v(2 pi) parallel to (cos theta2pi, sin theta2pi) in the (v, v') plane.
 
@@ -48,9 +49,6 @@ class SeparatedBC:
             raise DomainError("theta2pi must lie in (0, pi]")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "theta2pi", theta2pi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeparatedBC is immutable")
 
     def __repr__(self):
         return f"SeparatedBC(theta0={self.theta0:.6g}, theta2pi={self.theta2pi:.6g})"
@@ -105,7 +103,7 @@ def separated_index(mu, bc):
     return n
 
 
-class GeneralBC:
+class GeneralBC(Immutable):
     """Coupled condition (v, v')(2 pi) = A (v, v')(0) for invertible A."""
 
     __slots__ = ("mat", "a", "det_sign")
@@ -126,9 +124,6 @@ class GeneralBC:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "a", math.sqrt(abs(det)))
         object.__setattr__(self, "det_sign", 1 if det > 0 else -1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneralBC is immutable")
 
     def __repr__(self):
         m = self.mat
@@ -189,26 +184,16 @@ def principal_lift(mat):
     return CoverElement(mat, omega, component=-1)
 
 
-class BetaImage:
+class BetaImage(NamedTuple):
     """Lifted product beta(mu) = B~ mu with its trace and stratum.
 
     stratum is the classification of the product when it lands on the
     identity component, None otherwise.
     """
 
-    __slots__ = ("element", "trace", "stratum")
-
-    def __init__(self, element, trace, stratum):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "trace", float(trace))
-        object.__setattr__(self, "stratum", stratum)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BetaImage is immutable")
-
-    def __repr__(self):
-        return (f"BetaImage(element={self.element!r}, trace={self.trace:.6g}, "
-                f"stratum={self.stratum!r})")
+    element: CoverElement
+    trace: float
+    stratum: Stratum | None
 
 
 def beta_image(bc, mu):

@@ -134,14 +134,6 @@ def cmd_synthesize(args):
     return 0
 
 
-def _component_label(comp):
-    if comp.variant == "hyperplane":
-        return "hyperplane"
-    if comp.variant == "vertex":
-        return f"vertex({comp.n})"
-    return f"cone_leaf({comp.n}{'+' if comp.sign > 0 else '-'})"
-
-
 def cmd_spectrum(args):
     q0 = load_potential(args.q0)
     qplus = load_potential(args.qplus)
@@ -150,7 +142,7 @@ def cmd_spectrum(args):
     for r in records:
         lines.append(",".join([
             str(r.index), fmt_float(r.s), str(r.multiplicity),
-            _component_label(r.component), fmt_float(r.trace),
+            repr(r.component), fmt_float(r.trace),
             fmt_float(r.theta_r)]))
     _write_text("\n".join(lines) + "\n", args.output)
     return 0

@@ -44,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, NumericalInvariantError
+from .errors import DomainError, Immutable, NumericalInvariantError
 
 TAU = math.tau
 
@@ -85,7 +85,7 @@ def _arg_change(start, end, near):
     return near + _principal(darg - near)
 
 
-class CoverElement:
+class CoverElement(Immutable):
     """Group element of the (two-component) universal cover.
 
     Parameters
@@ -136,9 +136,6 @@ class CoverElement:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "omega", float(omega))
         object.__setattr__(self, "component", int(component))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverElement is immutable")
 
     @property
     def trace(self):
@@ -438,7 +435,7 @@ def winding_exceeds(g, theta):
 # Stratum classification
 # ---------------------------------------------------------------------------
 
-class Stratum:
+class Stratum(Immutable):
     """Classification of an identity-component element.
 
     kind is one of elliptic, hyperbolic, parabolic_vertex,
@@ -455,9 +452,6 @@ class Stratum:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "component_index", component_index)
         object.__setattr__(self, "trace", float(trace))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Stratum is immutable")
 
     def __repr__(self):
         return (f"Stratum(kind={self.kind!r}, "

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cover import CoverElement, to_right_iwasawa, winding_exceeds
-from .errors import DomainError, NumericalInvariantError
+from .errors import DomainError, Immutable, NumericalInvariantError
 
 TAU = math.tau
 
@@ -72,7 +72,7 @@ STEP_ANGLE_LIMIT = math.pi / 2
 BLOCK = 32
 
 
-class FundamentalPath:
+class FundamentalPath(Immutable):
     """Sampled fundamental matrix path with winding components.
 
     Attributes
@@ -95,9 +95,6 @@ class FundamentalPath:
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FundamentalPath is immutable")
 
 
 class MonodromyResult(NamedTuple):
@@ -288,23 +285,35 @@ def integrate(q, steps=DEFAULT_STEPS):
     """
     t, nodes = _propagate(q, steps)
     a, b, c, d = nodes
-    domega = _column_turns(t, b[:-1], d[:-1])
-    omega = np.concatenate(([0.0], np.cumsum(domega)))
+    omega = np.concatenate(
+        ([0.0], np.cumsum(_column_turns(t, b[:-1], d[:-1]))))
+    del t  # freed before the Wronskian gate, which then adds no peak memory
     # The branch rule of cover.to_right_iwasawa at every node; the gate on
     # its steps refuses a 2 pi slip of omega wherever it falls.
-    phi = np.arctan2(b, a)
-    theta = phi + TAU * np.round((-omega - phi) / TAU)
+    theta = np.arctan2(b, a)
+    theta += TAU * np.round((-omega - theta) / TAU)
     _checked_turns(np.diff(theta))
-    # Allowance grows with entry size: ad - bc itself rounds at |mat|^2 eps,
-    # and is unbounded once |mat|^2 overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dets = a * d - b * c
-        allowed = np.maximum(1e-6, 16.0 * np.finfo(float).eps
-                             * np.abs(nodes).max(axis=0) ** 2)
-        worst = int(np.argmax(np.abs(dets - 1.0) - allowed))
-    if abs(dets[worst] - 1.0) > allowed[worst]:
-        raise NumericalInvariantError(
-            f"Wronskian drift {abs(dets[worst] - 1.0):.3e}; increase steps")
+    # ad - bc rounds at |Phi_i|^2 eps, so the allowance grows with the entry
+    # size. As in CoverElement, each node is divided by the power of two at
+    # or below its largest |entry|, which rounds as Phi_i does but cannot
+    # overflow. The scaled entries reuse the buffer of the |entries|.
+    scaled = np.abs(nodes)
+    largest = scaled.max(axis=0)
+    k = np.maximum(np.frexp(largest)[1] - 1, 0)
+    scale = np.ldexp(1.0, -k)
+    sa, sb, sc, sd = np.multiply(nodes, scale, out=scaled)
+    largest *= scale
+    one = np.square(scale, out=scale)  # the unit determinant, scaled
+    dev = np.abs(sa * sd - sb * sc - one)
+    allowed = np.maximum(1e-6 * one, 16.0 * np.finfo(float).eps * largest ** 2)
+    worst = int(np.argmax(dev / allowed))
+    if dev[worst] > allowed[worst]:
+        drift, k = float(dev[worst]), int(k[worst])
+        try:
+            drift = f"{math.ldexp(drift, 2 * k):.3e}"
+        except OverflowError:  # beyond the double range unscaled
+            drift = f"{drift:.3e} * 4**{k}"
+        raise NumericalInvariantError(f"Wronskian drift {drift}; increase steps")
     times = np.linspace(0.0, TAU, nodes.shape[1])
     return FundamentalPath(times, nodes, theta, omega)
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import DomainError, NumericalInvariantError
+from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
                         integrate)
 from .potentials import Potential
@@ -53,7 +53,7 @@ ENDPOINT_TOL = 1e-10
 CURVE_COLUMNS = ("t", "v1", "v2", "v1p", "v2p")
 
 
-class FundamentalCurve:
+class FundamentalCurve(Immutable):
     """Sampled curve (t, v, v') with unit Wronskian.
 
     v and vp have shape (n, 2). Validation enforces the initial conditions
@@ -88,14 +88,11 @@ class FundamentalCurve:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "vp", vp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FundamentalCurve is immutable")
-
     def __repr__(self):
         return f"FundamentalCurve(<{self.t.size} nodes over [0, {self.t[-1]:.6g}]>)"
 
 
-class Orbit:
+class Orbit(Immutable):
     """Radius-squared profile rho on a uniform grid over [0, theta_max].
 
     Optional derivative samples rho_prime, rho_second and analytic
@@ -153,9 +150,6 @@ class Orbit:
         object.__setattr__(self, "rho_second", rho_second)
         object.__setattr__(self, "value_fn", value_fn)
         object.__setattr__(self, "jet_fn", jet_fn)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Orbit is immutable")
 
     @property
     def theta_grid(self):
@@ -316,7 +310,8 @@ def curve_of(q, steps=DEFAULT_STEPS):
 
     The Wronskian of entries of size |v| and |v'| rounds by up to
     16 eps |v| |v'|; a curve where that alone exceeds WRONSKIAN_TOL cannot be
-    checked in double precision and is refused as a numerical failure.
+    checked in double precision and is refused as a numerical failure, as
+    is a curve that fails the FundamentalCurve checks.
     """
     path = integrate(q, steps)
     v, vp = path.mats[:, 0, :], path.mats[:, 1, :]
@@ -327,7 +322,10 @@ def curve_of(q, steps=DEFAULT_STEPS):
             f"curve entries reach |v| = {v_max:.3e} and |v'| = {vp_max:.3e}: "
             f"rounding alone moves the Wronskian by up to {floor:.3e}, above "
             f"its tolerance {WRONSKIAN_TOL}")
-    return FundamentalCurve(path.t, v, vp)
+    try:
+        return FundamentalCurve(path.t, v, vp)
+    except DomainError as exc:
+        raise NumericalInvariantError(f"{exc}; increase steps") from None
 
 
 def orbit_of(curve, nodes=None):
@@ -338,9 +336,12 @@ def orbit_of(curve, nodes=None):
     uniform angle grid by shape-preserving cubic interpolation. The slope
     d rho/d theta = rho * 2 (v . v') is exact at the nodes, so its resampled
     values ride along; later transforms then never have to differentiate the
-    interpolated profile.
+    interpolated profile. An orbit that fails the Orbit checks is a
+    numerical failure of the resampling.
     """
     n = curve.t.size if nodes is None else checked_count(nodes, "nodes")
+    if n < 9:
+        raise DomainError("nodes must be at least 9")
     theta_t = np.unwrap(np.arctan2(curve.v[:, 1], curve.v[:, 0]))
     theta_t -= theta_t[0]
     if not np.all(np.diff(theta_t) > 0):
@@ -351,7 +352,11 @@ def orbit_of(curve, nodes=None):
     grid = np.linspace(0.0, theta_t[-1], n)
     rho = PchipInterpolator(theta_t, rho_t)(grid)
     rho_prime = PchipInterpolator(theta_t, slope_t)(grid)
-    return Orbit(theta_t[-1], rho, rho_prime=rho_prime)
+    try:
+        return Orbit(theta_t[-1], rho, rho_prime=rho_prime)
+    except DomainError as exc:
+        raise NumericalInvariantError(
+            f"{exc}; increase steps or nodes") from None
 
 
 def curve_of_orbit(orbit, steps=DEFAULT_STEPS):

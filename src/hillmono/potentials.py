@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError
+from .errors import DomainError, Immutable
 
 TAU = math.tau
 
@@ -21,7 +21,7 @@ MIN_SAMPLES = 17
 _INTERPS = ("linear", "cubic")
 
 
-class Potential:
+class Potential(Immutable):
     """Immutable potential on [0, 2 pi]; call it on scalars or arrays."""
 
     __slots__ = ("kind", "c", "cos_coeffs", "sin_coeffs", "constant_term",
@@ -63,9 +63,6 @@ class Potential:
             grid = np.linspace(0.0, TAU, samples.size)
             spline = CubicSpline(grid, samples)
         object.__setattr__(self, "_spline", spline)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Potential is immutable")
 
     # -- constructors -------------------------------------------------------
 

@@ -19,12 +19,13 @@ stratum labels.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .cover import classify, to_cartan
-from .errors import DomainError, NumericalInvariantError
+from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import checked_steps, monodromy, sample_times
 
 TAU = math.tau
@@ -37,8 +38,12 @@ _MAX_SCAN_NODES = 20000
 _POSITIVITY_SAMPLES = 4096
 
 
-class C1Component:
-    """Stratum label of a trace-2 monodromy: hyperplane, cone leaf, or vertex."""
+class C1Component(Immutable):
+    """Stratum label of a trace-2 monodromy: hyperplane, cone leaf, or vertex.
+
+    The repr is the label the spectrum CSV prints: hyperplane, vertex(n),
+    cone_leaf(n+) or cone_leaf(n-).
+    """
 
     __slots__ = ("variant", "n", "sign")
 
@@ -55,9 +60,6 @@ class C1Component:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "sign", int(sign))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("C1Component is immutable")
-
     def __eq__(self, other):
         return (isinstance(other, C1Component)
                 and (self.variant, self.n, self.sign)
@@ -71,28 +73,18 @@ class C1Component:
             return "hyperplane"
         if self.variant == "vertex":
             return f"vertex({self.n})"
-        return f"cone_leaf({self.n},{'+' if self.sign > 0 else '-'})"
+        return f"cone_leaf({self.n}{'+' if self.sign > 0 else '-'})"
 
 
-class EigenvalueRecord:
+class EigenvalueRecord(NamedTuple):
     """One periodic eigenvalue along the line, with its stratum label."""
 
-    __slots__ = ("index", "s", "multiplicity", "component", "trace", "theta_r")
-
-    def __init__(self, index, s, multiplicity, component, trace, theta_r):
-        object.__setattr__(self, "index", int(index))
-        object.__setattr__(self, "s", float(s))
-        object.__setattr__(self, "multiplicity", int(multiplicity))
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "trace", float(trace))
-        object.__setattr__(self, "theta_r", float(theta_r))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenvalueRecord is immutable")
-
-    def __repr__(self):
-        return (f"EigenvalueRecord(index={self.index}, s={self.s:.9g}, "
-                f"multiplicity={self.multiplicity}, component={self.component})")
+    index: int
+    s: float
+    multiplicity: int
+    component: C1Component
+    trace: float
+    theta_r: float
 
 
 def in_c1(mu, tol=DEFAULT_TOL):

@@ -29,7 +29,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .cover import to_right_iwasawa, winding_exceeds
-from .errors import DomainError, NumericalInvariantError
+from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import MAX_STEPS
 from .kepler import Orbit, potential_of_orbit
 
@@ -46,6 +46,10 @@ _STEP_PHASE_BOUND = 0.004
 NORMALIZE_RTOL = 1e-12
 MAX_DOUBLINGS = 200
 _EXP_CAP = 700.0
+# Nodes of the uniform theta grid on which c is normalized and the orbit is
+# sampled: Orbit checks the sweep by Simpson's rule on its own grid, so the
+# two agree only on the same nodes.
+THETA_NODES = 4097
 
 _BUMP = Polynomial([0.0, 0.0, 1.0, -2.0, 1.0])  # x^2 (1-x)^2
 
@@ -144,7 +148,7 @@ def _weight_poly(theta_m):
     return Polynomial([0.0, 0.0, theta_m ** 2, -2.0 * theta_m, 1.0])
 
 
-def normalize_c(theta_m, p1, r, panels=4096):
+def normalize_c(theta_m, p1, r):
     """The unique c making the profile sweep exactly 2 pi.
 
     The integral of exp(P1 + r + c w) with w = theta^2 (theta_m - theta)^2
@@ -155,8 +159,7 @@ def normalize_c(theta_m, p1, r, panels=4096):
     theta_m = float(theta_m)
     if not (theta_m > 0 and math.isfinite(theta_m)):
         raise DomainError("theta_m must be positive")
-    panels = max(int(panels), 4096)
-    grid = np.linspace(0.0, theta_m, panels + 1)
+    grid = np.linspace(0.0, theta_m, THETA_NODES)
     base = p1(grid) + r(grid / theta_m)
     w = grid ** 2 * (theta_m - grid) ** 2
 
@@ -190,7 +193,7 @@ def normalize_c(theta_m, p1, r, panels=4096):
     return float(c)
 
 
-class SynthesizedOrbit:
+class SynthesizedOrbit(Immutable):
     """Orbit with the closed-form exponential profile.
 
     Holds the polynomial exponent with its first two derivatives and exposes
@@ -216,9 +219,6 @@ class SynthesizedOrbit:
         object.__setattr__(self, "exponent_d1", exponent.deriv())
         object.__setattr__(self, "exponent_d2", exponent.deriv(2))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SynthesizedOrbit is immutable")
-
     def rho(self, theta):
         """exp(E(theta))."""
         e = polyval(self.exponent.coef, theta)
@@ -235,8 +235,9 @@ class SynthesizedOrbit:
         e1 *= rho
         return rho, e1[()], e2[()]
 
-    def sample(self, nodes=4097):
-        grid = np.linspace(0.0, self.theta_max, int(nodes))
+    def sample(self):
+        """The Orbit on the THETA_NODES grid, with the analytic callables."""
+        grid = np.linspace(0.0, self.theta_max, THETA_NODES)
         rho, rho_prime, rho_second = self.jet(grid)
         return Orbit(self.theta_max, rho, rho_prime=rho_prime,
                      rho_second=rho_second, value_fn=self.rho,

@@ -95,6 +95,36 @@ def test_kepler_bad_orbit_exits_2(files):
     assert main(["kepler", "to-potential", "--orbit", str(broken)]) == 2
 
 
+def test_kepler_orbit_the_program_resamples_badly_exits_3(files, capsys):
+    # The curve passes, but its PCHIP resample onto the angle grid misses
+    # the 2 pi sweep; monodromy on the same potential succeeds.
+    q = str(files["dir"] / "sweep.json")
+    orbit = str(files["dir"] / "sweep_orbit.json")
+    assert main(["sample-potential", "--cos=-0.23,-0.18", "--sin=-0.91,-0.9",
+                 "--constant-term", "0.5", "-o", q]) == 0
+    assert main(["monodromy", "--potential", q,
+                 "-o", str(files["dir"] / "sweep_mono.json")]) == 0
+    capsys.readouterr()
+    assert main(["kepler", "to-orbit", "--potential", q, "-o", orbit]) == 3
+    err = capsys.readouterr().err
+    assert "orbit sweeps 6.28835" in err and "increase steps" in err
+
+
+def test_curve_the_program_integrates_coarsely_exits_3(files, capsys):
+    # integrate accepts the path with its 1e-6 allowance; the curve's own
+    # 1e-7 Wronskian check refuses it.
+    q = str(files["dir"] / "stiff.json")
+    assert main(["sample-potential", "--constant", "-100", "-o", q]) == 0
+    for argv in (["kepler", "to-orbit", "--potential", q],
+                 ["plotdata", "--curve-of", q]):
+        capsys.readouterr()
+        out = str(files["dir"] / "stiff_out")
+        assert main(argv + ["--steps", "1024", "-o", out]) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: curve Wronskian deviates by 7.587e-07 "
+            "(tolerance 1e-07); increase steps\n")
+
+
 def test_synthesize_from_monodromy_output(files):
     target = str(files["dir"] / "target.json")
     synth = str(files["dir"] / "synth.json")

@@ -21,7 +21,6 @@ from hillmono import (
     monodromy,
     read_json,
     solution_winding,
-    to_right_iwasawa,
     write_json,
 )
 from hillmono.cli import main
@@ -111,7 +110,36 @@ def test_monodromy_image_invariant():
         element, theta_r = monodromy(q)
         assert element.omega < 0.0
         assert theta_r > 0.0
-        assert abs(to_right_iwasawa(element).theta - theta_r) < 1e-6
+        # theta_R, read off the lift, is the unwrapped first-row argument.
+        mats = integrate(q).mats
+        row = np.unwrap(np.arctan2(mats[:, 0, 1], mats[:, 0, 0]))
+        assert abs(row[-1] - theta_r) < 1e-12
+
+
+def test_wronskian_drift_is_refused():
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^Wronskian drift 5\.240e-06; increase steps$"):
+        monodromy(Potential.constant(-60.0), 512)
+
+
+def test_wronskian_drift_is_refused_where_the_determinant_overflows(
+        monkeypatch):
+    # constant(1e4) reaches |entry| = 3.8e274 at 16384 steps, and |entry|^2
+    # overflows at 7232 of its nodes; the gate scales each node as
+    # CoverElement does, so a drift planted at the largest node still shows.
+    integ = importlib.import_module("hillmono.integrate")
+    q = Potential.constant(1e4)
+    integrate(q, 16384)  # passes without the planted drift
+
+    def planted(*args, original=integ._propagate):
+        t, nodes = original(*args)
+        nodes[0, -1] *= 1.0 + 1e-9
+        return t, nodes
+
+    monkeypatch.setattr(integ, "_propagate", planted)
+    with pytest.raises(NumericalInvariantError,
+                       match=r"Wronskian drift \d\.\d{3}e-\d\d \* 4\*\*912;"):
+        integrate(q, 16384)
 
 
 def test_solution_winding_closed_forms():

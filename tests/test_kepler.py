@@ -16,6 +16,7 @@ from hillmono import (
     curve_of,
     curve_of_orbit,
     load_curve_csv,
+    monodromy,
     orbit_from_dict,
     orbit_of,
     orbit_to_dict,
@@ -159,6 +160,24 @@ def test_orbit_json_roundtrip():
     assert back.theta_max == orbit.theta_max
     np.testing.assert_array_equal(back.rho, orbit.rho)
     np.testing.assert_array_equal(back.rho_prime, orbit.rho_prime)
+
+
+@pytest.mark.parametrize("target", [(2.0, 1.0, 0.5), (5.3, 1.9, 0.84),
+                                    (3.5, 0.6, -0.4)])
+def test_sampled_synthesized_orbit_keeps_its_monodromy_through_json(target):
+    # JSON keeps rho, rho' and rho'' but not the analytic callables, so the
+    # curvature formula reads the interpolated rho'' samples.
+    orb = synthesize_orbit(*target)
+    sampled = orb.sample()
+    back = orbit_from_dict(orbit_to_dict(sampled))
+    assert back.jet_fn is None
+    np.testing.assert_array_equal(back.rho_second, sampled.rho_second)
+    steps = auto_steps(orb)
+    element, _ = monodromy(potential_of_orbit(back, steps), steps)
+    want = from_right_iwasawa(*target)
+    err = max(np.abs(element.mat - want.mat).max(),
+              abs(element.omega - want.omega))
+    assert err < 1e-8
 
 
 def _counted(fn, sizes):

@@ -47,7 +47,7 @@ def test_component_examples():
 def test_component_labels():
     assert repr(C1Component("hyperplane")) == "hyperplane"
     assert repr(C1Component("vertex", 2)) == "vertex(2)"
-    assert repr(C1Component("cone_leaf", 1, -1)) == "cone_leaf(1,-)"
+    assert repr(C1Component("cone_leaf", 1, -1)) == "cone_leaf(1-)"
     with pytest.raises(DomainError):
         C1Component("cone_leaf", 0, 1)
     with pytest.raises(DomainError):
