@@ -9,7 +9,11 @@ The value types (paths, cover elements, strata, curves, orbits, potentials,
 boundary conditions) are validated once, at construction, so they derive
 from Immutable: their constructors store fields with object.__setattr__,
 and afterwards every assignment or deletion of an attribute is refused.
+Copying and pickling go through Immutable.__reduce__, which rebuilds the
+value from its fields without calling the setters.
 """
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -24,10 +28,26 @@ class NumericalInvariantError(RuntimeError):
     """
 
 
+def _restore(cls, fields):
+    """The value of type cls with the given fields, as Immutable.__reduce__
+    took it apart. The value types keep their arrays read-only; copies made
+    by copy.deepcopy or pickle come back writeable and are frozen again."""
+    value = cls.__new__(cls)
+    for name, field in fields.items():
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+        object.__setattr__(value, name, field)
+    return value
+
+
 class Immutable:
     """Base of the value types: attributes are set once, in __init__."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        cls = type(self)
+        return _restore, (cls, {name: getattr(self, name) for name in cls.__slots__})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -4,10 +4,44 @@ All floating-point values are printed with 17 significant digits so that
 doubles round-trip exactly through text and identical inputs produce
 byte-identical files. The JSON emitter is an explicit walk instead of
 json.dumps because the stdlib encoder offers no hook over float formatting.
-A list, tuple or 1-D float array whose items are all floats is written with
-one "%.17g" template applied to all of them at once: "%" and format() print
-a double through the same CPython routine, so the bytes are those of
-fmt_float item by item. Every other sequence is walked item by item.
+
+A float sequence (a list, tuple or 1-D float array whose items are all
+floats, or the rows of a CSV) is written in one call, with the bytes that
+fmt_float gives item by item:
+- Below KERNEL_MIN_ITEMS items, one "%.17g" template is applied to all of
+  them at once; "%" and format() print a double through the same CPython
+  routine.
+- From KERNEL_MIN_ITEMS items on, past the measured break-even of about
+  700 items, _float_chunks computes the text with numpy. CPython prints
+  17 digits through the exact big-integer branch of its dtoa (Gay 1990),
+  because they exceed the 14 digits of its floating-point fast path;
+  _float_chunks computes the same digits with double-double arithmetic
+  (Dekker 1971).
+
+How _float_chunks gets the digits right. Write |x| = f * 2**e with f in
+[0.5, 1). The decimal exponent p that puts y = |x| / 10**p in [1e16, 1e17)
+is fixed by e and by one comparison of |x| with the smallest double at or
+above a power of ten. The scale 2**e / 10**p is stored as a pair of doubles
+(hi + lo), built from Python ints: int / int true division rounds
+correctly, and the pair holds the scale to about 2**-106 relatively. The
+product f * hi is split exactly (Dekker's two-product), f * lo is added, and
+the sum is renormalised into yh + yl, with yh an integer-valued double
+(y > 2**53). The error of yh + yl against the exact y is below 1e-13, so
+rounding it to the nearest integer gives the 17 digits "%.17g" prints,
+unless the fraction of y lies within TIE_MARGIN of 1/2: such a value, an
+exact decimal tie among them, is printed by CPython instead. On smooth
+sampled data about one value in 500,000 takes that path. The table of
+pairs is filled per binary exponent on first use, so importing the module
+does no work.
+
+How _float_chunks lays out the text. A chunk of CHUNK_ITEMS values is
+written into a byte matrix with one column per value and one row per
+character slot: separator, sign, the "0.000" of small fixed-point values,
+the digits with a possible point after each one, and the exponent. Slots a
+value does not use hold a zero byte; slots no value of the chunk uses are
+left out. The matrix is read out value by value and the zero bytes are
+deleted, and the chunks' strings are joined once, so the whole text exists
+only as the chunk strings and the joined result.
 """
 
 import json
@@ -19,6 +53,32 @@ from .errors import DomainError
 
 _FLOAT_TYPES = frozenset((float, np.float64))
 _NON_FINITE = "refusing to serialize a non-finite value"
+
+# _float_chunks costs about 0.3 ms per call whatever the length (tens of
+# numpy calls), against about 0.75 us per item for the template. Timed on
+# smooth samples (median of 31 interleaved calls), the two break even at
+# 650 to 770 items: the kernel took 0.55 ms and the template 0.60 ms at 768
+# items, 0.60 and 0.77 ms at 1024. Short sequences, such as the 2-element
+# matrix rows of a monodromy file, keep the template.
+KERNEL_MIN_ITEMS = 1024
+
+# Values per pass. A pass holds about 6 MB of byte matrix and temporaries.
+# On a 524289-sample potential, 16384 to 32768 were the fastest chunk sizes
+# (4096: 1.25x slower, 65536: 1.2x slower). Smaller chunks leave more freed
+# heap behind in small pieces: with 8192, a stiff synthesize run after
+# another peaked at 232.6 MB resident instead of 218.7 MB.
+CHUNK_ITEMS = 32768
+
+# Fractions of y this close to 1/2 are left to CPython; the double-double
+# error is below 1e-13.
+TIE_MARGIN = 2.0 ** -20
+
+_E_MIN = -1073            # np.frexp exponent of the smallest subnormal
+_E_COUNT = 1024 - _E_MIN + 1
+_SPLITTER = 134217729.0   # 2**27 + 1: Veltkamp's split into 26-bit halves
+_LOG10_2 = math.log10(2.0)
+
+_ZERO, _POINT, _MINUS, _PLUS, _E = b"0.-+e"
 
 
 def fmt_float(x):
@@ -41,60 +101,348 @@ def _fill(template, values):
     return text
 
 
+# ---------------------------------------------------------------------------
+# Exact 17-digit decimals in double-double arithmetic
+# ---------------------------------------------------------------------------
+
+def _ratio(e, p):
+    """2**e / 10**p as a pair of Python ints."""
+    num = (1 << max(e, 0)) * 10 ** max(-p, 0)
+    den = (1 << max(-e, 0)) * 10 ** max(p, 0)
+    return num, den
+
+
+def _pow2_reaches_pow10(a, b):
+    """2**a >= 10**b, exactly."""
+    num, den = _ratio(a, b)
+    return num >= den
+
+
+def _at_least(num, den):
+    """The smallest double at or above num / den (inf beyond the range)."""
+    try:
+        near = num / den
+    except OverflowError:
+        return math.inf
+    a, b = near.as_integer_ratio()
+    return near if a * den >= num * b else math.nextafter(near, math.inf)
+
+
+class _Scales:
+    """Per binary exponent e of np.frexp: the decimal exponent k of the
+    leading digit of 2**(e-1), the smallest double at or above 10**(k+1),
+    and for p = k-16 and p = k-15 the scale 2**e / 10**p as hi + lo, with
+    hi split into 26-bit halves. Rows are filled the first time a value
+    with that exponent is printed.
+
+    The arrays live in one anonymous memory map, created at the first long
+    print so that importing the module does no work; a page of it becomes
+    resident only when a row on it is filled. Taken from malloc at the end
+    of a large command, they could sit on top of the heap and keep the
+    freed memory below them from being reused: a later stiff synthesize
+    peaked at up to 222.1 MB resident instead of 218.9 MB."""
+
+    def __init__(self):
+        import mmap     # only processes that print a long array need it
+
+        memory = mmap.mmap(-1, _E_COUNT * (8 * 8 + 8 + 8 + 1))
+        self.pairs = np.frombuffer(memory, float, 8 * _E_COUNT).reshape(-1, 4)
+        self.threshold = np.frombuffer(memory, float, _E_COUNT, 64 * _E_COUNT)
+        self.lead = np.frombuffer(memory, np.int64, _E_COUNT, 72 * _E_COUNT)
+        self.filled = np.frombuffer(memory, bool, _E_COUNT, 80 * _E_COUNT)
+
+    def ensure(self, idx):
+        lo, hi = int(idx.min()), int(idx.max())
+        if self.filled[lo:hi + 1].all():
+            return
+        seen = np.zeros(hi - lo + 1, bool)
+        seen[idx - lo] = True
+        for i in (np.flatnonzero(seen & ~self.filled[lo:hi + 1]) + lo).tolist():
+            self._fill(i)
+
+    def _fill(self, i):
+        e = i + _E_MIN
+        k = math.floor((e - 1) * _LOG10_2)
+        while not _pow2_reaches_pow10(e - 1, k):
+            k -= 1
+        while _pow2_reaches_pow10(e - 1, k + 1):
+            k += 1
+        self.lead[i] = k
+        self.threshold[i] = _at_least(*_ratio(0, -(k + 1)))
+        for bump in (0, 1):
+            num, den = _ratio(e, k - 16 + bump)
+            hi = num / den
+            a, b = hi.as_integer_ratio()
+            lo = (num * b - a * den) / (den * b)
+            s = _SPLITTER * hi
+            high = s - (s - hi)
+            self.pairs[2 * i + bump] = (hi, high, hi - high, lo)
+        self.filled[i] = True
+
+
+_scales = None
+
+
+def _decimals(ax):
+    """The 17-digit decimals of the positive doubles ax.
+
+    Returns (n, lead, tie): n * 10**(lead - 16) is |x| rounded to 17
+    significant digits, with 10**16 <= n < 10**17, and tie marks the values
+    whose rounding is too close to call here.
+    """
+    global _scales
+    if _scales is None:
+        _scales = _Scales()
+    f, e = np.frexp(ax)
+    idx = e.astype(np.intp)
+    idx -= _E_MIN
+    _scales.ensure(idx)
+    bump = ax >= _scales.threshold.take(idx)
+    lead = _scales.lead.take(idx)
+    lead += bump
+    idx *= 2
+    idx += bump
+    hi, high, low, lo = _scales.pairs.take(idx, axis=0).T
+    p = f * hi
+    s = f * _SPLITTER
+    fh = s - (s - f)
+    fl = f - fh
+    err = ((fh * high - p) + fh * low + fl * high) + fl * low
+    s = err + f * lo
+    yh = p + s
+    yl = s - (yh - p)
+    r = np.rint(yl)
+    tie = np.abs(np.abs(yl - r) - 0.5) < TIE_MARGIN
+    n = yh.astype(np.int64)
+    n += r.astype(np.int64)
+    top = n == 10 ** 17
+    if top.any():
+        n[top] = 10 ** 16
+        lead += top
+    return n, lead, tie
+
+
+def _digits(n):
+    """The 17 decimal digits of each n, as a (17, len(n)) uint8 array.
+
+    Each split of a group of digits in two is a multiply and a shift, exact
+    on the group's range: (v * 109951163) >> 40 == v // 10**4 for v < 10**8,
+    (v * 5243) >> 19 == v // 100 for v < 10**4 and (v * 205) >> 11 == v // 10
+    for v < 100.
+    """
+    k = len(n)
+    out = np.empty((17, k), np.uint8)
+    high = n // 10 ** 8
+    first = high // 10 ** 8
+    out[0] = first
+    g = np.empty((2, k), np.int64)
+    g[0] = high - first * 10 ** 8
+    g[1] = n - high * 10 ** 8
+    q = (g * 109951163) >> 40
+    g4 = np.empty((4, k), np.int32)
+    g4[0::2] = q
+    g4[1::2] = g - q * 10 ** 4
+    q = (g4 * 5243) >> 19
+    g8 = np.empty((8, k), np.int16)
+    g8[0::2] = q
+    g8[1::2] = g4 - q * 100
+    q = (g8 * 205) >> 11
+    out[1::2] = q
+    out[2::2] = g8 - q * 10
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Text layout
+# ---------------------------------------------------------------------------
+
+_RANK = np.arange(17, dtype=np.uint8)[:, None]   # digit positions, a row each
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+# Text rows of a value: sign, "0.000", 17 digits with a point slot after
+# each of the first 16, and "e+ddd". Its "%.17g" text is at most 24 bytes.
+_SLOTS = 1 + 5 + 17 + 16 + 5
+
+
+def _layout(x, b, ls):
+    """Write the "%.17g" text of the chunk x into the byte matrix b below
+    its ls separator rows; returns the number of rows used."""
+    ax = np.abs(x)
+    # A zero takes the decimals of 1.0 and then has its leading digit and
+    # its exponent zeroed, which prints "0".
+    zero = ax == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        ax[zero] = 1.0
+    n, lead, tie = _decimals(ax)
+    d = _digits(n)
+    if has_zero:
+        d[0][zero] = 0
+        lead[zero] = 0
+    # Significant digits: one past the position of the last non-zero digit.
+    sig = np.max((d != 0) * (_RANK + np.uint8(1)), axis=0)
+    if has_zero:
+        sig[zero] = 1
+    expo = (lead < -4) | (lead > 16)
+    small = ~expo & (lead < 0)         # 0.000ddd
+    whole = ~expo & ~small             # ddd.ddd
+    shown = np.where(whole, np.maximum(sig, lead + 1), sig)
+    before_point = np.where(whole, lead + 1, 1)
+    # The digit the point follows, or -1 where the point comes from the
+    # "0.000" prefix or there is no fraction.
+    point = np.where((shown > before_point) & ~small, before_point - 1, -1)
+    prefix = np.where(small, 1 - lead, 0)
+    neg = np.signbit(x)
+    expo_mag = np.abs(lead) * expo
+    fallback = tie.any()
+
+    row = ls
+    if fallback or neg.any():
+        b[row] = neg * np.uint8(_MINUS)
+        row += 1
+    width = 5 if fallback else int(prefix.max())
+    if width:
+        b[row:row + width] = _PREFIX[:width] * (np.arange(width)[:, None] < prefix)
+        row += width
+    d += np.uint8(_ZERO)
+    d *= _RANK < shown
+    points = 16 if fallback else int(point.max()) + 1
+    b[row:row + 2 * points:2] = d[:points]
+    b[row + 1:row + 2 * points:2] = (_RANK[:points] == point) * np.uint8(_POINT)
+    row += 2 * points
+    b[row:row + 17 - points] = d[points:]
+    row += 17 - points
+    if fallback or expo.any():
+        b[row] = expo * np.uint8(_E)
+        b[row + 1] = expo * np.where(lead < 0, _MINUS, _PLUS).astype(np.uint8)
+        row += 2
+        hundreds = expo_mag // 100
+        if fallback or hundreds.any():
+            b[row] = (hundreds > 0) * (hundreds + _ZERO)
+            row += 1
+        tens = expo_mag // 10
+        b[row] = expo * (tens - 10 * hundreds + _ZERO)
+        b[row + 1] = expo * (expo_mag - 10 * tens + _ZERO)
+        row += 2
+    if fallback:
+        for i in np.flatnonzero(tie).tolist():
+            text = np.frombuffer(("%.17g" % x[i]).encode(), np.uint8)
+            b[ls:row, i] = 0
+            b[ls:ls + len(text), i] = text
+    return row
+
+
+def _float_chunks(values, seps):
+    """The "%.17g" text of each value followed by seps[i % len(seps)],
+    except after the last, as one string per chunk.
+
+    values is a list, tuple or 1-D array of floats whose length is a
+    multiple of len(seps); the separators must all have the same length.
+    Non-finite values raise DomainError.
+    """
+    count = len(values)
+    if not count:
+        return
+    period = len(seps)
+    ls = len(seps[0])
+    chunks = -(-count // CHUNK_ITEMS)
+    size = -(-count // (chunks * period)) * period
+    # Column i of a chunk starts with the separator that precedes value i.
+    b = np.empty((ls + _SLOTS, size), np.uint8)
+    before = np.frombuffer("".join(seps[-1:] + seps[:-1]).encode("ascii"),
+                           np.uint8).reshape(period, ls)
+    b[:ls] = np.tile(before, (size // period, 1)).T
+    for start in range(0, count, size):
+        x = np.asarray(values[start:start + size], dtype=float)
+        if not np.isfinite(x).all():
+            raise DomainError(_NON_FINITE)
+        cols = b[:, :len(x)]
+        rows = _layout(x, cols, ls)
+        text = cols[:rows].T.tobytes().translate(None, b"\0")
+        yield text[ls if start == 0 else 0:].decode("ascii")
+
+
+def _float_text(values, seps):
+    """The strings of _float_chunks, or for a short sequence the one string
+    of a "%" template."""
+    if len(values) >= KERNEL_MIN_ITEMS:
+        return _float_chunks(values, seps)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    unit = "".join("%.17g" + sep for sep in seps)
+    template = (unit * (len(values) // len(seps)))[:-len(seps[-1]) or None]
+    return [_fill(template, tuple(values))]
+
+
 def _float_items(obj):
-    """The items of a list, tuple or 1-D float array as a tuple of floats,
-    or None when some item is not a float."""
+    """The items of a list, tuple or 1-D float array as a sequence of
+    floats, or None when some item is not a float."""
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind == "f":
-            return tuple(obj.astype(float, copy=False).tolist())
+            return obj.astype(float, copy=False)
         return None
     if set(map(type, obj)) <= _FLOAT_TYPES:
-        return tuple(obj)
+        return obj
     return None
 
 
 def fmt_csv_rows(rows):
     """Comma separated 17-digit lines, one per row of a 2-D float array."""
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return _fill(line * rows.shape[0], tuple(rows.ravel().tolist()))
+    if not rows.size:
+        return "\n" * rows.shape[0]
+    seps = (",",) * (rows.shape[1] - 1) + ("\n",)
+    return "".join([*_float_text(rows.ravel(), seps), "\n"])
 
 
-def _emit(obj, indent):
+def _emit(obj, indent, out):
+    """Append the JSON text of obj, nested indent levels deep, to the list
+    of strings out."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = (f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}"
-                 for k, v in obj.items())
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+            out.append("{}")
+            return
+        opening = "{\n"
+        for k, v in obj.items():
+            out.append(f"{opening}{inner}{json.dumps(str(k))}: ")
+            _emit(v, indent + 1, out)
+            opening = ",\n"
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
+            out.append("[]")
+            return
+        out.append("[\n" + inner)
         floats = _float_items(obj)
-        if floats:
-            field = "%.17g"
-            body = field + (",\n" + inner + field) * (len(floats) - 1)
-            return _fill("[\n" + inner + body + "\n" + pad + "]", floats)
-        seq = [_emit(v, indent + 1) for v in obj]
-        if not seq:
-            return "[]"
-        return "[\n" + ",\n".join(inner + s for s in seq) + "\n" + pad + "]"
-    raise DomainError(f"cannot serialize {type(obj).__name__}")
+        if floats is not None:
+            out.extend(_float_text(floats, (",\n" + inner,)))
+        else:
+            for i, v in enumerate(obj):
+                if i:
+                    out.append(",\n" + inner)
+                _emit(v, indent + 1, out)
+        out.append("\n" + pad + "]")
+    else:
+        raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj):
     """JSON text with floats at 17 significant digits, newline terminated."""
-    return _emit(obj, 0) + "\n"
+    out = []
+    _emit(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(obj, path):

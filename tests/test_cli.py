@@ -375,6 +375,18 @@ def test_plotdata_curve_output(files):
     assert first == [0.0, 1.0, 0.0, 0.0, 1.0]
 
 
+def test_plotdata_curve_output_is_byte_stable(files):
+    # Digest of the CSV written while every float went through CPython's
+    # "%.17g": 16385 rows of 5 floats, enough to take the numpy kernel.
+    out = files["dir"] / "pinned_curve.csv"
+    assert main(["plotdata", "--curve-of", files["trig"], "--steps", "16384",
+                 "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 1604223
+    assert hashlib.sha256(data).hexdigest() == (
+        "43a376102d7c433e13b7d9e5189c258885b8d06a4e2eae1c2971d2cf2a1a2f10")
+
+
 def test_sample_potential_variants(files):
     out = str(files["dir"] / "sp.json")
     assert main(["sample-potential", "--cos", "0.5", "--sin", "0,0.25",

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillmono import DomainError, dumps_json, fmt_float, read_json, write_json
-from hillmono.serialize import fmt_csv_rows
+from hillmono import serialize
+from hillmono.serialize import KERNEL_MIN_ITEMS, _float_chunks, fmt_csv_rows
 
 
 def test_fmt_float_round_trips_doubles():
@@ -128,3 +130,116 @@ def test_non_finite_items_are_refused(bad, where):
             dumps_json(obj)
     with pytest.raises(DomainError, match="non-finite"):
         fmt_csv_rows(values.reshape(20_000, 5))
+
+
+# ---------------------------------------------------------------------------
+# The numpy kernel against CPython's "%.17g"
+# ---------------------------------------------------------------------------
+
+def _kernel(values, seps):
+    return "".join(_float_chunks(np.asarray(values, dtype=float), seps))
+
+
+def _template(values, seps):
+    """The "%.17g" fields, value i followed by seps[i % len(seps)] except
+    the last."""
+    fields = ["%.17g" % v for v in values]
+    for i in range(len(fields) - 1):
+        fields[i] += seps[i % len(seps)]
+    return "".join(fields)
+
+
+def _assert_same_text(got, expected):
+    if got == expected:
+        return
+    bad = [(i, a, b) for i, (a, b) in
+           enumerate(zip(got.splitlines(), expected.splitlines())) if a != b]
+    pytest.fail(f"{len(bad)} lines differ, first ones (line, got, "
+                f"expected): {bad[:5]}; lengths {len(got)}, {len(expected)}")
+
+
+_SEPS = [("\n",), (",\n    ",), (",", ",", ",", ",", "\n")]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_finite_floats, max_size=60), st.sampled_from(_SEPS),
+       st.sampled_from([1, 2, 5, 7, 8192]))
+def test_kernel_matches_the_template_at_every_length(values, seps, chunk):
+    values = values[:len(values) - len(values) % len(seps)]
+    # Small chunks send short inputs through the joins between chunks.
+    with mock.patch.object(serialize, "CHUNK_ITEMS", chunk):
+        assert _kernel(values, seps) == _template(values, seps)
+
+
+def _sweep():
+    """About 1.28 million seeded doubles, by family."""
+    rng = np.random.default_rng(20261019)
+    ten = [float(f"1e{k}") for k in range(-323, 309)]
+    five = [float(f"5e{k}") for k in range(-324, 308)]
+    around = [math.nextafter(v, to) for v in ten + five
+              for to in (0.0, math.inf)]
+    patterns = rng.integers(0, 2 ** 64, 400_000, dtype=np.uint64).view(float)
+    return {
+        "bit patterns": patterns[np.isfinite(patterns)],
+        "lognormal magnitudes": (rng.lognormal(0.0, 30.0, 200_000)
+                                 * rng.choice([-1.0, 1.0], 200_000)),
+        # m * 2**-k with 2**52 <= m < 2**53 has up to 19 significant
+        # digits; some of them end in a 5 just past the 17th, exact ties.
+        "tie candidates": (rng.integers(2 ** 52, 2 ** 53, 200_000)
+                           / 2.0 ** rng.integers(0, 4, 200_000)),
+        "powers of ten and their neighbours": np.array(ten + five + around),
+        "three-digit exponents": (10.0 ** rng.uniform(-307.0, 308.0, 100_000)
+                                  * rng.choice([-1.0, 1.0], 100_000)),
+        "1e16 and 1e17 boundaries": np.concatenate([
+            1e16 + 2.0 * np.arange(-20_000, 20_000),
+            1e17 + 16.0 * np.arange(-20_000, 20_000)]),
+        "multiples of 1/8": np.arange(-100_000, 100_000) / 8.0,
+        "subnormals": (rng.integers(1, 2 ** 52, 100_000, dtype=np.uint64)
+                       .view(float) * rng.choice([-1.0, 1.0], 100_000)),
+        "zeros and extremes": np.array([
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308]),
+    }
+
+
+def test_kernel_matches_the_template_on_a_million_doubles():
+    families = _sweep()
+    assert sum(map(len, families.values())) >= 10 ** 6
+    # The tie candidates reach the CPython fallback.
+    assert serialize._decimals(np.abs(families["tie candidates"]))[2].any()
+    for name, values in families.items():
+        text = _kernel(values, ("\n",))
+        _assert_same_text(text, "\n".join(["%.17g" % v for v in values.tolist()]))
+
+
+def _long_values(count):
+    rng = np.random.default_rng(count)
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-30, 30, count)
+    values[::101] = np.round(values[::101], 2)
+    values[1::211] = 0.0
+    values[2::307] = -0.0
+    return values.tolist()
+
+
+@pytest.mark.parametrize("count", [KERNEL_MIN_ITEMS - 1, KERNEL_MIN_ITEMS,
+                                   3 * serialize.CHUNK_ITEMS + 7])
+@pytest.mark.parametrize("form", ["list", "tuple", "float64 items", "array"])
+def test_long_float_sequences_match_the_item_walk(count, form):
+    values = _long_values(count)
+    obj = {"list": values, "tuple": tuple(values),
+           "float64 items": [np.float64(v) for v in values],
+           "array": np.array(values)}[form]
+    _assert_same_text(dumps_json(obj), _walk(values, 0) + "\n")
+    _assert_same_text(dumps_json({"x": obj, "n": 1}),
+                      '{\n  "x": ' + _walk(values, 1) + ',\n  "n": 1\n}\n')
+
+
+@pytest.mark.parametrize("rows", [KERNEL_MIN_ITEMS // 5 - 1,
+                                  KERNEL_MIN_ITEMS // 5 + 1,
+                                  serialize.CHUNK_ITEMS + 3])
+def test_long_csv_rows_match_the_item_walk(rows):
+    arr = np.array(_long_values(5 * rows)).reshape(rows, 5)
+    lines = "".join(",".join(fmt_float(v) for v in r) + "\n"
+                    for r in arr.tolist())
+    _assert_same_text(fmt_csv_rows(arr), lines)

@@ -1,5 +1,8 @@
 """The value types are validated once and cannot change afterwards."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,10 +43,7 @@ _VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", _VALUES)
-def test_value_types_refuse_setattr_and_delattr(name):
-    value = _VALUES[name]()
-    assert type(value).__name__ == name
+def _assert_refuses_setattr_and_delattr(value, name):
     # The validated classes share one message; the records are NamedTuples.
     if isinstance(value, Immutable):
         field, message = value.__slots__[0], f"^{name} is immutable$"
@@ -56,3 +56,56 @@ def test_value_types_refuse_setattr_and_delattr(name):
     with pytest.raises(AttributeError, match=message):
         delattr(value, field)
     assert getattr(value, field) is kept
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_types_refuse_setattr_and_delattr(name):
+    value = _VALUES[name]()
+    assert type(value).__name__ == name
+    _assert_refuses_setattr_and_delattr(value, name)
+
+
+def _fields(value):
+    names = value.__slots__ if isinstance(value, Immutable) else value._fields
+    return {name: getattr(value, name) for name in names}
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+# Beyond _VALUES: a sampled potential with its spline, and an orbit that
+# carries the bound methods of its SynthesizedOrbit.
+_COPIED = dict(_VALUES, **{
+    "sampled Potential": lambda: Potential.sampled(
+        np.cos(np.linspace(0.0, 2 * np.pi, 33)) - 0.5),
+    "synthesized Orbit": lambda: synthesize_orbit(2.0, 1.0, 0.5).sample(),
+})
+
+
+@pytest.mark.parametrize("how", _COPIES)
+@pytest.mark.parametrize("name", _COPIED)
+def test_value_types_copy_and_pickle(name, how):
+    value = _COPIED[name]()
+    twin = _COPIES[how](value)
+    assert type(twin) is type(value)
+    fields, twin_fields = _fields(value), _fields(twin)
+    assert fields.keys() == twin_fields.keys()
+    for field, kept in fields.items():
+        # Equal values pickle to equal bytes: arrays, polynomials, splines
+        # and bound methods included.
+        assert pickle.dumps(twin_fields[field]) == pickle.dumps(kept), field
+        if isinstance(kept, np.ndarray):
+            assert not twin_fields[field].flags.writeable, field
+    _assert_refuses_setattr_and_delattr(twin, type(value).__name__)
+
+
+@pytest.mark.parametrize("how", _COPIES)
+def test_restored_sampled_potential_evaluates_to_the_same_bytes(how):
+    q = _COPIED["sampled Potential"]()
+    twin = _COPIES[how](q)
+    t = np.linspace(0.0, 2 * np.pi, 1001)
+    assert twin(t).tobytes() == q(t).tobytes()
+    assert twin.sample(4097).tobytes() == q.sample(4097).tobytes()
