@@ -33,8 +33,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
@@ -136,6 +134,8 @@ class Orbit(Immutable):
         if abs(slope0) > RHO_SLOPE_TOL:
             raise DomainError(
                 f"rho'(0) = {slope0!r} but must vanish within {RHO_SLOPE_TOL}")
+        from scipy.integrate import simpson
+
         swept = simpson(rho, x=grid)
         if abs(swept - TAU) > SWEEP_TOL:
             raise DomainError(
@@ -167,6 +167,8 @@ class Orbit(Immutable):
 def _value_model(orbit):
     if orbit.value_fn is not None:
         return orbit.value_fn
+    from scipy.interpolate import PchipInterpolator
+
     return PchipInterpolator(orbit.theta_grid, orbit.rho)
 
 
@@ -185,6 +187,8 @@ def _slope_model(orbit, for_curvature):
     cubic spline derivative when curvature is also required, so rho'' stays
     continuous in the latter case.
     """
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     grid = orbit.theta_grid
     if orbit.rho_prime is not None:
         return PchipInterpolator(grid, orbit.rho_prime)
@@ -198,6 +202,8 @@ def _slope_model(orbit, for_curvature):
 
 
 def _curvature_model(orbit):
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     grid = orbit.theta_grid
     if orbit.rho_second is not None:
         return PchipInterpolator(grid, orbit.rho_second)
@@ -223,6 +229,8 @@ def _jet_model(orbit, value_fn, for_curvature=False):
 # ---------------------------------------------------------------------------
 
 def _time_table(orbit):
+    from scipy.integrate import cumulative_simpson
+
     table = cumulative_simpson(orbit.rho, x=orbit.theta_grid, initial=0.0)
     if abs(table[-1] - TAU) > 10 * SWEEP_TOL:
         raise NumericalInvariantError(
@@ -339,6 +347,8 @@ def orbit_of(curve, nodes=None):
     interpolated profile. An orbit that fails the Orbit checks is a
     numerical failure of the resampling.
     """
+    from scipy.interpolate import PchipInterpolator
+
     n = curve.t.size if nodes is None else checked_count(nodes, "nodes")
     if n < 9:
         raise DomainError("nodes must be at least 9")

@@ -10,7 +10,6 @@ import json
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, Immutable
 
@@ -60,6 +59,8 @@ class Potential(Immutable):
         object.__setattr__(self, "interp", interp)
         spline = None
         if kind == "sampled" and interp == "cubic":
+            from scipy.interpolate import CubicSpline
+
             grid = np.linspace(0.0, TAU, samples.size)
             spline = CubicSpline(grid, samples)
         object.__setattr__(self, "_spline", spline)

@@ -16,13 +16,23 @@ angle of the monodromy grows strictly with s, so the line meets the
 hyperplane once and then each cone in either two leaf points or one vertex,
 giving the periodic eigenvalues s_0 < s_1 <= s_2 < s_3 <= ... with their
 stratum labels.
+
+The eigenvalues come from one pass over the scan nodes: every sign change of
+trace - 2 between two nodes is refined, and the root is labelled by the
+window round(alpha / pi) of its Cartan angle. Window 0 holds the hyperplane
+eigenvalue and window 2p the pair p. A window whose node brackets hold
+exactly two crossings gives the pair directly: two roots at least
+S_RESOLUTION apart are the minus and plus leaves, closer ones a vertex at
+their midpoint. Any other count means a vertex, or a split narrower than the
+node spacing, that the nodes do not resolve. Only such a window takes the
+maximum path: its two trace-zero walls are refined, the trace maximum
+between them is found, and the roots are bracketed outward from it.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .cover import classify, to_cartan
 from .errors import DomainError, Immutable, NumericalInvariantError
@@ -203,6 +213,8 @@ def _scan_line(line, n_max):
 
 def _crossings(nodes, f):
     """Bracketed sign changes of f at the nodes, refined by brentq."""
+    from scipy.optimize import brentq
+
     out = []
     vals = [f(s) for s in nodes]
     for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
@@ -213,6 +225,46 @@ def _crossings(nodes, f):
     if vals[-1] == 0.0:
         out.append(nodes[-1])
     return out
+
+
+def _window_label(line, s):
+    """The window round(alpha / pi) that the Cartan angle at s sits in."""
+    return round(line(s)[3] / math.pi)
+
+
+def _roots_from_maximum(line, nodes, m):
+    """Both trace-2 roots of window m, bracketed outward from the maximum.
+
+    Refines only the window's two trace-zero walls, each from the node
+    bracket whose windows straddle it.
+    """
+    from scipy.optimize import brentq, minimize_scalar
+
+    walls = {}
+    for a, b in zip(nodes, nodes[1:]):
+        wa, wb = _window_label(line, a), _window_label(line, b)
+        if wa != wb and min(wa, wb) <= m <= max(wa, wb):
+            for s in _crossings([a, b], line.trace):
+                walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
+    try:
+        lo, hi = walls[m - 1], walls[m]
+    except KeyError:
+        raise NumericalInvariantError(
+            f"window {m} is missing a trace-zero wall") from None
+    # The trace rises from 0 at both walls to its single interior maximum,
+    # so bracketing outward from the maximum finds the pair.
+    res = minimize_scalar(lambda s: -line.trace(s), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10})
+    s_top = float(res.x)
+    top = line.trace(s_top)
+    if top < 2.0 - VERTEX_TRACE_TOL:
+        raise NumericalInvariantError(
+            f"window {m} trace maximum {top!r} never reaches 2")
+    if top > 2.0:
+        f = lambda s: line.trace(s) - 2.0
+        return (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16),
+                brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
+    return s_top, s_top
 
 
 def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
@@ -229,15 +281,12 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
     pair_count = (n_max + 1) // 2
     nodes = _scan_line(line, pair_count)
 
-    # Walls between windows: the zeros of the trace, labeled by which
-    # quarter-turn boundary they sit on.
-    walls = {}
-    for s in _crossings(nodes, line.trace):
-        walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
+    # The trace-2 crossings between the nodes, grouped by their window.
+    hits = {}
+    for s in _crossings(nodes, lambda s: line.trace(s) - 2.0):
+        hits.setdefault(_window_label(line, s), []).append(s)
 
-    # Ground crossing: the one trace-2 root before the first wall.
-    ground = [s for s in _crossings(nodes, lambda s: line.trace(s) - 2.0)
-              if round(line(s)[3] / math.pi) == 0]
+    ground = hits.get(0, [])
     if len(ground) != 1:
         raise NumericalInvariantError(
             f"expected one hyperplane crossing, found {len(ground)}")
@@ -252,26 +301,9 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
 
     for pair in range(1, pair_count + 1):
         m = 2 * pair
-        try:
-            lo, hi = walls[m - 1], walls[m]
-        except KeyError:
-            raise NumericalInvariantError(
-                f"window {m} is missing a trace-zero wall") from None
-        # The trace rises from 0 at both walls to its single interior
-        # maximum, so bracketing outward from the maximum finds the pair.
-        res = minimize_scalar(lambda s: -line.trace(s), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-10})
-        s_top = float(res.x)
-        top = line.trace(s_top)
-        if top < 2.0 - VERTEX_TRACE_TOL:
-            raise NumericalInvariantError(
-                f"window {m} trace maximum {top!r} never reaches 2")
-        if top > 2.0:
-            f = lambda s: line.trace(s) - 2.0
-            roots = (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16),
-                     brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
-        else:
-            roots = (s_top, s_top)
+        roots = hits.get(m, [])
+        if len(roots) != 2:
+            roots = _roots_from_maximum(line, nodes, m)
         if roots[1] - roots[0] >= S_RESOLUTION:
             for s_leaf, want in zip(roots, (-1, 1)):
                 el, theta_r, trace, _ = line(s_leaf)

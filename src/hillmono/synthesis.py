@@ -25,8 +25,6 @@ import math
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .cover import to_right_iwasawa, winding_exceeds
 from .errors import DomainError, Immutable, NumericalInvariantError
@@ -156,6 +154,9 @@ def normalize_c(theta_m, p1, r):
     bracket walk plus brentq pins it down; monotonicity is asserted along
     the walk since it is the uniqueness argument.
     """
+    from scipy.integrate import simpson
+    from scipy.optimize import brentq
+
     theta_m = float(theta_m)
     if not (theta_m > 0 and math.isfinite(theta_m)):
         raise DomainError("theta_m must be positive")

@@ -183,3 +183,95 @@ def test_scan_samples_the_line_once(monkeypatch, n_max):
     assert len(records) == n_max + 1
     assert len(monodromy_calls) > 50
     assert (q0.calls, qplus.calls) == (2, 2)
+
+
+def _mathieu_line_values(count):
+    """s_0.. on 2 cos t - s from scipy's Mathieu values at q = 4, over 4."""
+    from scipy.special import mathieu_a, mathieu_b
+
+    vals = [mathieu_a(0, 4.0)]
+    for m in range(2, count + 1, 2):
+        vals += [mathieu_b(m, 4.0), mathieu_a(m, 4.0)]
+    return np.array(vals[:count]) / 4.0
+
+
+def test_mathieu_split_pairs_match_scipy():
+    # At 4096 steps pair 3 (gap 1.35e-4) misses by 4.0e-9, the trace
+    # method's floor near a narrow pair; at 16384 steps every value is
+    # within 7e-13.
+    want = _mathieu_line_values(7)
+    for steps, tol in ((DEFAULT_SCAN_STEPS, [1e-10] * 5 + [1e-8] * 2),
+                       (16384, [1e-10] * 7)):
+        records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
+                                          Potential.constant(1.0), 6, steps)
+        got = np.array([r.s for r in records])
+        assert np.all(np.abs(got - want) < tol)
+        for pair in (1, 2, 3):
+            assert records[2 * pair - 1].component == C1Component("cone_leaf", pair, -1)
+            assert records[2 * pair].component == C1Component("cone_leaf", pair, 1)
+
+
+def _spy_calls(monkeypatch):
+    """Count spectral's monodromy calls and scipy's minimize_scalar calls."""
+    import scipy.optimize
+
+    calls = {"monodromy": 0, "minimize_scalar": 0}
+    minimize_scalar = scipy.optimize.minimize_scalar
+
+    def counted_monodromy(q, steps):
+        calls["monodromy"] += 1
+        return monodromy(q, steps)
+
+    def counted_minimize(*args, **kwargs):
+        calls["minimize_scalar"] += 1
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "monodromy", counted_monodromy)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted_minimize)
+    return calls
+
+
+def test_split_pair_comes_from_the_node_crossings(monkeypatch):
+    # Each leaf of pair 1 sits in its own node interval, so the trace-2
+    # pass that finds the hyperplane eigenvalue finds both leaves too.
+    calls = _spy_calls(monkeypatch)
+    records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
+                                      Potential.constant(1.0), 2, 4096)
+    assert [r.component for r in records[1:]] == [
+        C1Component("cone_leaf", 1, -1), C1Component("cone_leaf", 1, 1)]
+    assert calls["minimize_scalar"] == 0
+    assert calls["monodromy"] <= 70
+
+
+def test_vertex_off_the_nodes_takes_the_maximum_path(monkeypatch):
+    # On q = -3 s the first vertex is s = 1/3, while the nodes are -1/3 plus
+    # dyadic steps: the trace stays below 2 at every node of window 2.
+    calls = _spy_calls(monkeypatch)
+    records = oscillation_eigenvalues(Potential.constant(0.0),
+                                      Potential.constant(3.0), 2)
+    assert calls["minimize_scalar"] == 1
+    for r in records[1:]:
+        assert r.component == C1Component("vertex", 1)
+        assert r.multiplicity == 2
+        assert abs(r.s - 1.0 / 3.0) < 1e-9
+
+
+def test_window_with_one_node_crossing_takes_the_maximum_path(monkeypatch):
+    # Drop the plus leaf from the node pass: window 2 then holds one
+    # crossing and must fall back to the maximum path, not raise.
+    direct = oscillation_eigenvalues(Potential.trig_poly([2.0]),
+                                     Potential.constant(1.0), 2)
+    crossings = spectral._crossings
+
+    def one_short(nodes, f):
+        out = crossings(nodes, f)
+        return out[:-1] if len(nodes) > 2 else out
+
+    monkeypatch.setattr(spectral, "_crossings", one_short)
+    calls = _spy_calls(monkeypatch)
+    records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
+                                      Potential.constant(1.0), 2)
+    assert calls["minimize_scalar"] == 1
+    assert [r.component for r in records] == [r.component for r in direct]
+    for a, b in zip(records, direct):
+        assert abs(a.s - b.s) < 1e-12
