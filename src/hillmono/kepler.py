@@ -443,11 +443,11 @@ def load_curve_csv(path):
 
 
 def orbit_to_dict(orbit):
-    out = {"theta_max": orbit.theta_max, "rho": orbit.rho.tolist()}
+    out = {"theta_max": orbit.theta_max, "rho": orbit.rho}
     if orbit.rho_prime is not None:
-        out["rho_prime"] = orbit.rho_prime.tolist()
+        out["rho_prime"] = orbit.rho_prime
     if orbit.rho_second is not None:
-        out["rho_second"] = orbit.rho_second.tolist()
+        out["rho_second"] = orbit.rho_second
     return out
 
 

@@ -118,7 +118,7 @@ class Potential(Immutable):
                     "sin_coeffs": list(self.sin_coeffs),
                     "constant_term": self.constant_term}
         return {"kind": "sampled",
-                "samples": self.samples.tolist(),
+                "samples": self.samples,
                 "interp": self.interp}
 
     @classmethod

@@ -5,8 +5,8 @@ doubles round-trip exactly through text and identical inputs produce
 byte-identical files. The JSON emitter is an explicit walk instead of
 json.dumps because the stdlib encoder offers no hook over float formatting.
 
-A float sequence (a list, tuple or 1-D float array whose items are all
-floats, or the rows of a CSV) is written in one call, with the bytes that
+A list or a tuple is walked item by item. A float sequence (a 1-D float
+array, or the rows of a CSV) is written in one call, with the bytes that
 fmt_float gives item by item:
 - Below KERNEL_MIN_ITEMS items, one "%.17g" template is applied to all of
   them at once; "%" and format() print a double through the same CPython
@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_FLOAT_TYPES = frozenset((float, np.float64))
 _NON_FINITE = "refusing to serialize a non-finite value"
 
 # _float_chunks costs about 0.3 ms per call whatever the length (tens of
@@ -335,8 +334,8 @@ def _float_chunks(values, seps):
     """The "%.17g" text of each value followed by seps[i % len(seps)],
     except after the last, as one string per chunk.
 
-    values is a list, tuple or 1-D array of floats whose length is a
-    multiple of len(seps); the separators must all have the same length.
+    values is a 1-D float64 array whose length is a multiple of len(seps);
+    the separators must all have the same length.
     Non-finite values raise DomainError.
     """
     count = len(values)
@@ -352,7 +351,7 @@ def _float_chunks(values, seps):
                            np.uint8).reshape(period, ls)
     b[:ls] = np.tile(before, (size // period, 1)).T
     for start in range(0, count, size):
-        x = np.asarray(values[start:start + size], dtype=float)
+        x = values[start:start + size]
         if not np.isfinite(x).all():
             raise DomainError(_NON_FINITE)
         cols = b[:, :len(x)]
@@ -362,27 +361,13 @@ def _float_chunks(values, seps):
 
 
 def _float_text(values, seps):
-    """The strings of _float_chunks, or for a short sequence the one string
-    of a "%" template."""
+    """The strings of _float_chunks, or for a short array the one string of
+    a "%" template."""
     if len(values) >= KERNEL_MIN_ITEMS:
         return _float_chunks(values, seps)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
     unit = "".join("%.17g" + sep for sep in seps)
     template = (unit * (len(values) // len(seps)))[:-len(seps[-1]) or None]
-    return [_fill(template, tuple(values))]
-
-
-def _float_items(obj):
-    """The items of a list, tuple or 1-D float array as a sequence of
-    floats, or None when some item is not a float."""
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            return obj.astype(float, copy=False)
-        return None
-    if set(map(type, obj)) <= _FLOAT_TYPES:
-        return obj
-    return None
+    return [_fill(template, tuple(values.tolist()))]
 
 
 def fmt_csv_rows(rows):
@@ -424,9 +409,8 @@ def _emit(obj, indent, out):
             out.append("[]")
             return
         out.append("[\n" + inner)
-        floats = _float_items(obj)
-        if floats is not None:
-            out.extend(_float_text(floats, (",\n" + inner,)))
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+            out.extend(_float_text(obj.astype(float, copy=False), (",\n" + inner,)))
         else:
             for i, v in enumerate(obj):
                 if i:

@@ -34,6 +34,15 @@ from .kepler import Orbit, potential_of_orbit
 TAU = math.tau
 
 DEFAULT_BASIS_SIZE = 8
+# Largest perturbation coefficient count. The basis is kept in power form,
+# whose coefficients grow about 5.8-fold per degree (7e11 at 16, 1e24 at
+# 32), so evaluating it cancels. On the right Iwasawa targets (4, 1.3, 0.5),
+# (2, 1, 0.5), (13, 2, -1), (0.3, 0.5, -2) and (5.3, 1.9, 0.84), with every
+# coefficient set to one value from 1e-16 to 0.3, 45 was the largest count
+# at which some value still changed the sampled orbit and passed its sweep
+# check; none did at 44, 46, 47, 48, 50, 56 or 64. From about 400 on the
+# basis itself overflows to NaN.
+MAX_BASIS_SIZE = 45
 MIN_SYNTH_STEPS = 16384
 # Resolution rule for the synthesized potential: keep step * sqrt(max |q|)
 # below this, which keeps a fixed-step RK4 pass at the same resolution
@@ -107,8 +116,9 @@ def perturbation_basis(size=DEFAULT_BASIS_SIZE):
     Built once per size; the tuple and the coefficient arrays are read-only,
     so no caller can change the cached basis."""
     size = int(size)
-    if size < 0:
-        raise DomainError("basis size must be nonnegative")
+    if not 0 <= size <= MAX_BASIS_SIZE:
+        raise DomainError(f"perturbation coefficient count {size} is not in "
+                          f"[0, {MAX_BASIS_SIZE}]")
     affine = Polynomial([-1.0, 2.0])
     bump_mass = _poly_mass(_BUMP)
     basis = []
@@ -237,12 +247,27 @@ class SynthesizedOrbit(Immutable):
         return rho, e1[()], e2[()]
 
     def sample(self):
-        """The Orbit on the THETA_NODES grid, with the analytic callables."""
+        """The Orbit on the THETA_NODES grid, with the analytic callables.
+
+        normalize_c evaluates r at theta / theta_max, and this profile
+        evaluates r with rescaled power-form coefficients. With many
+        perturbation coefficients the two round apart, so the sampled orbit
+        can fail its own checks: that is NumericalInvariantError, not bad
+        input."""
         grid = np.linspace(0.0, self.theta_max, THETA_NODES)
         rho, rho_prime, rho_second = self.jet(grid)
-        return Orbit(self.theta_max, rho, rho_prime=rho_prime,
-                     rho_second=rho_second, value_fn=self.rho,
-                     jet_fn=self.jet)
+        try:
+            return Orbit(self.theta_max, rho, rho_prime=rho_prime,
+                         rho_second=rho_second, value_fn=self.rho,
+                         jet_fn=self.jet)
+        except DomainError as exc:
+            # r sums c_k b_k, and b_k has degree k + 4.
+            count = max(self.r.degree() - _BUMP.degree(), 0)
+            raise NumericalInvariantError(
+                f"the synthesized orbit with {count} perturbation "
+                f"coefficients fails its own check: {exc}; the power-form "
+                "perturbation loses precision, so use fewer or smaller "
+                "coefficients") from None
 
 
 def synthesize_orbit(theta_m, rho0, nu0, coeffs=None):

@@ -9,14 +9,16 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from hillmono import (DomainError, Potential, cli, curve_of, element_to_dict,
-                      load_potential, monodromy, orbit_of, read_json,
-                      write_json)
+                      from_right_iwasawa, load_potential, monodromy, orbit_of,
+                      read_json, write_json)
 from hillmono.cli import main
+from hillmono.synthesis import MAX_BASIS_SIZE
 from oracles import rel_l2
 
 TAU = math.tau
@@ -193,6 +195,27 @@ def test_synthesize_rejects_targets_off_image(files):
     write_json({"m": [1.0, 0.0, 0.0, 1.0], "omega": 0.0, "component": "+"},
                ident)
     assert main(["synthesize", "--target", str(ident)]) == 2
+
+
+def test_synthesize_fiber_size_failures(files, capsys):
+    # Twenty equal coefficients make the power-form perturbation cancel:
+    # the sampled orbit misses its sweep, which is a numerical failure. A
+    # count above the limit is refused before any basis is built; a basis
+    # of 450 would take seconds and overflow to NaN with a numpy warning.
+    target = files["dir"] / "fiber_target.json"
+    write_json(element_to_dict(from_right_iwasawa(4.0, 1.3, 0.5)), target)
+    argv = ["synthesize", "--target", str(target), "--coeffs"]
+    assert main(argv + [",".join(["0.01"] * 20)]) == 3
+    err = capsys.readouterr().err
+    assert "with 20 perturbation coefficients" in err
+    assert "orbit sweeps 6.2830887953791335 instead of 2 pi" in err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + [",".join(["0.01"] * 450)]) == 2
+    assert not caught
+    assert capsys.readouterr().err == (
+        f"error: perturbation coefficient count 450 is not in "
+        f"[0, {MAX_BASIS_SIZE}]\n")
 
 
 def test_synthesize_verify_gate_exits_3(files):

@@ -24,8 +24,10 @@ from hillmono import (
     from_right_iwasawa,
     potential_of_orbit,
     potential_with_monodromy,
+    read_json,
     save_curve_csv,
     synthesize_orbit,
+    write_json,
 )
 from hillmono.kepler import _invert_times, _value_model
 from hillmono.synthesis import auto_steps
@@ -153,13 +155,16 @@ def test_curve_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.vp, curve.vp)
 
 
-def test_orbit_json_roundtrip():
+def test_orbit_json_roundtrip(tmp_path):
     orbit = orbit_of(curve_of(trig_potential(), steps=1024))
     data = orbit_to_dict(orbit)
-    back = orbit_from_dict(data)
-    assert back.theta_max == orbit.theta_max
-    np.testing.assert_array_equal(back.rho, orbit.rho)
-    np.testing.assert_array_equal(back.rho_prime, orbit.rho_prime)
+    assert data["rho"] is orbit.rho and data["rho_prime"] is orbit.rho_prime
+    write_json(data, tmp_path / "orbit.json")
+    for back in (orbit_from_dict(data),
+                 orbit_from_dict(read_json(tmp_path / "orbit.json"))):
+        assert back.theta_max == orbit.theta_max
+        np.testing.assert_array_equal(back.rho, orbit.rho)
+        np.testing.assert_array_equal(back.rho_prime, orbit.rho_prime)
 
 
 @pytest.mark.parametrize("target", [(2.0, 1.0, 0.5), (5.3, 1.9, 0.84),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hillmono import DomainError, Potential, load_potential
+from hillmono import DomainError, Potential, load_potential, write_json
 
 TAU = math.tau
 
@@ -38,12 +38,21 @@ def test_sampled_linear_interpolation():
 
 
 def test_dict_roundtrip(tmp_path):
+    path = tmp_path / "q.json"
+    t = np.linspace(0.0, TAU, 65)
     for q in (Potential.constant(2.0),
               Potential.trig_poly([1.0, 0.5], [0.25]),
               Potential.sampled(np.linspace(1.0, 2.0, 33))):
-        back = Potential.from_dict(q.to_dict())
-        t = np.linspace(0.0, TAU, 65)
-        np.testing.assert_array_equal(back(t), q(t))
+        write_json(q.to_dict(), path)
+        for back in (Potential.from_dict(q.to_dict()), load_potential(path)):
+            np.testing.assert_array_equal(back(t), q(t))
+
+
+def test_to_dict_hands_over_the_read_only_samples():
+    q = Potential.sampled(np.linspace(1.0, 2.0, 33))
+    samples = q.to_dict()["samples"]
+    assert samples is q.samples
+    assert not samples.flags.writeable
 
 
 def test_load_potential_errors(tmp_path):

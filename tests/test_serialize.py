@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillmono import DomainError, dumps_json, fmt_float, read_json, write_json
+from hillmono import (DomainError, Potential, dumps_json, fmt_float,
+                      orbit_to_dict, read_json, synthesize_orbit, write_json)
 from hillmono import serialize
 from hillmono.serialize import KERNEL_MIN_ITEMS, _float_chunks, fmt_csv_rows
 
@@ -39,10 +40,12 @@ def test_dumps_empty_containers():
 
 def test_json_file_roundtrip(tmp_path):
     path = tmp_path / "data.json"
-    obj = {"values": [math.pi, 1e-17], "name": "curve", "count": 3}
+    obj = {"values": [math.pi, 1e-17], "name": "curve", "count": 3,
+           "samples": np.linspace(-1.0, 1.0, KERNEL_MIN_ITEMS + 1) ** 3}
     write_json(obj, path)
     back = read_json(path)
     assert back["values"] == obj["values"]
+    assert back["samples"] == obj["samples"].tolist()
     assert back["name"] == "curve" and back["count"] == 3
 
 
@@ -125,7 +128,8 @@ def test_mixed_sequences_keep_their_bytes():
 def test_non_finite_items_are_refused(bad, where):
     values = np.linspace(-1.0, 1.0, 100_000)
     values[where] = bad
-    for obj in (values, {"samples": values.tolist()}, values.reshape(1000, 100)):
+    for obj in (values, {"samples": values}, {"samples": values.tolist()},
+                values.reshape(1000, 100)):
         with pytest.raises(DomainError, match="non-finite"):
             dumps_json(obj)
     with pytest.raises(DomainError, match="non-finite"):
@@ -233,6 +237,21 @@ def test_long_float_sequences_match_the_item_walk(count, form):
     _assert_same_text(dumps_json(obj), _walk(values, 0) + "\n")
     _assert_same_text(dumps_json({"x": obj, "n": 1}),
                       '{\n  "x": ' + _walk(values, 1) + ',\n  "n": 1\n}\n')
+
+
+def test_value_type_dicts_match_the_item_walk():
+    # to_dict and orbit_to_dict hand their read-only arrays to the writer.
+    values = _long_values(KERNEL_MIN_ITEMS + 1)
+    q = Potential.sampled(values)
+    _assert_same_text(dumps_json(q.to_dict()),
+                      '{\n  "kind": "sampled",\n  "samples": '
+                      + _walk(values, 1) + ',\n  "interp": "cubic"\n}\n')
+    orbit = synthesize_orbit(2.0, 1.0, 0.5).sample()
+    fields = "".join(f',\n  "{name}": ' + _walk(getattr(orbit, name).tolist(), 1)
+                     for name in ("rho", "rho_prime", "rho_second"))
+    _assert_same_text(dumps_json(orbit_to_dict(orbit)),
+                      '{\n  "theta_max": ' + fmt_float(orbit.theta_max)
+                      + fields + "\n}\n")
 
 
 @pytest.mark.parametrize("rows", [KERNEL_MIN_ITEMS // 5 - 1,
