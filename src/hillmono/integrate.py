@@ -229,9 +229,9 @@ def _propagate(q, steps):
     steps = checked_steps(steps)
     h = TAU / steps
     qq = _sample_q(q, steps)
-    t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h)
-    nodes = np.zeros((4, steps + 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h)
+        nodes = np.zeros((4, steps + 1))
         nodes[:, 1:] = _blocked_scan(t)
     nodes[[0, 3]] += 1.0
     if not np.all(np.isfinite(nodes)):

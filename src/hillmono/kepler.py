@@ -136,8 +136,9 @@ class Orbit(Immutable):
                 f"rho'(0) = {slope0!r} but must vanish within {RHO_SLOPE_TOL}")
         from scipy.integrate import simpson
 
-        swept = simpson(rho, x=grid)
-        if abs(swept - TAU) > SWEEP_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            swept = simpson(rho, x=grid)
+        if not abs(swept - TAU) <= SWEEP_TOL:  # a nan sweep is refused too
             raise DomainError(
                 f"orbit sweeps {float(swept)!r} instead of 2 pi within {SWEEP_TOL}")
         rho.setflags(write=False)

@@ -32,6 +32,10 @@ class Potential(Immutable):
             if not math.isfinite(c):
                 raise DomainError("constant potential needs a finite value")
         elif kind == "trig_poly":
+            if any(isinstance(v, (str, bytes))
+                   for v in (cos_coeffs, sin_coeffs)):
+                raise DomainError("trig poly coefficients must be a list of "
+                                  "numbers, not a string")
             cos_coeffs = tuple(float(v) for v in cos_coeffs)
             sin_coeffs = tuple(float(v) for v in sin_coeffs)
             vals = cos_coeffs + sin_coeffs + (constant_term,)
@@ -90,10 +94,13 @@ class Potential(Immutable):
             out = np.full(t.shape, self.c)
         elif self.kind == "trig_poly":
             out = np.full(t.shape, self.constant_term)
-            for j, a in enumerate(self.cos_coeffs, start=1):
-                out += a * np.cos(j * t)
-            for j, b in enumerate(self.sin_coeffs, start=1):
-                out += b * np.sin(j * t)
+            # A sum past the double range gives inf or nan, which the
+            # callers refuse.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, a in enumerate(self.cos_coeffs, start=1):
+                    out += a * np.cos(j * t)
+                for j, b in enumerate(self.sin_coeffs, start=1):
+                    out += b * np.sin(j * t)
         elif self.interp == "linear":
             grid = np.linspace(0.0, TAU, self.samples.size)
             out = np.interp(t, grid, self.samples)

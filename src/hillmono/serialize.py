@@ -6,17 +6,12 @@ byte-identical files. The JSON emitter is an explicit walk instead of
 json.dumps because the stdlib encoder offers no hook over float formatting.
 
 A list or a tuple is walked item by item. A float sequence (a 1-D float
-array, or the rows of a CSV) is written in one call, with the bytes that
-fmt_float gives item by item:
-- Below KERNEL_MIN_ITEMS items, one "%.17g" template is applied to all of
-  them at once; "%" and format() print a double through the same CPython
-  routine.
-- From KERNEL_MIN_ITEMS items on, past the measured break-even of about
-  700 items, _float_chunks computes the text with numpy. CPython prints
-  17 digits through the exact big-integer branch of its dtoa (Gay 1990),
-  because they exceed the 14 digits of its floating-point fast path;
-  _float_chunks computes the same digits with double-double arithmetic
-  (Dekker 1971).
+array, or the rows of a CSV) is written in one call to _float_chunks,
+which computes with numpy the bytes that fmt_float gives item by item.
+CPython prints 17 digits through the exact big-integer branch of its dtoa
+(Gay 1990), because they exceed the 14 digits of its floating-point fast
+path; _float_chunks computes the same digits with double-double arithmetic
+(Dekker 1971).
 
 How _float_chunks gets the digits right. Write |x| = f * 2**e with f in
 [0.5, 1). The decimal exponent p that puts y = |x| / 10**p in [1e16, 1e17)
@@ -31,8 +26,7 @@ rounding it to the nearest integer gives the 17 digits "%.17g" prints,
 unless the fraction of y lies within TIE_MARGIN of 1/2: such a value, an
 exact decimal tie among them, is printed by CPython instead. On smooth
 sampled data about one value in 500,000 takes that path. The table of
-pairs is filled per binary exponent on first use, so importing the module
-does no work.
+pairs is allocated at import and filled per binary exponent on first use.
 
 How _float_chunks lays out the text. A chunk of CHUNK_ITEMS values is
 written into a byte matrix with one column per value and one row per
@@ -53,14 +47,6 @@ from .errors import DomainError
 
 _NON_FINITE = "refusing to serialize a non-finite value"
 
-# _float_chunks costs about 0.3 ms per call whatever the length (tens of
-# numpy calls), against about 0.75 us per item for the template. Timed on
-# smooth samples (median of 31 interleaved calls), the two break even at
-# 650 to 770 items: the kernel took 0.55 ms and the template 0.60 ms at 768
-# items, 0.60 and 0.77 ms at 1024. Short sequences, such as the 2-element
-# matrix rows of a monodromy file, keep the template.
-KERNEL_MIN_ITEMS = 1024
-
 # Values per pass. A pass holds about 6 MB of byte matrix and temporaries.
 # On a 524289-sample potential, 16384 to 32768 were the fastest chunk sizes
 # (4096: 1.25x slower, 65536: 1.2x slower). Smaller chunks leave more freed
@@ -75,7 +61,6 @@ TIE_MARGIN = 2.0 ** -20
 _E_MIN = -1073            # np.frexp exponent of the smallest subnormal
 _E_COUNT = 1024 - _E_MIN + 1
 _SPLITTER = 134217729.0   # 2**27 + 1: Veltkamp's split into 26-bit halves
-_LOG10_2 = math.log10(2.0)
 
 _ZERO, _POINT, _MINUS, _PLUS, _E = b"0.-+e"
 
@@ -85,19 +70,6 @@ def fmt_float(x):
     if not math.isfinite(x):
         raise DomainError(_NON_FINITE)
     return format(x, ".17g")
-
-
-def _fill(template, values):
-    """template % values for "%.17g" fields, refusing non-finite values.
-
-    A finite double prints as digits, sign, point and exponent only; an
-    infinity or a NaN prints as "inf" or "nan", so one scan of the text for
-    an "n" finds them all.
-    """
-    text = template % values
-    if "n" in text:
-        raise DomainError(_NON_FINITE)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +83,6 @@ def _ratio(e, p):
     return num, den
 
 
-def _pow2_reaches_pow10(a, b):
-    """2**a >= 10**b, exactly."""
-    num, den = _ratio(a, b)
-    return num >= den
-
-
 def _at_least(num, den):
     """The smallest double at or above num / den (inf beyond the range)."""
     try:
@@ -127,59 +93,49 @@ def _at_least(num, den):
     return near if a * den >= num * b else math.nextafter(near, math.inf)
 
 
-class _Scales:
-    """Per binary exponent e of np.frexp: the decimal exponent k of the
-    leading digit of 2**(e-1), the smallest double at or above 10**(k+1),
-    and for p = k-16 and p = k-15 the scale 2**e / 10**p as hi + lo, with
-    hi split into 26-bit halves. Rows are filled the first time a value
-    with that exponent is printed.
-
-    The arrays live in one anonymous memory map, created at the first long
-    print so that importing the module does no work; a page of it becomes
-    resident only when a row on it is filled. Taken from malloc at the end
-    of a large command, they could sit on top of the heap and keep the
-    freed memory below them from being reused: a later stiff synthesize
-    peaked at up to 222.1 MB resident instead of 218.9 MB."""
-
-    def __init__(self):
-        import mmap     # only processes that print a long array need it
-
-        memory = mmap.mmap(-1, _E_COUNT * (8 * 8 + 8 + 8 + 1))
-        self.pairs = np.frombuffer(memory, float, 8 * _E_COUNT).reshape(-1, 4)
-        self.threshold = np.frombuffer(memory, float, _E_COUNT, 64 * _E_COUNT)
-        self.lead = np.frombuffer(memory, np.int64, _E_COUNT, 72 * _E_COUNT)
-        self.filled = np.frombuffer(memory, bool, _E_COUNT, 80 * _E_COUNT)
-
-    def ensure(self, idx):
-        lo, hi = int(idx.min()), int(idx.max())
-        if self.filled[lo:hi + 1].all():
-            return
-        seen = np.zeros(hi - lo + 1, bool)
-        seen[idx - lo] = True
-        for i in (np.flatnonzero(seen & ~self.filled[lo:hi + 1]) + lo).tolist():
-            self._fill(i)
-
-    def _fill(self, i):
-        e = i + _E_MIN
-        k = math.floor((e - 1) * _LOG10_2)
-        while not _pow2_reaches_pow10(e - 1, k):
-            k -= 1
-        while _pow2_reaches_pow10(e - 1, k + 1):
-            k += 1
-        self.lead[i] = k
-        self.threshold[i] = _at_least(*_ratio(0, -(k + 1)))
-        for bump in (0, 1):
-            num, den = _ratio(e, k - 16 + bump)
-            hi = num / den
-            a, b = hi.as_integer_ratio()
-            lo = (num * b - a * den) / (den * b)
-            s = _SPLITTER * hi
-            high = s - (s - hi)
-            self.pairs[2 * i + bump] = (hi, high, hi - high, lo)
-        self.filled[i] = True
+# Per binary exponent e of np.frexp, a row each: the decimal exponent k of
+# the leading digit of 2**(e-1), the smallest double at or above 10**(k+1),
+# and for p = k-16 and p = k-15 the scale 2**e / 10**p as hi + lo, with hi
+# split into 26-bit halves. The rows are filled by _fill_row the first time
+# a value with that exponent is printed. The arrays are allocated at
+# import: taken from malloc at the end of a large command, they could sit
+# on top of the heap and keep the freed memory below them from being
+# reused (a later stiff synthesize peaked at up to 222.1 MB resident
+# instead of 218.9 MB).
+_pairs = np.zeros((2 * _E_COUNT, 4))
+_threshold = np.zeros(_E_COUNT)
+_lead = np.zeros(_E_COUNT, np.int64)
+_filled = np.zeros(_E_COUNT, bool)
 
 
-_scales = None
+def _ensure(idx):
+    """Fill the rows of the table indices idx that are still empty."""
+    lo, hi = int(idx.min()), int(idx.max())
+    if _filled[lo:hi + 1].all():
+        return
+    seen = np.zeros(hi - lo + 1, bool)
+    seen[idx - lo] = True
+    for i in (np.flatnonzero(seen & ~_filled[lo:hi + 1]) + lo).tolist():
+        _fill_row(i)
+
+
+def _fill_row(i):
+    e = i + _E_MIN
+    # The leading digit of 2**m is at 10**k: 2**m has k + 1 digits for
+    # m >= 0, and 2**m = 5**-m * 10**m for m < 0.
+    m = e - 1
+    k = len(str(1 << m)) - 1 if m >= 0 else len(str(5 ** -m)) - 1 + m
+    _lead[i] = k
+    _threshold[i] = _at_least(*_ratio(0, -(k + 1)))
+    for bump in (0, 1):
+        num, den = _ratio(e, k - 16 + bump)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)
+        s = _SPLITTER * hi
+        high = s - (s - hi)
+        _pairs[2 * i + bump] = (hi, high, hi - high, lo)
+    _filled[i] = True
 
 
 def _decimals(ax):
@@ -189,19 +145,16 @@ def _decimals(ax):
     significant digits, with 10**16 <= n < 10**17, and tie marks the values
     whose rounding is too close to call here.
     """
-    global _scales
-    if _scales is None:
-        _scales = _Scales()
     f, e = np.frexp(ax)
     idx = e.astype(np.intp)
     idx -= _E_MIN
-    _scales.ensure(idx)
-    bump = ax >= _scales.threshold.take(idx)
-    lead = _scales.lead.take(idx)
+    _ensure(idx)
+    bump = ax >= _threshold.take(idx)
+    lead = _lead.take(idx)
     lead += bump
     idx *= 2
     idx += bump
-    hi, high, low, lo = _scales.pairs.take(idx, axis=0).T
+    hi, high, low, lo = _pairs.take(idx, axis=0).T
     p = f * hi
     s = f * _SPLITTER
     fh = s - (s - f)
@@ -360,23 +313,13 @@ def _float_chunks(values, seps):
         yield text[ls if start == 0 else 0:].decode("ascii")
 
 
-def _float_text(values, seps):
-    """The strings of _float_chunks, or for a short array the one string of
-    a "%" template."""
-    if len(values) >= KERNEL_MIN_ITEMS:
-        return _float_chunks(values, seps)
-    unit = "".join("%.17g" + sep for sep in seps)
-    template = (unit * (len(values) // len(seps)))[:-len(seps[-1]) or None]
-    return [_fill(template, tuple(values.tolist()))]
-
-
 def fmt_csv_rows(rows):
     """Comma separated 17-digit lines, one per row of a 2-D float array."""
     rows = np.asarray(rows, dtype=float)
     if not rows.size:
         return "\n" * rows.shape[0]
     seps = (",",) * (rows.shape[1] - 1) + ("\n",)
-    return "".join([*_float_text(rows.ravel(), seps), "\n"])
+    return "".join([*_float_chunks(rows.ravel(), seps), "\n"])
 
 
 def _emit(obj, indent, out):
@@ -410,7 +353,8 @@ def _emit(obj, indent, out):
             return
         out.append("[\n" + inner)
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-            out.extend(_float_text(obj.astype(float, copy=False), (",\n" + inner,)))
+            out.extend(_float_chunks(obj.astype(float, copy=False),
+                                     (",\n" + inner,)))
         else:
             for i, v in enumerate(obj):
                 if i:

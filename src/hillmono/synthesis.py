@@ -255,7 +255,11 @@ class SynthesizedOrbit(Immutable):
         can fail its own checks: that is NumericalInvariantError, not bad
         input."""
         grid = np.linspace(0.0, self.theta_max, THETA_NODES)
-        rho, rho_prime, rho_second = self.jet(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet = self.jet(grid)
+        if not all(np.isfinite(v).all() for v in jet):
+            raise _overflow()
+        rho, rho_prime, rho_second = jet
         try:
             return Orbit(self.theta_max, rho, rho_prime=rho_prime,
                          rho_second=rho_second, value_fn=self.rho,
@@ -268,6 +272,12 @@ class SynthesizedOrbit(Immutable):
                 f"coefficients fails its own check: {exc}; the power-form "
                 "perturbation loses precision, so use fewer or smaller "
                 "coefficients") from None
+
+
+def _overflow():
+    return NumericalInvariantError(
+        "the synthesized profile overflows double precision; use fewer or "
+        "smaller coefficients")
 
 
 def synthesize_orbit(theta_m, rho0, nu0, coeffs=None):
@@ -287,11 +297,13 @@ def auto_steps(orb):
     integrate.MAX_STEPS is refused.
     """
     grid = np.linspace(0.0, orb.theta_max, 16385)
-    rho = orb.rho(grid)
-    e1 = polyval(orb.exponent_d1.coef, grid)
-    e2 = polyval(orb.exponent_d2.coef, grid)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = orb.rho(grid)
+        e1 = polyval(orb.exponent_d1.coef, grid)
+        e2 = polyval(orb.exponent_d2.coef, grid)
         qmax = np.abs((2.0 * e2 - e1 ** 2 - 4.0) / (4.0 * rho ** 2)).max()
+    if not np.isfinite(rho).all():
+        raise _overflow()
     need = TAU * math.sqrt(qmax) / _STEP_PHASE_BOUND
     if not need <= MAX_STEPS:
         raise NumericalInvariantError(

@@ -332,6 +332,60 @@ def test_huge_monodromy_targets_exit_3(files, capsys):
     assert "curve entries reach |v| = 1.150e+154 and |v'| = 6.503e+155" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_constant_potential_exits_3(files, capsys):
+    # Its transfer matrices leave double precision before the scan does.
+    huge = str(files["dir"] / "huge.json")
+    write_json(Potential.constant(1e300).to_dict(), huge)
+    for argv in (["monodromy", "--potential", huge],
+                 ["spectrum", "--q0", files["q0"], "--qplus", huge,
+                  "--nmax", "1"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "overflows; largest finite |entry|" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_trig_samples_exit_2(files, capsys):
+    out = str(files["dir"] / "huge_trig.json")
+    assert main(["sample-potential", "--cos", "1e308,1e308", "--grid", "17",
+                 "-o", out]) == 2
+    assert "values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_orbit_sweep_exits_2(files, capsys):
+    orbit = files["dir"] / "huge_orbit.json"
+    write_json({"theta_max": 1e300, "rho": [1.0] * 17}, orbit)
+    assert main(["kepler", "to-potential", "--orbit", str(orbit)]) == 2
+    assert "instead of 2 pi" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [[], ["--steps", "16384"]],
+                         ids=["auto steps", "given steps"])
+def test_overflowing_synthesized_profile_exits_3(files, capsys, steps):
+    target = files["dir"] / "overflow_target.json"
+    write_json(element_to_dict(from_right_iwasawa(0.3, 0.5, -2.0)), target)
+    assert main(["synthesize", "--target", str(target), "--coeffs",
+                 ",".join(["0.01"] * 28)] + steps) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation: the synthesized profile overflows double "
+        "precision; use fewer or smaller coefficients\n")
+
+
+def test_string_coefficients_exit_2(files, capsys):
+    q = files["dir"] / "string_coeffs.json"
+    for field in ("cos_coeffs", "sin_coeffs"):
+        q.write_text(json.dumps({"kind": "trig_poly", field: "12"}))
+        assert main(["monodromy", "--potential", str(q)]) == 2
+        assert "not a string" in capsys.readouterr().err
+    with pytest.raises(DomainError, match="not a string"):
+        Potential.trig_poly("12")
+    with pytest.raises(DomainError, match="not a string"):
+        Potential.trig_poly(sin_coeffs=b"12")
+
+
 def test_boundary_singular_matrix_exits_2(files):
     assert main(["boundary", "general", "--potential", files["q0"],
                  "--A=1,0,0,0"]) == 2
@@ -417,6 +471,28 @@ def test_plotdata_curve_output_is_byte_stable(files):
     assert len(data) == 1604223
     assert hashlib.sha256(data).hexdigest() == (
         "43a376102d7c433e13b7d9e5189c258885b8d06a4e2eae1c2971d2cf2a1a2f10")
+
+
+# Digests of outputs with arrays shorter than 1024 values, written while
+# such arrays went through a "%.17g" template instead of the numpy kernel.
+def test_short_array_outputs_are_byte_stable(files):
+    sampled = files["dir"] / "short_sampled.json"
+    assert main(["sample-potential", "--cos", "0.5,0.25", "--sin", "0.1",
+                 "--constant-term", "-1", "--grid", "33",
+                 "-o", str(sampled)]) == 0
+    q = files["dir"] / "cos_minus_two.json"
+    write_json(Potential.trig_poly([1.0], constant_term=-2.0).to_dict(), q)
+    orbit = files["dir"] / "short_orbit.json"
+    assert main(["kepler", "to-orbit", "--potential", str(q), "--steps",
+                 "2048", "--nodes", "257", "-o", str(orbit)]) == 0
+    for path, size, digest in (
+            (sampled, 856,
+             "cf8cb59e5409111dc5e592416347eba0510f109d2b5b90a6ea2c128b8c4750f8"),
+            (orbit, 13094,
+             "e62cb9cd1c55a61a3912dc62b84c4fd0a19fd265e3e1d23926e90530d21496ad")):
+        data = path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_sample_potential_variants(files):

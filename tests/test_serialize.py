@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hillmono import (DomainError, Potential, dumps_json, fmt_float,
                       orbit_to_dict, read_json, synthesize_orbit, write_json)
 from hillmono import serialize
-from hillmono.serialize import KERNEL_MIN_ITEMS, _float_chunks, fmt_csv_rows
+from hillmono.serialize import _float_chunks, fmt_csv_rows
 
 
 def test_fmt_float_round_trips_doubles():
@@ -41,7 +41,7 @@ def test_dumps_empty_containers():
 def test_json_file_roundtrip(tmp_path):
     path = tmp_path / "data.json"
     obj = {"values": [math.pi, 1e-17], "name": "curve", "count": 3,
-           "samples": np.linspace(-1.0, 1.0, KERNEL_MIN_ITEMS + 1) ** 3}
+           "samples": np.linspace(-1.0, 1.0, 1025) ** 3}
     write_json(obj, path)
     back = read_json(path)
     assert back["values"] == obj["values"]
@@ -134,6 +134,16 @@ def test_non_finite_items_are_refused(bad, where):
             dumps_json(obj)
     with pytest.raises(DomainError, match="non-finite"):
         fmt_csv_rows(values.reshape(20_000, 5))
+    # Short arrays take the same kernel.
+    for count in (1, 3, 1023):
+        short = np.linspace(-1.0, 1.0, count)
+        short[where * count // values.size] = bad
+        for obj in (short, {"samples": short}, short.reshape(1, count)):
+            with pytest.raises(DomainError, match="non-finite"):
+                dumps_json(obj)
+        for rows in (short.reshape(1, count), short.reshape(count, 1)):
+            with pytest.raises(DomainError, match="non-finite"):
+                fmt_csv_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,7 @@ def _long_values(count):
     return values.tolist()
 
 
-@pytest.mark.parametrize("count", [KERNEL_MIN_ITEMS - 1, KERNEL_MIN_ITEMS,
+@pytest.mark.parametrize("count", [219, 220, 1023, 1024,
                                    3 * serialize.CHUNK_ITEMS + 7])
 @pytest.mark.parametrize("form", ["list", "tuple", "float64 items", "array"])
 def test_long_float_sequences_match_the_item_walk(count, form):
@@ -241,7 +251,7 @@ def test_long_float_sequences_match_the_item_walk(count, form):
 
 def test_value_type_dicts_match_the_item_walk():
     # to_dict and orbit_to_dict hand their read-only arrays to the writer.
-    values = _long_values(KERNEL_MIN_ITEMS + 1)
+    values = _long_values(1025)
     q = Potential.sampled(values)
     _assert_same_text(dumps_json(q.to_dict()),
                       '{\n  "kind": "sampled",\n  "samples": '
@@ -254,9 +264,7 @@ def test_value_type_dicts_match_the_item_walk():
                       + fields + "\n}\n")
 
 
-@pytest.mark.parametrize("rows", [KERNEL_MIN_ITEMS // 5 - 1,
-                                  KERNEL_MIN_ITEMS // 5 + 1,
-                                  serialize.CHUNK_ITEMS + 3])
+@pytest.mark.parametrize("rows", [203, 205, serialize.CHUNK_ITEMS + 3])
 def test_long_csv_rows_match_the_item_walk(rows):
     arr = np.array(_long_values(5 * rows)).reshape(rows, 5)
     lines = "".join(",".join(fmt_float(v) for v in r) + "\n"
