@@ -24,16 +24,16 @@ blocked scan (reduce, then scan; Blelloch 1990): a sequential scan inside
 blocks of BLOCK steps, vectorized across the blocks; the same scan over the
 block totals; and one pass that carries each block's predecessor product
 into it. The numpy passes compose in place through (2, 2, ...) matrix
-views of the (4, ...) entry arrays: five calls a round inside the blocks,
-and the carry one row at a time, so that its temporaries are half the size
-of the level. A level is padded with identity steps only when BLOCK does
-not divide its length. A level of fewer than BLOCK blocks, such as the 127
-block totals of a 4096-step run, is scanned inside its blocks in Python
-floats, where numpy's per-call cost would dominate; the composition tree
-is the same, and so is every bit of the result. The scan works on
-deviations from the identity, T - I and P - I, so the O(h^2) diagonal
-terms of T are not rounded against 1 at every step; at 4096 steps this
-cuts the round-off in the trace of the monodromy about a hundredfold.
+views of a block-major copy of the steps: five calls a round inside the
+blocks, and the carry one entry at a time. A level is padded with identity
+steps only when BLOCK does not divide its length. A level of fewer than
+BLOCK blocks, such as the 127 block totals of a 4096-step run, is scanned
+inside its blocks in Python floats, where numpy's per-call cost would
+dominate; the composition tree is the same, and so is every bit of the
+result. The scan works on deviations from the identity, T - I and P - I, so
+the O(h^2) diagonal terms of T are not rounded against 1 at every step; at
+4096 steps this cuts the round-off in the trace of the monodromy about a
+hundredfold.
 
 Each step's angle is one arctan2 of the cross and dot products of a
 column x with its image under T_i, written with the entries of T_i - I so
@@ -44,10 +44,38 @@ cover.to_right_iwasawa. Every step must turn the column, and the first
 row, by less than pi/2, so the principal value of each column angle is the
 exact increment, and a 2 pi slip of omega shows as a step of theta.
 solution_winding applies the column rule to Phi_i u0.
+
+One kernel serves integrate, monodromy and solution_winding. It writes
+every full-length intermediate into a workspace made for its step count n:
+t, the entries of T - I (4 n doubles); free (about 6.1 n), reused phase by
+phase for the sample times and the transfer scratch, then the block-major
+scan copy, the block totals and the carry products, then the column and
+theta step angles, and last, with t, which is dead by then, the scaled
+nodes and the vectors of the Wronskian gate; an int array for the gate's
+exponents; and the node entries, omega and theta, 6 (n + 1) doubles, made
+once the samples are taken. Only the potential's samples are allocated per
+call. t and free are two arrays, not one, so that at long step counts each
+stays small enough for malloc to serve it from freed heap memory rather
+than from fresh pages. The ufuncs write through out= and run the
+operations of the formulas in the same order, with the operands of a
+product or a sum at most swapped, which IEEE arithmetic keeps exact; so
+every bit of every result is what the formulas give with temporaries.
+
+Nothing of a monodromy or solution_winding call escapes but its endpoint,
+so those calls take their workspace from a pool and give it back: at most
+one idle workspace is kept, and only for n <= DEFAULT_STEPS, about 2.1 MiB
+at that count. A workspace is out of the pool while a call uses it, so
+threads, and a potential that itself calls monodromy, each run on their
+own buffers. Without a pooled workspace a call needs about 16.7 doubles a
+step besides the samples, less than the per-call temporaries it replaces.
+integrate takes its scratch from the pool too, but hands the node entries
+and windings to the path it returns, so they are never shared.
 """
 
+import contextlib
 import math
-from itertools import accumulate, chain, islice, repeat
+import threading
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +87,8 @@ TAU = math.tau
 
 DEFAULT_STEPS = 16384
 MIN_STEPS = 16
-# Largest step count accepted. monodromy peaks at about 160 MB per 2^20
-# steps, so this bounds one call at about 0.65 GB.
+# Largest step count accepted. A call peaks at about 150 MB per 2^20 steps,
+# so this bounds one call at about 0.6 GB.
 MAX_STEPS = 2 ** 22
 
 # Largest angle a column or the first row may turn by in one step; below it
@@ -102,28 +130,118 @@ class MonodromyResult(NamedTuple):
     theta_r: float
 
 
+class _Workspace:
+    """Buffers of one kernel run at a fixed step count, reused across runs.
+
+    t: the entries of T - I; free: phase scratch; exps: the Wronskian
+    gate's exponents; outputs: the node entries, omega and theta, made on
+    first use.
+    """
+
+    __slots__ = ("steps", "t", "free", "exps", "outputs")
+
+    def __init__(self, steps):
+        n = steps
+        self.steps = n
+        # free holds the sample times and transfer scratch (4 n + 1), the
+        # scan, six column vectors, and with t the Wronskian gate's 9 (n + 1)
+        # doubles.
+        self.t = np.empty((4, n))
+        self.free = np.empty(max(_scan_size(n), 6 * (n + 1)))
+        self.exps = np.empty(n + 1, np.intc)
+        self.outputs = None
+
+    def nodes(self):
+        """The node entries of outputs, which are made here on first use."""
+        if self.outputs is None:
+            n = self.steps + 1
+            self.outputs = (np.empty((4, n)), np.empty(n), np.empty(n))
+        return self.outputs[0]
+
+
+# The idle workspace, if any; see the module docstring.
+_idle = []
+_idle_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _workspace(steps):
+    """A workspace for `steps` steps, out of the pool while the block runs."""
+    with _idle_lock:
+        ws = _idle.pop() if _idle else None
+    if ws is None or ws.steps != steps:
+        ws = _Workspace(steps)
+    try:
+        yield ws
+    finally:
+        if steps <= DEFAULT_STEPS:
+            with _idle_lock:
+                _idle[:] = [ws]
+
+
 def sample_times(steps):
     """The node and midpoint times at which q is sampled for `steps` steps."""
     return np.linspace(0.0, TAU, 2 * steps + 1)
 
 
-def _sample_q(q, steps):
-    tt = sample_times(steps)
+def _fill_times(out):
+    """out <- sample_times((out.size - 1) // 2), bit for bit: linspace's
+    i * step, with the last time set to 2 pi, through small index chunks."""
+    step = TAU / (out.size - 1)
+    for i in range(0, out.size, 4096):
+        chunk = out[i:i + 4096]
+        np.multiply(np.arange(i, i + chunk.size, dtype=float), step, out=chunk)
+    out[-1] = TAU
+
+
+def _all_finite(a):
+    """Whether every entry of a is finite, without a temporary of a's size."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _sample_q(q, tt):
     qq = np.asarray(q(tt), dtype=float)
-    if qq.shape != tt.shape or not np.all(np.isfinite(qq)):
+    if qq.shape != tt.shape or not _all_finite(qq):
         raise DomainError("potential evaluation must give finite values")
     return qq
 
 
-def _transfer(qa, qb, qd, h):
-    """Entries of T - I for the Runge-Kutta transfer matrices T, (4, n)."""
+def _transfer(qa, qb, qd, h, out=None, scratch=None):
+    """Entries of T - I for the Runge-Kutta transfer matrices T, (4, n).
+
+    Written into out, with two rows of scratch, when they are given:
+        a = h^2/6 (qa + 2 qb) + h^4/24 qa qb
+        b = h + h^3/6 qb
+        c = h/6 (qa + 4 qb + qd) + h^3/12 qb (qa + qd)
+        d = h^2/6 (2 qb + qd) + h^4/24 qb qd
+    """
+    t = np.empty((4, qa.size)) if out is None else out
+    u, v = np.empty((2, qa.size)) if scratch is None else scratch
+    a, b, c, d = t
     h2 = h * h
     h4 = h2 * h2 / 24.0
-    t = np.empty((4, qa.size))
-    t[0] = h2 / 6.0 * (qa + 2.0 * qb) + h4 * qa * qb
-    t[1] = h + h * h2 / 6.0 * qb
-    t[2] = h / 6.0 * (qa + 4.0 * qb + qd) + h * h2 / 12.0 * qb * (qa + qd)
-    t[3] = h2 / 6.0 * (2.0 * qb + qd) + h4 * qb * qd
+    np.multiply(qb, 2.0, out=a)
+    a += qa
+    a *= h2 / 6.0
+    np.multiply(qa, h4, out=u)
+    u *= qb
+    a += u
+    np.multiply(qb, h * h2 / 6.0, out=b)
+    b += h
+    np.multiply(qb, 4.0, out=c)
+    c += qa
+    c += qd
+    c *= h / 6.0
+    np.multiply(qb, h * h2 / 12.0, out=u)
+    np.add(qa, qd, out=v)
+    u *= v
+    c += u
+    np.multiply(qb, 2.0, out=d)
+    d += qd
+    d *= h2 / 6.0
+    np.multiply(qb, h4, out=u)
+    u *= qd
+    d += u
     return t
 
 
@@ -135,65 +253,111 @@ def _compose(y, x):
             xc + yc + (xc * ya + xd * yc), xd + yd + (xc * yb + xd * yd))
 
 
-def _compose_into(x, y, rows=slice(None)):
+def _compose_into(x, y, e, f):
     """x <- XY - I in place, associated as in _compose, on (2, 2, ...) views
-    of the entries of X - I and Y - I; only the given rows of x change."""
-    x = x[rows]
-    prod = x[:, :1] * y[:1]
-    prod += x[:, 1:] * y[1:]
-    x += y[rows]
-    x += prod
+    of the entries of X - I and Y - I; e and f are scratch shaped like x."""
+    np.multiply(x[:, :1], y[:1], out=e)
+    np.multiply(x[:, 1:], y[1:], out=f)
+    e += f
+    x += y
+    x += e
 
 
-def _blocked_scan(t):
+def _carry_into(x, y, e, f):
+    """_compose_into one entry at a time, y broadcast against x; e and f
+    are scratch shaped like one entry of x."""
+    for i in range(2):
+        x0, x1 = x[i]
+        np.multiply(x0, y[0, 1], out=e)
+        np.multiply(x1, y[1, 1], out=f)
+        e += f  # entry (i, 1) of (X - I)(Y - I), read before x1 changes
+        np.multiply(x1, y[1, 0], out=f)
+        x1 += y[i, 1]
+        x1 += e
+        np.multiply(x0, y[0, 0], out=e)
+        e += f
+        x0 += y[i, 0]
+        x0 += e
+
+
+def _scan_floats(steps, out, initial=None):
+    """out <- the running products of the steps, in Python floats.
+
+    steps and out hold the entries of k matrices as (4, k) or (2, 2, k);
+    with initial, the first step is composed onto it, as a lone block is.
+    """
+    scan = accumulate(zip(*steps.reshape(4, -1).tolist()), _compose,
+                      initial=initial)
+    if initial is not None:
+        next(scan)
+    out[...] = np.fromiter(chain.from_iterable(scan), float, out.size
+                           ).reshape(-1, 4).T.reshape(out.shape)
+
+
+def _block_view(a, blocks):
+    """(2, 2, BLOCK, blocks) view of the first blocks * BLOCK steps of the
+    (4, n) entries a, whose rows are contiguous: [:, :, j, k] is step
+    k * BLOCK + j."""
+    return a[:, :blocks * BLOCK].reshape(2, 2, blocks, BLOCK).transpose(0, 1, 3, 2)
+
+
+def _scan_size(n):
+    """Doubles of scratch that _blocked_scan takes for n steps: the
+    block-major copy, the block totals, and the larger of the carry
+    products and the totals' own scan."""
+    if n <= BLOCK:
+        return 0
+    m = -(-n // BLOCK)
+    return 4 * BLOCK * m + 4 * (m - 1) + max(2 * BLOCK * (m - 1), _scan_size(m - 1))
+
+
+def _blocked_scan(t, out=None, scratch=None):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
-    Both are (4, n) arrays; t is left as it was. A single block is scanned
-    step by step from the identity. Longer runs are scanned inside blocks
-    of BLOCK steps, the block totals are scanned by the same function, and
-    each block's predecessor total is composed into it. The blocks are a
-    copy of t, padded with identity steps only when BLOCK does not divide
-    n, and both numpy passes compose into that copy in place through its
-    (2, 2, BLOCK, blocks) matrix view, the carry one row at a time. With
-    fewer blocks than a block has steps, the scans inside the blocks run in
-    Python floats: numpy would make BLOCK rounds of calls on vectors
-    shorter than BLOCK, which costs more than it saves. The composition
-    tree, and so every bit of the result, is the same either way.
+    Both are (4, n) arrays; t is left as it was, and the result goes to out
+    (rows contiguous) when one is given. A single block is scanned step by
+    step from the identity. Longer runs are copied block-major into the
+    scratch, padded with identity steps only when BLOCK does not divide n;
+    the blocks are scanned inside, the block totals are scanned by the same
+    function, and each block's predecessor total is composed into it, all in
+    place through the (2, 2, BLOCK, blocks) matrix view. With fewer blocks
+    than a block has steps, the scans inside the blocks run in Python
+    floats: numpy would make BLOCK rounds of calls on vectors shorter than
+    BLOCK, which costs more than it saves. The composition tree, and so
+    every bit of the result, is the same either way.
     """
     n = t.shape[1]
+    if out is None:
+        out = np.empty((4, n))
     if n <= BLOCK:
-        scan = accumulate(zip(*t.tolist()), _compose,
-                          initial=(0.0, 0.0, 0.0, 0.0))
-        return _entries(islice(scan, 1, None), n)
+        _scan_floats(t, out, initial=(0.0,) * 4)
+        return out
+    if scratch is None:
+        scratch = np.empty(_scan_size(n))
     m = -(-n // BLOCK)
-    pad = m * BLOCK - n  # the padding steps are I
+    full, part = divmod(n, BLOCK)
+    size = 4 * BLOCK * m
+    p = scratch[:size].reshape(2, 2, BLOCK, m)
+    carry = scratch[size:size + 4 * (m - 1)].reshape(4, m - 1)
+    rest = scratch[size + 4 * (m - 1):]
+    p[..., :full] = _block_view(t, full)
+    if part:
+        p[:, :, :part, full] = t[:, full * BLOCK:].reshape(2, 2, part)
+        p[:, :, part:, full] = 0.0  # the padding steps are I
     if m < BLOCK:
-        steps = list(zip(*t.tolist()))
-        t = _entries(chain(chain.from_iterable(
-            accumulate(steps[k:k + BLOCK], _compose)
-            for k in range(0, n, BLOCK)), repeat((0.0,) * 4, pad)), n + pad)
-    elif pad:
-        t = np.concatenate((t, np.zeros((4, pad))), axis=1)
-    # Block layout: p[:, :, j, k] is step k * BLOCK + j as a 2x2 matrix.
-    p = t.reshape(2, 2, m, BLOCK).transpose(0, 1, 3, 2)
-    if m >= BLOCK:
-        p = np.ascontiguousarray(p)  # a copy: t is left as it was
+        for k in range(m):
+            _scan_floats(p[..., k], p[..., k])
+    else:
+        e, f = rest[:8 * m].reshape(2, 2, 2, m)
         for j in range(1, BLOCK):
-            _compose_into(p[:, :, j], p[:, :, j - 1])
-    carry = _blocked_scan(p[:, :, -1, :-1].reshape(4, m - 1))
-    carry = carry.reshape(2, 2, 1, m - 1)
-    for i in range(2):  # a row at a time halves the full-size temporaries
-        _compose_into(p[:, :, :, 1:], carry, slice(i, i + 1))
-    return p.transpose(0, 1, 3, 2).reshape(4, m * BLOCK)[:, :n]
-
-
-def _entries(matrices, n):
-    """(4, n) entries of n matrices given as 4-tuples of Python floats.
-
-    Each entry is one contiguous row, as numpy reads it fastest.
-    """
-    return np.ascontiguousarray(np.fromiter(chain.from_iterable(matrices),
-                                            float, 4 * n).reshape(n, 4).T)
+            _compose_into(p[:, :, j], p[:, :, j - 1], e, f)
+    _blocked_scan(p[:, :, -1, :-1].reshape(4, m - 1), carry, rest)
+    e, f = rest[:2 * BLOCK * (m - 1)].reshape(2, BLOCK, m - 1)
+    _carry_into(p[..., 1:], carry.reshape(2, 2, 1, m - 1), e, f)
+    _block_view(out, full)[...] = p[..., :full]
+    if part:
+        out[:, full * BLOCK:] = p[:, :, :part, full].reshape(4, part)
+    return out
 
 
 def _overflow(what, nodes):
@@ -224,24 +388,35 @@ def checked_count(count, name):
     return count
 
 
-def _propagate(q, steps):
-    """Sample q; entries of T - I per step and of Phi at the nodes."""
+def _propagate(q, steps, ws=None):
+    """Sample q; entries of T - I per step and of Phi at the nodes.
+
+    Both are arrays of the workspace ws, a new one if none is given.
+    """
     steps = checked_steps(steps)
-    h = TAU / steps
-    qq = _sample_q(q, steps)
+    if ws is None:
+        ws = _Workspace(steps)
+    tt = ws.free[:2 * steps + 1]
+    _fill_times(tt)
+    qq = _sample_q(q, tt)
+    scratch = ws.free[2 * steps + 1:4 * steps + 1].reshape(2, steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h)
-        nodes = np.zeros((4, steps + 1))
-        nodes[:, 1:] = _blocked_scan(t)
-    nodes[[0, 3]] += 1.0
-    if not np.all(np.isfinite(nodes)):
+        t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], TAU / steps, ws.t,
+                      scratch)
+        del qq  # it may be a view of tt, which the scan overwrites
+        nodes = ws.nodes()
+        nodes[:, 0] = 0.0
+        _blocked_scan(t, nodes[:, 1:], ws.free)
+    nodes[0] += 1.0
+    nodes[3] += 1.0
+    if not _all_finite(nodes):
         raise _overflow("fundamental matrix entries are not finite", nodes)
     return t, nodes
 
 
 def _checked_turns(turns):
     """The per-step angles, after the gate that makes them exact."""
-    worst = float(np.abs(turns).max())
+    worst = float(max(turns.max(), -turns.min()))  # max |turn|, no temporary
     if not worst < STEP_ANGLE_LIMIT:
         raise NumericalInvariantError(
             f"angle change {worst:.3e} in one step is not below "
@@ -249,9 +424,12 @@ def _checked_turns(turns):
     return turns
 
 
-def _scale(x, y):
-    """Larger |entry| of each vector (x, y); a zero vector has no angle."""
-    scale = np.maximum(np.abs(x), np.abs(y))
+def _scale(x, y, out=None, tmp=None):
+    """Larger |entry| of each vector (x, y); a zero vector has no angle.
+
+    Written into out, with tmp as scratch, when they are given.
+    """
+    scale = np.maximum(np.abs(x, out=out), np.abs(y, out=tmp), out=out)
     if not scale.all():  # steps with det T << 1 can round a vector to zero
         raise NumericalInvariantError(
             f"the second column or a solution vector is zero at node "
@@ -260,17 +438,105 @@ def _scale(x, y):
     return scale
 
 
-def _column_turns(t, x, y):
+def _column_turns(t, x, y, scratch):
     """Per-step angles of the columns (x, y) at the left nodes.
 
     The columns are scaled by their larger entry, which cannot overflow.
+    scratch holds six vectors shaped like x, of which the first two may be
+    x and y themselves; the angles come back in the third.
     """
     ta, tb, tc, td = t
-    scale = _scale(x, y)
-    x, y = x / scale, y / scale
-    cross = tc * x * x + (td - ta) * x * y - tb * y * y
-    dot = x * x + y * y + x * (ta * x + tb * y) + y * (tc * x + td * y)
-    return _checked_turns(np.arctan2(cross, dot))
+    xs, ys, cross, dot, u, v = scratch
+    scale = _scale(x, y, out=cross, tmp=u)
+    x = np.divide(x, scale, out=xs)
+    y = np.divide(y, scale, out=ys)
+    # cross = tc x x + (td - ta) x y - tb y y
+    np.multiply(tc, x, out=cross)
+    cross *= x
+    np.subtract(td, ta, out=u)
+    u *= x
+    u *= y
+    cross += u
+    np.multiply(tb, y, out=u)
+    u *= y
+    cross -= u
+    # dot = x x + y y + x (ta x + tb y) + y (tc x + td y)
+    np.multiply(x, x, out=dot)
+    np.multiply(y, y, out=u)
+    dot += u
+    np.multiply(ta, x, out=u)
+    np.multiply(tb, y, out=v)
+    u += v
+    u *= x
+    dot += u
+    np.multiply(tc, x, out=u)
+    np.multiply(td, y, out=v)
+    u += v
+    u *= y
+    dot += u
+    return _checked_turns(np.arctan2(cross, dot, out=cross))
+
+
+def _check_wronskian(nodes, ws):
+    """The node Wronskian gate, on the workspace's buffers.
+
+    ad - bc rounds at |Phi_i|^2 eps, so the allowance grows with the entry
+    size. As in CoverElement, each node is divided by the power of two at
+    or below its largest |entry|, which rounds as Phi_i does but cannot
+    overflow. T - I is dead by now, so its buffer is reused.
+    """
+    n1 = nodes.shape[1]
+    scaled = ws.free[:4 * n1].reshape(4, n1)
+    largest, scale, dev = ws.t.reshape(-1)[:3 * n1].reshape(3, n1)
+    allowed, tmp = ws.free[4 * n1:6 * n1].reshape(2, n1)
+    np.abs(nodes, out=scaled)
+    np.max(scaled, axis=0, out=largest)
+    neg_k = np.frexp(largest, out=(tmp, ws.exps))[1]
+    np.subtract(1, neg_k, out=neg_k)
+    np.minimum(neg_k, 0, out=neg_k)  # -k, k = max(exponent - 1, 0)
+    np.ldexp(1.0, neg_k, out=scale)
+    sa, sb, sc, sd = np.multiply(nodes, scale, out=scaled)
+    largest *= scale
+    one = np.square(scale, out=scale)  # the unit determinant, scaled
+    np.multiply(sa, sd, out=dev)
+    np.multiply(sb, sc, out=tmp)
+    dev -= tmp
+    dev -= one
+    np.abs(dev, out=dev)
+    np.multiply(one, 1e-6, out=allowed)
+    np.square(largest, out=tmp)
+    tmp *= 16.0 * np.finfo(float).eps
+    np.maximum(allowed, tmp, out=allowed)
+    worst = int(np.argmax(np.divide(dev, allowed, out=tmp)))
+    if dev[worst] > allowed[worst]:
+        drift, k = float(dev[worst]), -int(neg_k[worst])
+        try:
+            drift = f"{math.ldexp(drift, 2 * k):.3e}"
+        except OverflowError:  # beyond the double range unscaled
+            drift = f"{drift:.3e} * 4**{k}"
+        raise NumericalInvariantError(f"Wronskian drift {drift}; increase steps")
+
+
+def _windings(q, steps, ws):
+    """The kernel: node entries, omega and theta in ws, past every gate."""
+    t, nodes = _propagate(q, steps, ws)
+    _, omega, theta = ws.outputs
+    a, b, c, d = nodes
+    omega[0] = 0.0
+    turns = _column_turns(t, b[:-1], d[:-1], ws.free[:6 * steps].reshape(6, steps))
+    np.cumsum(turns, out=omega[1:])
+    # The branch rule of cover.to_right_iwasawa at every node; the gate on
+    # its steps refuses a 2 pi slip of omega wherever it falls.
+    np.arctan2(b, a, out=theta)
+    branch = np.negative(omega, out=ws.free[:steps + 1])
+    branch -= theta
+    branch /= TAU
+    np.round(branch, out=branch)
+    branch *= TAU
+    theta += branch
+    _checked_turns(np.subtract(theta[1:], theta[:-1], out=ws.free[:steps]))
+    _check_wronskian(nodes, ws)
+    return nodes, omega, theta
 
 
 def integrate(q, steps=DEFAULT_STEPS):
@@ -283,39 +549,11 @@ def integrate(q, steps=DEFAULT_STEPS):
     steps : int
         Number of fixed Runge-Kutta steps, at least 16.
     """
-    t, nodes = _propagate(q, steps)
-    a, b, c, d = nodes
-    omega = np.concatenate(
-        ([0.0], np.cumsum(_column_turns(t, b[:-1], d[:-1]))))
-    del t  # freed before the Wronskian gate, which then adds no peak memory
-    # The branch rule of cover.to_right_iwasawa at every node; the gate on
-    # its steps refuses a 2 pi slip of omega wherever it falls.
-    theta = np.arctan2(b, a)
-    theta += TAU * np.round((-omega - theta) / TAU)
-    _checked_turns(np.diff(theta))
-    # ad - bc rounds at |Phi_i|^2 eps, so the allowance grows with the entry
-    # size. As in CoverElement, each node is divided by the power of two at
-    # or below its largest |entry|, which rounds as Phi_i does but cannot
-    # overflow. The scaled entries reuse the buffer of the |entries|.
-    scaled = np.abs(nodes)
-    largest = scaled.max(axis=0)
-    k = np.maximum(np.frexp(largest)[1] - 1, 0)
-    scale = np.ldexp(1.0, -k)
-    sa, sb, sc, sd = np.multiply(nodes, scale, out=scaled)
-    largest *= scale
-    one = np.square(scale, out=scale)  # the unit determinant, scaled
-    dev = np.abs(sa * sd - sb * sc - one)
-    allowed = np.maximum(1e-6 * one, 16.0 * np.finfo(float).eps * largest ** 2)
-    worst = int(np.argmax(dev / allowed))
-    if dev[worst] > allowed[worst]:
-        drift, k = float(dev[worst]), int(k[worst])
-        try:
-            drift = f"{math.ldexp(drift, 2 * k):.3e}"
-        except OverflowError:  # beyond the double range unscaled
-            drift = f"{drift:.3e} * 4**{k}"
-        raise NumericalInvariantError(f"Wronskian drift {drift}; increase steps")
-    times = np.linspace(0.0, TAU, nodes.shape[1])
-    return FundamentalPath(times, nodes, theta, omega)
+    steps = checked_steps(steps)
+    with _workspace(steps) as ws:
+        nodes, omega, theta = _windings(q, steps, ws)
+        ws.outputs = None  # the path owns them from here on
+    return FundamentalPath(np.linspace(0.0, TAU, steps + 1), nodes, theta, omega)
 
 
 def monodromy(q, steps=DEFAULT_STEPS):
@@ -327,11 +565,13 @@ def monodromy(q, steps=DEFAULT_STEPS):
     element must land in the monodromy image (negative winding, positive
     right angle). All are verified.
     """
-    path = integrate(q, steps)
-    try:
-        element = CoverElement(path.mats[-1], path.omega[-1])
-    except NumericalInvariantError as exc:
-        raise NumericalInvariantError(f"{exc}; increase steps") from None
+    steps = checked_steps(steps)
+    with _workspace(steps) as ws:
+        nodes, omega, _ = _windings(q, steps, ws)
+        try:  # the element copies the endpoint out of the workspace
+            element = CoverElement(nodes[:, -1].reshape(2, 2), omega[-1])
+        except NumericalInvariantError as exc:
+            raise NumericalInvariantError(f"{exc}; increase steps") from None
     theta_r = to_right_iwasawa(element).theta
     if not (winding_exceeds(element, 0.0) and theta_r > 0.0):
         raise NumericalInvariantError("monodromy left the expected image set")
@@ -345,7 +585,15 @@ def solution_winding(q, phi0, steps=DEFAULT_STEPS):
     returned value is the total variation of the counterclockwise argument
     of (u(t), u'(t)) over [0, 2 pi], read off the node columns Phi_i u0.
     """
-    t, nodes = _propagate(q, steps)
-    a, b, c, d = nodes[:, :-1]
+    steps = checked_steps(steps)
     c0, s0 = math.cos(phi0), math.sin(phi0)
-    return float(np.sum(_column_turns(t, a * c0 + b * s0, c * c0 + d * s0)))
+    with _workspace(steps) as ws:
+        t, nodes = _propagate(q, steps, ws)
+        a, b, c, d = nodes[:, :-1]
+        scratch = ws.free[:6 * steps].reshape(6, steps)
+        x, y, u = scratch[0], scratch[1], scratch[4]
+        np.multiply(a, c0, out=x)
+        x += np.multiply(b, s0, out=u)
+        np.multiply(c, c0, out=y)
+        y += np.multiply(d, s0, out=u)
+        return float(np.sum(_column_turns(t, x, y, scratch)))

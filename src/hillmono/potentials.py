@@ -94,13 +94,18 @@ class Potential(Immutable):
             out = np.full(t.shape, self.c)
         elif self.kind == "trig_poly":
             out = np.full(t.shape, self.constant_term)
-            # A sum past the double range gives inf or nan, which the
-            # callers refuse.
+            # Each term goes through one reused buffer; a * cos(j t) and
+            # cos(j t) * a are the same IEEE product. A sum past the double
+            # range gives inf or nan, which the callers refuse.
+            buf = np.empty_like(out)
             with np.errstate(over="ignore", invalid="ignore"):
-                for j, a in enumerate(self.cos_coeffs, start=1):
-                    out += a * np.cos(j * t)
-                for j, b in enumerate(self.sin_coeffs, start=1):
-                    out += b * np.sin(j * t)
+                for wave, coeffs in ((np.cos, self.cos_coeffs),
+                                     (np.sin, self.sin_coeffs)):
+                    for j, a in enumerate(coeffs, start=1):
+                        np.multiply(j, t, out=buf)
+                        wave(buf, out=buf)
+                        buf *= a
+                        out += buf
         elif self.interp == "linear":
             grid = np.linspace(0.0, TAU, self.samples.size)
             out = np.interp(t, grid, self.samples)

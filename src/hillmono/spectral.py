@@ -197,6 +197,10 @@ def _scan_line(line, n_max):
                 "eigenvalue scan exhausted before reaching cone "
                 f"{n_max}; last winding angle {alpha!r}")
         s_next = nodes[-1] + ds
+        if s_next == nodes[-1]:
+            raise DomainError(
+                f"the scan cannot move along the line: s = {nodes[-1]!r} "
+                f"plus the step ds = {ds!r} rounds back to s")
         _, theta_next, _, _ = line(s_next)
         evals += 1
         if theta_next <= theta_r:

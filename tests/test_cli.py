@@ -256,6 +256,16 @@ def test_spectrum_negative_direction_exits_2(files):
                  "--nmax", "2"]) == 2
 
 
+def test_spectrum_that_cannot_move_along_its_line_exits_2(files, capsys):
+    # The scan starts at s = 1e300, where s + 0.25 rounds back to s.
+    far = files["dir"] / "far.json"
+    write_json(Potential.constant(1e300).to_dict(), far)
+    assert main(["spectrum", "--q0", str(far), "--qplus", files["qp1"],
+                 "--nmax", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "s = 1e+300 plus the step ds = 0.25 rounds back to s" in err
+
+
 def test_boundary_separated_output(files):
     out = str(files["dir"] / "sep.json")
     half_pi = repr(math.pi / 2)

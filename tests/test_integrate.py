@@ -3,8 +3,10 @@
 import importlib
 import math
 import re
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillmono import (
+    CoverElement,
     DomainError,
     NumericalInvariantError,
     Potential,
@@ -21,11 +24,13 @@ from hillmono import (
     monodromy,
     read_json,
     solution_winding,
+    to_right_iwasawa,
     write_json,
 )
 from hillmono.cli import main
-from hillmono.integrate import (MIN_STEPS, STEP_ANGLE_LIMIT, _blocked_scan,
-                                _propagate, _transfer)
+from hillmono.integrate import (DEFAULT_STEPS, MIN_STEPS, STEP_ANGLE_LIMIT,
+                                _blocked_scan, _propagate, _scan_size,
+                                _transfer, sample_times)
 from oracles import blocked_scan, row_turns
 
 TAU = math.tau
@@ -336,7 +341,13 @@ def test_blocked_scan_matches_reference_bits(n):
     for scale in (0.01, 1.0, 100.0):
         q = scale * rng.standard_normal(2 * n + 1)
         t = _transfer(q[0:-1:2], q[1::2], q[2::2], TAU / max(n, MIN_STEPS))
-        assert _blocked_scan(t).tobytes() == blocked_scan(t).tobytes()
+        want = blocked_scan(t).tobytes()
+        assert _blocked_scan(t).tobytes() == want
+        # Into given buffers, whatever they held before.
+        out = np.full((4, n), np.nan)
+        scratch = np.full(_scan_size(n), np.nan)
+        assert _blocked_scan(t, out, scratch) is out
+        assert out.tobytes() == want
 
 
 def test_blocked_scan_matches_reference_past_overflow():
@@ -388,14 +399,15 @@ def test_windings_read_the_transfer_matrices_that_were_scanned(monkeypatch):
     want = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], TAU / steps).tobytes()
     seen = []
 
+    # The bytes are read during the call: the kernel reuses the buffer of
+    # the transfer matrices once the column angles are taken.
     def spy(t, *args, original=integ._column_turns):
-        seen.append(t)
+        seen.append(t.tobytes())
         return original(t, *args)
 
     monkeypatch.setattr(integ, "_column_turns", spy)
     integrate(q, steps)
-    assert len(seen) == 1
-    assert seen[0].tobytes() == want
+    assert seen == [want]
 
 
 # A slip of the column winding by 2 pi at one step moves theta by 2 pi at
@@ -442,3 +454,145 @@ def test_theta_steps_match_the_integrated_row_angles(cos, sin, const, steps):
     elif worst > STEP_ANGLE_LIMIT + 1e-9:
         with pytest.raises(NumericalInvariantError):
             integrate(q, steps)
+
+
+# The workspace pool. monodromy and solution_winding reuse one idle
+# workspace for step counts up to DEFAULT_STEPS; a result must not depend
+# on what a workspace held before, nor change when it is reused.
+
+def _pool():
+    return importlib.import_module("hillmono.integrate")._idle
+
+
+def _bits(element, theta_r):
+    return (element.mat.tobytes() + np.float64(element.omega).tobytes()
+            + np.float64(theta_r).tobytes())
+
+
+def _mild(steps):
+    """A potential that passes every gate at `steps` steps, down to 16."""
+    scale = min(1.0, (steps / 1024) ** 2)
+    return Potential.trig_poly([0.6 * scale, 0.3 * scale], [0.45 * scale],
+                               constant_term=-0.9 * scale)
+
+
+# One block and either side of it; either side of the switch from Python
+# floats to numpy (992 | 993); the default; and above the pool's cap, where
+# 31745 steps leave 992 block totals.
+@pytest.mark.parametrize("steps", [16, 31, 32, 33, 992, 993, 4096, 16384,
+                                   16385, 31745, 32768])
+def test_pooled_monodromy_matches_a_cold_call_and_the_path(steps):
+    q = _mild(steps)
+    _pool().clear()
+    cold = monodromy(q, steps)
+    assert [ws.steps for ws in _pool()] == \
+        ([steps] if steps <= DEFAULT_STEPS else [])
+    # Leave other values in the pooled buffers, then reuse them.
+    monodromy(Potential.constant(0.0), steps)
+    warm = monodromy(q, steps)
+    assert _bits(*warm) == _bits(*cold)
+    path = integrate(q, steps)
+    end = CoverElement(path.mats[-1], path.omega[-1])
+    assert _bits(end, to_right_iwasawa(end).theta) == _bits(*cold)
+    # The sample times are written in place with linspace's bits.
+    times = np.empty(2 * steps + 1)
+    importlib.import_module("hillmono.integrate")._fill_times(times)
+    assert times.tobytes() == sample_times(steps).tobytes()
+
+
+def test_results_do_not_change_when_the_workspace_is_reused():
+    first = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
+    second = Potential.trig_poly([0.4], [0.2, 0.1], constant_term=-1.0)
+    mono = monodromy(first)
+    mono_bits = _bits(*mono)
+    path = integrate(first)
+    arrays = (path.t, path.mats, path.theta, path.omega)
+    path_bits = [a.tobytes() for a in arrays]
+    monodromy(second)
+    integrate(second)
+    solution_winding(second, 0.3)
+    assert _bits(*mono) == mono_bits
+    assert [a.tobytes() for a in arrays] == path_bits
+    # The path's arrays are its own, not the pooled workspace's.
+    (ws,) = _pool()
+    for buf in (ws.t, ws.free, *ws.outputs):
+        assert not any(np.shares_memory(buf, a) for a in arrays)
+
+
+def test_threads_run_on_their_own_workspaces():
+    qs = [Potential.trig_poly([a], [0.3], constant_term=a - 2.0)
+          for a in (0.2, 0.5, 0.8, 1.1)]
+
+    def run(q):
+        return [(_bits(*monodromy(q, 4096)), solution_winding(q, 0.7, 4096))
+                for _ in range(6)]
+
+    want = [run(q)[0] for q in qs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, q) for q in qs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [[w] * 6 for w in want]
+
+
+class _Reentrant:
+    """A potential whose evaluation itself runs monodromy at the same steps."""
+
+    def __init__(self, q, steps):
+        self.q, self.steps, self.inner = q, steps, []
+
+    def __call__(self, t):
+        self.inner.append(_bits(*monodromy(Potential.constant(-0.3),
+                                           self.steps)))
+        return self.q(t)
+
+
+def test_a_potential_that_calls_monodromy_gets_its_own_workspace():
+    q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
+    want = _bits(*monodromy(q, 4096))
+    inner = _bits(*monodromy(Potential.constant(-0.3), 4096))
+    reentrant = _Reentrant(q, 4096)
+    assert _bits(*monodromy(reentrant, 4096)) == want
+    path = integrate(reentrant, 4096)
+    end = CoverElement(path.mats[-1], path.omega[-1])
+    assert _bits(end, to_right_iwasawa(end).theta) == want
+    assert reentrant.inner == [inner, inner]
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_monodromy_call_allocates_little_but_its_samples():
+    q = Potential.constant(-1.0)
+    monodromy(q)
+    samples = 8 * (2 * DEFAULT_STEPS + 1)
+    assert _peak(lambda: monodromy(q)) <= samples + 64 * 1024
+
+
+_trig3 = Potential.trig_poly([0.3, 0.2, 0.1], [0.1, 0.2, 0.05],
+                             constant_term=-1.0)
+
+# tracemalloc peaks in bytes of a first call on _trig3, (integrate,
+# monodromy), with the kernel that allocated its temporaries in every call:
+# about 19.2 doubles a step at 16384 steps and 18.1 at 524288.
+_PEAKS_BEFORE_THE_WORKSPACE = {16384: (2511048, 2548168),
+                               524288: (76026288, 76026320)}
+
+
+@pytest.mark.parametrize("steps", sorted(_PEAKS_BEFORE_THE_WORKSPACE))
+def test_cold_calls_peak_no_higher_than_before_the_workspace(steps):
+    monodromy(_trig3, 1024)  # numpy's own first-use allocations
+    for run, before in zip((integrate, monodromy),
+                           _PEAKS_BEFORE_THE_WORKSPACE[steps]):
+        _pool().clear()
+        assert _peak(lambda: run(_trig3, steps)) <= before
