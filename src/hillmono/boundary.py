@@ -47,8 +47,7 @@ class SeparatedBC(Immutable):
             raise DomainError("theta0 must lie in [0, pi)")
         if not (0.0 < theta2pi <= math.pi):
             raise DomainError("theta2pi must lie in (0, pi]")
-        object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "theta2pi", theta2pi)
+        super().__init__(theta0=theta0, theta2pi=theta2pi)
 
     def __repr__(self):
         return f"SeparatedBC(theta0={self.theta0:.6g}, theta2pi={self.theta2pi:.6g})"
@@ -120,10 +119,8 @@ class GeneralBC(Immutable):
                 f"determinant that overflows double precision")
         if abs(det) <= MIN_DET:
             raise DomainError("boundary matrix is singular")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "a", math.sqrt(abs(det)))
-        object.__setattr__(self, "det_sign", 1 if det > 0 else -1)
+        super().__init__(mat=mat, a=math.sqrt(abs(det)),
+                         det_sign=1 if det > 0 else -1)
 
     def __repr__(self):
         m = self.mat

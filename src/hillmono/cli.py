@@ -61,9 +61,12 @@ def _float_list(text):
 def _write_text(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _stratum_dict(stratum):
@@ -207,6 +210,10 @@ def cmd_plotdata(args):
         raise DomainError("--rmax must be finite and non-negative")
     alphas = np.linspace(args.alpha_min, args.alpha_max,
                          checked_count(args.alpha_samples, "--alpha-samples"))
+    try:
+        cosh_rmax = math.cosh(args.rmax)
+    except OverflowError:
+        cosh_rmax = math.inf
     lines = ["c,alpha,r"]
     for c in args.levels:
         if c == 0.0:
@@ -223,7 +230,7 @@ def cmd_plotdata(args):
         for alpha in alphas:
             ratio = c / (2.0 * math.cos(alpha)) if math.cos(alpha) != 0 else \
                 math.inf
-            if not (1.0 <= ratio < math.cosh(args.rmax)):
+            if not (1.0 <= ratio < cosh_rmax):
                 continue
             r = math.acosh(ratio)
             err = abs(2.0 * math.cos(alpha) * math.cosh(r) - c)

@@ -132,10 +132,7 @@ class CoverElement(Immutable):
             raise NumericalInvariantError(
                 f"winding {float(omega)!r} violates the column-argument congruence "
                 f"by {mismatch:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "omega", float(omega))
-        object.__setattr__(self, "component", int(component))
+        super().__init__(mat=mat, omega=float(omega), component=int(component))
 
     @property
     def trace(self):
@@ -449,9 +446,8 @@ class Stratum(Immutable):
     def __init__(self, kind, component_index, trace):
         if kind not in STRATUM_KINDS:
             raise DomainError(f"unknown stratum kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "component_index", component_index)
-        object.__setattr__(self, "trace", float(trace))
+        super().__init__(kind=kind, component_index=component_index,
+                         trace=float(trace))
 
     def __repr__(self):
         return (f"Stratum(kind={self.kind!r}, "

@@ -7,10 +7,11 @@ value that fails its own consistency checks).
 
 The value types (paths, cover elements, strata, curves, orbits, potentials,
 boundary conditions) are validated once, at construction, so they derive
-from Immutable: their constructors store fields with object.__setattr__,
-and afterwards every assignment or deletion of an attribute is refused.
-Copying and pickling go through Immutable.__reduce__, which rebuilds the
-value from its fields without calling the setters.
+from Immutable: their constructors store their fields through
+Immutable.__init__, which makes every array field read-only, and afterwards
+every assignment or deletion of an attribute is refused. Copying and
+pickling go through Immutable.__reduce__, which rebuilds the value from its
+fields through Immutable.__init__ without running the subclass constructor.
 """
 
 import numpy as np
@@ -30,13 +31,10 @@ class NumericalInvariantError(RuntimeError):
 
 def _restore(cls, fields):
     """The value of type cls with the given fields, as Immutable.__reduce__
-    took it apart. The value types keep their arrays read-only; copies made
-    by copy.deepcopy or pickle come back writeable and are frozen again."""
+    took it apart. Arrays copied by copy.deepcopy or pickle come back
+    writeable; Immutable.__init__ freezes them again."""
     value = cls.__new__(cls)
-    for name, field in fields.items():
-        if isinstance(field, np.ndarray):
-            field.setflags(write=False)
-        object.__setattr__(value, name, field)
+    Immutable.__init__(value, **fields)
     return value
 
 
@@ -44,6 +42,13 @@ class Immutable:
     """Base of the value types: attributes are set once, in __init__."""
 
     __slots__ = ()
+
+    def __init__(self, **fields):
+        """Store each field; an array field is made read-only first."""
+        for name, field in fields.items():
+            if isinstance(field, np.ndarray):
+                field.setflags(write=False)
+            object.__setattr__(self, name, field)
 
     def __reduce__(self):
         cls = type(self)

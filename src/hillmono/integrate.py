@@ -116,13 +116,9 @@ class FundamentalPath(Immutable):
     __slots__ = ("t", "mats", "theta", "omega")
 
     def __init__(self, t, nodes, theta, omega):
-        for arr in (t, nodes, theta, omega):
-            arr.setflags(write=False)
-        mats = nodes.reshape(2, 2, -1).transpose(2, 0, 1)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "omega", omega)
+        nodes.setflags(write=False)  # the store that mats views
+        super().__init__(t=t, mats=nodes.reshape(2, 2, -1).transpose(2, 0, 1),
+                         theta=theta, omega=omega)
 
 
 class MonodromyResult(NamedTuple):
@@ -181,17 +177,19 @@ def _workspace(steps):
 
 def sample_times(steps):
     """The node and midpoint times at which q is sampled for `steps` steps."""
-    return np.linspace(0.0, TAU, 2 * steps + 1)
+    return _fill_times(np.empty(2 * steps + 1))
 
 
 def _fill_times(out):
-    """out <- sample_times((out.size - 1) // 2), bit for bit: linspace's
-    i * step, with the last time set to 2 pi, through small index chunks."""
+    """out <- the out.size sample times, bit for bit those of
+    np.linspace(0, 2 pi, out.size): i * step, with the last time set to
+    2 pi, through small index chunks. Returns out."""
     step = TAU / (out.size - 1)
     for i in range(0, out.size, 4096):
         chunk = out[i:i + 4096]
         np.multiply(np.arange(i, i + chunk.size, dtype=float), step, out=chunk)
     out[-1] = TAU
+    return out
 
 
 def _all_finite(a):
@@ -206,18 +204,17 @@ def _sample_q(q, tt):
     return qq
 
 
-def _transfer(qa, qb, qd, h, out=None, scratch=None):
+def _transfer(qa, qb, qd, h, out, scratch):
     """Entries of T - I for the Runge-Kutta transfer matrices T, (4, n).
 
-    Written into out, with two rows of scratch, when they are given:
+    Written into out, with the two rows of scratch, and returned:
         a = h^2/6 (qa + 2 qb) + h^4/24 qa qb
         b = h + h^3/6 qb
         c = h/6 (qa + 4 qb + qd) + h^3/12 qb (qa + qd)
         d = h^2/6 (2 qb + qd) + h^4/24 qb qd
     """
-    t = np.empty((4, qa.size)) if out is None else out
-    u, v = np.empty((2, qa.size)) if scratch is None else scratch
-    a, b, c, d = t
+    u, v = scratch
+    a, b, c, d = out
     h2 = h * h
     h4 = h2 * h2 / 24.0
     np.multiply(qb, 2.0, out=a)
@@ -242,7 +239,7 @@ def _transfer(qa, qb, qd, h, out=None, scratch=None):
     np.multiply(qb, h4, out=u)
     u *= qd
     d += u
-    return t
+    return out
 
 
 def _compose(y, x):
@@ -311,29 +308,26 @@ def _scan_size(n):
     return 4 * BLOCK * m + 4 * (m - 1) + max(2 * BLOCK * (m - 1), _scan_size(m - 1))
 
 
-def _blocked_scan(t, out=None, scratch=None):
+def _blocked_scan(t, out, scratch):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
     Both are (4, n) arrays; t is left as it was, and the result goes to out
-    (rows contiguous) when one is given. A single block is scanned step by
+    (rows contiguous), which is returned. A single block is scanned step by
     step from the identity. Longer runs are copied block-major into the
-    scratch, padded with identity steps only when BLOCK does not divide n;
-    the blocks are scanned inside, the block totals are scanned by the same
-    function, and each block's predecessor total is composed into it, all in
-    place through the (2, 2, BLOCK, blocks) matrix view. With fewer blocks
-    than a block has steps, the scans inside the blocks run in Python
-    floats: numpy would make BLOCK rounds of calls on vectors shorter than
-    BLOCK, which costs more than it saves. The composition tree, and so
-    every bit of the result, is the same either way.
+    scratch, of at least _scan_size(n) doubles, padded with identity steps
+    only when BLOCK does not divide n; the blocks are scanned inside, the
+    block totals are scanned by the same function, and each block's
+    predecessor total is composed into it, all in place through the
+    (2, 2, BLOCK, blocks) matrix view. With fewer blocks than a block has
+    steps, the scans inside the blocks run in Python floats: numpy would
+    make BLOCK rounds of calls on vectors shorter than BLOCK, which costs
+    more than it saves. The composition tree, and so every bit of the
+    result, is the same either way.
     """
     n = t.shape[1]
-    if out is None:
-        out = np.empty((4, n))
     if n <= BLOCK:
         _scan_floats(t, out, initial=(0.0,) * 4)
         return out
-    if scratch is None:
-        scratch = np.empty(_scan_size(n))
     m = -(-n // BLOCK)
     full, part = divmod(n, BLOCK)
     size = 4 * BLOCK * m
@@ -388,14 +382,12 @@ def checked_count(count, name):
     return count
 
 
-def _propagate(q, steps, ws=None):
+def _propagate(q, steps, ws):
     """Sample q; entries of T - I per step and of Phi at the nodes.
 
-    Both are arrays of the workspace ws, a new one if none is given.
+    steps has passed checked_steps, and both results are arrays of the
+    workspace ws.
     """
-    steps = checked_steps(steps)
-    if ws is None:
-        ws = _Workspace(steps)
     tt = ws.free[:2 * steps + 1]
     _fill_times(tt)
     qq = _sample_q(q, tt)
@@ -424,10 +416,10 @@ def _checked_turns(turns):
     return turns
 
 
-def _scale(x, y, out=None, tmp=None):
+def _scale(x, y, out, tmp):
     """Larger |entry| of each vector (x, y); a zero vector has no angle.
 
-    Written into out, with tmp as scratch, when they are given.
+    Written into out, with tmp as scratch, and returned.
     """
     scale = np.maximum(np.abs(x, out=out), np.abs(y, out=tmp), out=out)
     if not scale.all():  # steps with det T << 1 can round a vector to zero

@@ -80,11 +80,7 @@ class FundamentalCurve(Immutable):
                 f"curve Wronskian deviates by {worst:.3e} (tolerance {WRONSKIAN_TOL})")
         if np.any(v[:, 0] ** 2 + v[:, 1] ** 2 == 0.0):
             raise DomainError("curve passes through the origin")
-        for arr in (t, v, vp):
-            arr.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "vp", vp)
+        super().__init__(t=t, v=v, vp=vp)
 
     def __repr__(self):
         return f"FundamentalCurve(<{self.t.size} nodes over [0, {self.t[-1]:.6g}]>)"
@@ -141,16 +137,9 @@ class Orbit(Immutable):
         if not abs(swept - TAU) <= SWEEP_TOL:  # a nan sweep is refused too
             raise DomainError(
                 f"orbit sweeps {float(swept)!r} instead of 2 pi within {SWEEP_TOL}")
-        rho.setflags(write=False)
-        for arr in (rho_prime, rho_second):
-            if arr is not None:
-                arr.setflags(write=False)
-        object.__setattr__(self, "theta_max", theta_max)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "rho_prime", rho_prime)
-        object.__setattr__(self, "rho_second", rho_second)
-        object.__setattr__(self, "value_fn", value_fn)
-        object.__setattr__(self, "jet_fn", jet_fn)
+        super().__init__(theta_max=theta_max, rho=rho, rho_prime=rho_prime,
+                         rho_second=rho_second, value_fn=value_fn,
+                         jet_fn=jet_fn)
 
     @property
     def theta_grid(self):
@@ -420,9 +409,12 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
 
 def save_curve_csv(curve, path):
     rows = np.column_stack([curve.t, curve.v, curve.vp])
-    with open(path, "w") as fh:
-        fh.write(",".join(CURVE_COLUMNS) + "\n")
-        fh.write(fmt_csv_rows(rows))
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(CURVE_COLUMNS) + "\n")
+            fh.write(fmt_csv_rows(rows))
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def load_curve_csv(path):

@@ -51,23 +51,18 @@ class Potential(Immutable):
                 raise DomainError("sampled potential values must be finite")
             if interp not in _INTERPS:
                 raise DomainError(f"interp must be one of {_INTERPS}")
-            samples.setflags(write=False)
         else:
             raise DomainError(f"unknown potential kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "c", float(c))
-        object.__setattr__(self, "cos_coeffs", tuple(cos_coeffs))
-        object.__setattr__(self, "sin_coeffs", tuple(sin_coeffs))
-        object.__setattr__(self, "constant_term", float(constant_term))
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "interp", interp)
         spline = None
         if kind == "sampled" and interp == "cubic":
             from scipy.interpolate import CubicSpline
 
             grid = np.linspace(0.0, TAU, samples.size)
             spline = CubicSpline(grid, samples)
-        object.__setattr__(self, "_spline", spline)
+        super().__init__(kind=kind, c=float(c), cos_coeffs=tuple(cos_coeffs),
+                         sin_coeffs=tuple(sin_coeffs),
+                         constant_term=float(constant_term), samples=samples,
+                         interp=interp, _spline=spline)
 
     # -- constructors -------------------------------------------------------
 

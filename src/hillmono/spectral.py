@@ -66,9 +66,7 @@ class C1Component(Immutable):
             raise DomainError("cone leaves need n >= 1 and sign +-1")
         if variant == "vertex" and (n < 1 or sign != 0):
             raise DomainError("vertices need n >= 1 and no sign")
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "sign", int(sign))
+        super().__init__(variant=variant, n=int(n), sign=int(sign))
 
     def __eq__(self, other):
         return (isinstance(other, C1Component)

@@ -222,13 +222,9 @@ class SynthesizedOrbit(Immutable):
             raise DomainError("theta_max must be positive")
         scaled_r = Polynomial(r.coef / theta_max ** np.arange(r.coef.size))
         exponent = p1 + scaled_r + c * _weight_poly(theta_max)
-        object.__setattr__(self, "theta_max", theta_max)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", float(c))
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "exponent_d1", exponent.deriv())
-        object.__setattr__(self, "exponent_d2", exponent.deriv(2))
+        super().__init__(theta_max=theta_max, p1=p1, r=r, c=float(c),
+                         exponent=exponent, exponent_d1=exponent.deriv(),
+                         exponent_d2=exponent.deriv(2))
 
     def rho(self, theta):
         """exp(E(theta))."""

@@ -187,8 +187,10 @@ def invert_times(orbit, value_fn, t_targets):
 # The first-row winding of hillmono.integrate as it was integrated step by
 # step, before theta was read off the lift: the arctan2 of the row's cross
 # and dot products with its image, the cross product carried by a running
-# Wronskian. Verbatim but for the last line, which returns the angles
-# without the step-angle gate, so that a test can see the largest of them.
+# Wronskian. Verbatim but for the _scale call, which now passes the two
+# scratch buffers _scale requires, and the last line, which returns the
+# angles without the step-angle gate, so that a test can see the largest of
+# them.
 def row_turns(t, nodes):
     """Per-step angles of the first rows at the left nodes.
 
@@ -199,7 +201,7 @@ def row_turns(t, nodes):
     a, b, c, d = nodes[:, :-1]
     wronskian = np.ones_like(ta)
     np.cumprod(((1.0 + ta) * (1.0 + td) - tb * tc)[:-1], out=wronskian[1:])
-    scale = _scale(a, b)
+    scale = _scale(a, b, np.empty_like(a), np.empty_like(a))
     a, b = a / scale, b / scale
     cross = tb * (wronskian / scale) / scale
     dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale

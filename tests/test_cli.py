@@ -617,6 +617,30 @@ def test_plotdata_zero_radius_still_works(files, capsys):
     assert {row.split(",")[2] for row in rows} == {"0"}
 
 
+def test_plotdata_radius_past_the_cosh_range_still_works(files):
+    # cosh overflows above r = 710.5; no level row reaches r = 700, so the
+    # rows at r = 1000 are those at r = 700.
+    written = {}
+    for rmax in ("700", "1000"):
+        out = files["dir"] / f"levels{rmax}.csv"
+        assert main(["plotdata", "--levels", "3,-5", "--rmax", rmax,
+                     "-o", str(out)]) == 0
+        written[rmax] = out.read_bytes()
+    assert written["1000"] == written["700"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--potential", "{qm1}"],
+    ["plotdata", "--curve-of", "{qm1}", "--steps", "256"],
+])
+def test_unwritable_output_exits_2(files, capsys, argv):
+    out = str(files["dir"] / "missing-dir" / "out")
+    argv = [arg.format(**files) for arg in argv]
+    assert main([*argv, "-o", out]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_boundary_general_overflowing_matrix_exits_2(files, capsys):
     assert main(["boundary", "general", "--potential", files["qm1"],
                  "--A=1e308,1e308,1e308,1e308", "--steps", "256"]) == 2

@@ -30,10 +30,23 @@ from hillmono import (
 from hillmono.cli import main
 from hillmono.integrate import (DEFAULT_STEPS, MIN_STEPS, STEP_ANGLE_LIMIT,
                                 _blocked_scan, _propagate, _scan_size,
-                                _transfer, sample_times)
+                                _transfer, _Workspace, sample_times)
 from oracles import blocked_scan, row_turns
 
 TAU = math.tau
+
+
+def _transfer_of(qq, h):
+    """_transfer of the samples qq, at node and midpoint times, into new
+    buffers."""
+    n = qq.size // 2
+    return _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h, np.empty((4, n)),
+                     np.empty((2, n)))
+
+
+def _scan(t):
+    """_blocked_scan of t into new buffers."""
+    return _blocked_scan(t, np.empty(t.shape), np.empty(_scan_size(t.shape[1])))
 
 
 def test_constant_minus_one_is_central():
@@ -340,10 +353,10 @@ def test_blocked_scan_matches_reference_bits(n):
     rng = np.random.default_rng(n)
     for scale in (0.01, 1.0, 100.0):
         q = scale * rng.standard_normal(2 * n + 1)
-        t = _transfer(q[0:-1:2], q[1::2], q[2::2], TAU / max(n, MIN_STEPS))
+        t = _transfer_of(q, TAU / max(n, MIN_STEPS))
         want = blocked_scan(t).tobytes()
-        assert _blocked_scan(t).tobytes() == want
-        # Into given buffers, whatever they held before.
+        assert _scan(t).tobytes() == want
+        # Into buffers that held other values before.
         out = np.full((4, n), np.nan)
         scratch = np.full(_scan_size(n), np.nan)
         assert _blocked_scan(t, out, scratch) is out
@@ -358,7 +371,7 @@ def test_blocked_scan_matches_reference_past_overflow():
     for n in (20, 700, 40000):
         t = 1e200 * rng.standard_normal((4, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _blocked_scan(t), blocked_scan(t)
+            got, want = _scan(t), blocked_scan(t)
         assert np.array_equal(got, want, equal_nan=True)
         assert not np.isfinite(got[:, -1]).any()
 
@@ -376,8 +389,8 @@ def test_blocked_scan_peak_memory_is_no_higher_than_reference():
     rng = np.random.default_rng(17)
     n = 2 ** 17
     q = rng.standard_normal(2 * n + 1)
-    t = _transfer(q[0:-1:2], q[1::2], q[2::2], TAU / n)
-    assert _scan_peak(_blocked_scan, t) <= _scan_peak(blocked_scan, t)
+    t = _transfer_of(q, TAU / n)
+    assert _scan_peak(_scan, t) <= _scan_peak(blocked_scan, t)
 
 
 # One block; fewer than BLOCK blocks, a whole and a partial last block; BLOCK
@@ -385,9 +398,10 @@ def test_blocked_scan_peak_memory_is_no_higher_than_reference():
 @pytest.mark.parametrize("n", [20, 32, 500, 512, 1024, 4097, 31745])
 def test_blocked_scan_leaves_its_input_unchanged(n):
     rng = np.random.default_rng(n)
-    t = _transfer(*rng.standard_normal((3, n)), TAU / max(n, MIN_STEPS))
+    t = _transfer(*rng.standard_normal((3, n)), TAU / max(n, MIN_STEPS),
+                  np.empty((4, n)), np.empty((2, n)))
     before = t.tobytes()
-    _blocked_scan(t)
+    _scan(t)
     assert t.tobytes() == before
 
 
@@ -396,7 +410,7 @@ def test_windings_read_the_transfer_matrices_that_were_scanned(monkeypatch):
     q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
     steps = 4096
     qq = q(integ.sample_times(steps))
-    want = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], TAU / steps).tobytes()
+    want = _transfer_of(qq, TAU / steps).tobytes()
     seen = []
 
     # The bytes are read during the call: the kernel reuses the buffer of
@@ -446,7 +460,7 @@ _wide = st.floats(-30.0, 30.0)
 @example([15.0], [], -5.0, 1024)
 def test_theta_steps_match_the_integrated_row_angles(cos, sin, const, steps):
     q = Potential.trig_poly(cos, sin, constant_term=const)
-    turns = row_turns(*_propagate(q, steps))
+    turns = row_turns(*_propagate(q, steps, _Workspace(steps)))
     worst = float(np.abs(turns).max())
     if worst < STEP_ANGLE_LIMIT - 1e-9:
         theta = integrate(q, steps).theta
@@ -494,10 +508,9 @@ def test_pooled_monodromy_matches_a_cold_call_and_the_path(steps):
     path = integrate(q, steps)
     end = CoverElement(path.mats[-1], path.omega[-1])
     assert _bits(end, to_right_iwasawa(end).theta) == _bits(*cold)
-    # The sample times are written in place with linspace's bits.
-    times = np.empty(2 * steps + 1)
-    importlib.import_module("hillmono.integrate")._fill_times(times)
-    assert times.tobytes() == sample_times(steps).tobytes()
+    # The sample times have linspace's bits.
+    assert sample_times(steps).tobytes() == \
+        np.linspace(0.0, TAU, 2 * steps + 1).tobytes()
 
 
 def test_results_do_not_change_when_the_workspace_is_reused():

@@ -97,7 +97,8 @@ def test_value_types_copy_and_pickle(name, how):
         # Equal values pickle to equal bytes: arrays, polynomials, splines
         # and bound methods included.
         assert pickle.dumps(twin_fields[field]) == pickle.dumps(kept), field
-        if isinstance(kept, np.ndarray):
+        if isinstance(kept, np.ndarray):  # the original's and the copy's
+            assert not kept.flags.writeable, field
             assert not twin_fields[field].flags.writeable, field
     _assert_refuses_setattr_and_delattr(twin, type(value).__name__)
 
