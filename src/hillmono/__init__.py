@@ -42,6 +42,7 @@ from .integrate import (
     MonodromyResult,
     integrate,
     monodromy,
+    monodromies,
     solution_winding,
 )
 from .kepler import (

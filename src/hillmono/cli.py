@@ -21,8 +21,8 @@ import numpy as np
 from . import boundary
 from .cover import classify, element_from_dict, element_to_dict
 from .errors import DomainError, NumericalInvariantError
-from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
-                        monodromy)
+from .integrate import (DEFAULT_STEPS, MAX_STEPS, checked_count,
+                        checked_steps, monodromy)
 from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
@@ -206,6 +206,17 @@ def cmd_plotdata(args):
         raise DomainError("--levels must be finite")
     if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
         raise DomainError("--alpha-min and --alpha-max must be finite")
+    if not math.isfinite(args.alpha_max - args.alpha_min):
+        raise DomainError("--alpha-max - --alpha-min overflows double precision")
+    # The zero level is the union of the vertical lines alpha = pi/2 + k pi
+    # in the (alpha, r) chart, each emitted on an r grid of 101 points.
+    k_lo = math.ceil((args.alpha_min - math.pi / 2) / math.pi)
+    k_hi = math.floor((args.alpha_max - math.pi / 2) / math.pi)
+    zero_rows = 101 * max(k_hi - k_lo + 1, 0) if 0.0 in args.levels else 0
+    if zero_rows > MAX_STEPS + 1:
+        raise DomainError(
+            "--levels 0 asks for 101 rows on each line alpha = pi/2 + k pi "
+            f"between --alpha-min and --alpha-max, over {MAX_STEPS + 1} in all")
     if not 0.0 <= args.rmax < math.inf:
         raise DomainError("--rmax must be finite and non-negative")
     alphas = np.linspace(args.alpha_min, args.alpha_max,
@@ -217,10 +228,6 @@ def cmd_plotdata(args):
     lines = ["c,alpha,r"]
     for c in args.levels:
         if c == 0.0:
-            # The zero level is the union of vertical lines in the
-            # (alpha, r) chart; emit each line on an r grid.
-            k_lo = math.ceil((args.alpha_min - math.pi / 2) / math.pi)
-            k_hi = math.floor((args.alpha_max - math.pi / 2) / math.pi)
             for k in range(k_lo, k_hi + 1):
                 alpha = math.pi / 2 + k * math.pi
                 for r in np.linspace(0.0, args.rmax, 101):

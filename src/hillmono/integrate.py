@@ -45,31 +45,47 @@ row, by less than pi/2, so the principal value of each column angle is the
 exact increment, and a 2 pi slip of omega shows as a step of theta.
 solution_winding applies the column rule to Phi_i u0.
 
-One kernel serves integrate, monodromy and solution_winding. It writes
-every full-length intermediate into a workspace made for its step count n:
-t, the entries of T - I (4 n doubles); free (about 6.1 n), reused phase by
-phase for the sample times and the transfer scratch, then the block-major
-scan copy, the block totals and the carry products, then the column and
-theta step angles, and last, with t, which is dead by then, the scaled
-nodes and the vectors of the Wronskian gate; an int array for the gate's
-exponents; and the node entries, omega and theta, 6 (n + 1) doubles, made
-once the samples are taken. Only the potential's samples are allocated per
-call. t and free are two arrays, not one, so that at long step counts each
-stays small enough for malloc to serve it from freed heap memory rather
-than from fresh pages. The ufuncs write through out= and run the
-operations of the formulas in the same order, with the operands of a
-product or a sum at most swapped, which IEEE arithmetic keeps exact; so
-every bit of every result is what the formulas give with temporaries.
+One kernel serves integrate, monodromy, monodromies and solution_winding.
+It runs one potential or, for monodromies, a batch of k potentials sampled
+on one grid. A batch carries a leading axis on every array: samples
+(k, 2 n + 1), entries (k, 4, n) and (k, 4, n + 1), windings (k, n + 1).
+The transfer, the scan, the column and theta step gates and the Wronskian
+gate run over the whole batch in one pass, so each numpy call's fixed cost
+is paid once for k members. Every operation acts on each member's entries
+as it would alone, reductions included, so each member is bit for bit its
+own monodromy call; a gate raises the message of the first member to fail
+it.
 
-Nothing of a monodromy or solution_winding call escapes but its endpoint,
-so those calls take their workspace from a pool and give it back: at most
-one idle workspace is kept, and only for n <= DEFAULT_STEPS, about 2.1 MiB
-at that count. A workspace is out of the pool while a call uses it, so
-threads, and a potential that itself calls monodromy, each run on their
-own buffers. Without a pooled workspace a call needs about 16.7 doubles a
-step besides the samples, less than the per-call temporaries it replaces.
-integrate takes its scratch from the pool too, but hands the node entries
-and windings to the path it returns, so they are never shared.
+The kernel writes every full-length intermediate into a workspace made for
+its step count n and up to k members: t, the entries of T - I (4 k n
+doubles); free (about 6.1 k n), reused phase by phase for the sample times
+and the transfer scratch, then the block-major scan copy, the block totals
+and the carry products, then the column and theta step angles, and last,
+with t, which is dead by then, the scaled nodes and the vectors of the
+Wronskian gate; an int array for the gate's exponents; and the node
+entries, omega and theta, 6 k (n + 1) doubles, made once the samples are
+taken. Only the potential's samples are allocated per call. t and free are
+two arrays, not one, so that at long step counts each stays small enough
+for malloc to serve it from freed heap memory rather than from fresh
+pages. The ufuncs write through out= and run the operations of the
+formulas in the same order, with the operands of a product or a sum at
+most swapped, which IEEE arithmetic keeps exact; so every bit of every
+result is what the formulas give with temporaries.
+
+Nothing of a monodromy, monodromies or solution_winding call escapes but
+its endpoints, so those calls take their workspace from a pool and give it
+back: at most one idle workspace is kept, and only for k n <=
+DEFAULT_STEPS, about 2.1 MiB at that size. A workspace serves any batch up
+to its k at its step count, through prefix views of its buffers. So a
+caller that batches keeps to DEFAULT_STEPS // n members a call, as the
+spectrum scan does, and the pooled workspace serves every call. A
+workspace is out of the pool while a call uses it, so threads, and a
+potential that itself calls monodromy, each run on their own buffers.
+Without a pooled workspace a call needs about 16.7 doubles a step and
+member besides the samples, less than the per-call temporaries it
+replaces. integrate takes its scratch from the pool too, but hands the
+node entries and windings to the path it returns, so they are never
+shared.
 """
 
 import contextlib
@@ -127,32 +143,39 @@ class MonodromyResult(NamedTuple):
 
 
 class _Workspace:
-    """Buffers of one kernel run at a fixed step count, reused across runs.
+    """Buffers of kernel runs at a fixed step count, for batches of up to
+    `members` potentials, reused across runs.
 
     t: the entries of T - I; free: phase scratch; exps: the Wronskian
     gate's exponents; outputs: the node entries, omega and theta, made on
-    first use.
+    first use. All are flat; a run of k members takes prefix views.
     """
 
-    __slots__ = ("steps", "t", "free", "exps", "outputs")
+    __slots__ = ("steps", "members", "t", "free", "exps", "outputs")
 
-    def __init__(self, steps):
-        n = steps
-        self.steps = n
-        # free holds the sample times and transfer scratch (4 n + 1), the
-        # scan, six column vectors, and with t the Wronskian gate's 9 (n + 1)
-        # doubles.
-        self.t = np.empty((4, n))
-        self.free = np.empty(max(_scan_size(n), 6 * (n + 1)))
-        self.exps = np.empty(n + 1, np.intc)
+    def __init__(self, steps, members=1):
+        n, k = steps, members
+        self.steps, self.members = n, k
+        # free holds the sample times and transfer scratch (2 n + 1 and
+        # 2 k n), the scan, six column vectors a member, and with t the
+        # Wronskian gate's 9 (n + 1) doubles a member.
+        self.t = np.empty(4 * k * n)
+        self.free = np.empty(k * max(_scan_size(n), 6 * (n + 1)))
+        self.exps = np.empty(k * (n + 1), np.intc)
         self.outputs = None
 
-    def nodes(self):
-        """The node entries of outputs, which are made here on first use."""
-        if self.outputs is None:
-            n = self.steps + 1
-            self.outputs = (np.empty((4, n)), np.empty(n), np.empty(n))
-        return self.outputs[0]
+    def output_views(self, lead=()):
+        """Views shaped lead + (4, n + 1), lead + (n + 1,) twice of the node
+        entries, omega and theta of outputs, which are made here on first
+        use or when they hold fewer members than lead asks for."""
+        k, n1 = math.prod(lead), self.steps + 1
+        if self.outputs is None or self.outputs[1].size < k * n1:
+            self.outputs = (np.empty(4 * k * n1), np.empty(k * n1),
+                            np.empty(k * n1))
+        nodes, omega, theta = self.outputs
+        return (nodes[:4 * k * n1].reshape(*lead, 4, n1),
+                omega[:k * n1].reshape(*lead, n1),
+                theta[:k * n1].reshape(*lead, n1))
 
 
 # The idle workspace, if any; see the module docstring.
@@ -161,16 +184,17 @@ _idle_lock = threading.Lock()
 
 
 @contextlib.contextmanager
-def _workspace(steps):
-    """A workspace for `steps` steps, out of the pool while the block runs."""
+def _workspace(steps, members=1):
+    """A workspace for `members` potentials at `steps` steps, out of the
+    pool while the block runs."""
     with _idle_lock:
         ws = _idle.pop() if _idle else None
-    if ws is None or ws.steps != steps:
-        ws = _Workspace(steps)
+    if ws is None or ws.steps != steps or ws.members < members:
+        ws = _Workspace(steps, members)
     try:
         yield ws
     finally:
-        if steps <= DEFAULT_STEPS:
+        if ws.members * steps <= DEFAULT_STEPS:
             with _idle_lock:
                 _idle[:] = [ws]
 
@@ -197,15 +221,26 @@ def _all_finite(a):
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def _sample_q(q, tt):
+def _sample_q(q, tt, lead=()):
     qq = np.asarray(q(tt), dtype=float)
-    if qq.shape != tt.shape or not _all_finite(qq):
+    if qq.shape != (*lead, tt.size) or not _all_finite(qq):
         raise DomainError("potential evaluation must give finite values")
     return qq
 
 
+def _entries(a):
+    """The four entry rows of matrices held as (4, n) or (k, 4, n) entries."""
+    return a if a.ndim == 2 else a.swapaxes(0, 1)
+
+
+def _batched(a):
+    """Entries (4, n) as a batch of one, (1, 4, n); a batch as it is."""
+    return a[None] if a.ndim == 2 else a
+
+
 def _transfer(qa, qb, qd, h, out, scratch):
-    """Entries of T - I for the Runge-Kutta transfer matrices T, (4, n).
+    """Entries of T - I for the Runge-Kutta transfer matrices T, (..., 4, n)
+    for samples shaped (..., n).
 
     Written into out, with the two rows of scratch, and returned:
         a = h^2/6 (qa + 2 qb) + h^4/24 qa qb
@@ -214,7 +249,7 @@ def _transfer(qa, qb, qd, h, out, scratch):
         d = h^2/6 (2 qb + qd) + h^4/24 qb qd
     """
     u, v = scratch
-    a, b, c, d = out
+    a, b, c, d = _entries(out)
     h2 = h * h
     h4 = h2 * h2 / 24.0
     np.multiply(qb, 2.0, out=a)
@@ -292,16 +327,19 @@ def _scan_floats(steps, out, initial=None):
 
 
 def _block_view(a, blocks):
-    """(2, 2, BLOCK, blocks) view of the first blocks * BLOCK steps of the
-    (4, n) entries a, whose rows are contiguous: [:, :, j, k] is step
-    k * BLOCK + j."""
-    return a[:, :blocks * BLOCK].reshape(2, 2, blocks, BLOCK).transpose(0, 1, 3, 2)
+    """(2, 2, BLOCK, k, blocks) view of the first blocks * BLOCK steps of the
+    (k, 4, n) entries a, whose rows are contiguous: [:, :, j, i, b] is step
+    b * BLOCK + j of member i."""
+    k = a.shape[0]
+    return a[..., :blocks * BLOCK].reshape(k, 2, 2, blocks, BLOCK
+                                          ).transpose(1, 2, 4, 0, 3)
 
 
 def _scan_size(n):
-    """Doubles of scratch that _blocked_scan takes for n steps: the
-    block-major copy, the block totals, and the larger of the carry
-    products and the totals' own scan."""
+    """Doubles of scratch that _blocked_scan takes for n steps of one
+    member: the block-major copy, the block totals, and the larger of the
+    carry products and the totals' own scan. A batch takes as many times
+    that as it has members."""
     if n <= BLOCK:
         return 0
     m = -(-n // BLOCK)
@@ -311,46 +349,56 @@ def _scan_size(n):
 def _blocked_scan(t, out, scratch):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
-    Both are (4, n) arrays; t is left as it was, and the result goes to out
+    Both are (4, n) arrays, or (k, 4, n) for a batch of k members, each
+    scanned on its own; t is left as it was, and the result goes to out
     (rows contiguous), which is returned. A single block is scanned step by
     step from the identity. Longer runs are copied block-major into the
-    scratch, of at least _scan_size(n) doubles, padded with identity steps
-    only when BLOCK does not divide n; the blocks are scanned inside, the
-    block totals are scanned by the same function, and each block's
-    predecessor total is composed into it, all in place through the
-    (2, 2, BLOCK, blocks) matrix view. With fewer blocks than a block has
-    steps, the scans inside the blocks run in Python floats: numpy would
-    make BLOCK rounds of calls on vectors shorter than BLOCK, which costs
-    more than it saves. The composition tree, and so every bit of the
-    result, is the same either way.
+    scratch, of at least k _scan_size(n) doubles, padded with identity steps
+    only when BLOCK does not divide n; the blocks of every member are
+    scanned inside together, the block totals are scanned by the same
+    function as a batch, and each block's predecessor total is composed
+    into it, all in place through the (2, 2, BLOCK, k, blocks) matrix view.
+    With fewer blocks in all than a block has steps, the scans inside the
+    blocks run in Python floats: numpy would make BLOCK rounds of calls on
+    vectors shorter than BLOCK, which costs more than it saves. The
+    composition tree, and so every bit of each member's result, is the
+    same either way, and the same as for that member alone.
     """
-    n = t.shape[1]
+    n = t.shape[-1]
+    t, batch = _batched(t), _batched(out)
+    k = t.shape[0]
     if n <= BLOCK:
-        _scan_floats(t, out, initial=(0.0,) * 4)
+        for i in range(k):
+            _scan_floats(t[i], batch[i], initial=(0.0,) * 4)
         return out
     m = -(-n // BLOCK)
     full, part = divmod(n, BLOCK)
-    size = 4 * BLOCK * m
-    p = scratch[:size].reshape(2, 2, BLOCK, m)
-    carry = scratch[size:size + 4 * (m - 1)].reshape(4, m - 1)
-    rest = scratch[size + 4 * (m - 1):]
+    size = 4 * BLOCK * k * m
+    p = scratch[:size].reshape(2, 2, BLOCK, k, m)
+    carry = scratch[size:size + 4 * k * (m - 1)].reshape(k, 4, m - 1)
+    rest = scratch[size + 4 * k * (m - 1):]
     p[..., :full] = _block_view(t, full)
     if part:
-        p[:, :, :part, full] = t[:, full * BLOCK:].reshape(2, 2, part)
-        p[:, :, part:, full] = 0.0  # the padding steps are I
-    if m < BLOCK:
-        for k in range(m):
-            _scan_floats(p[..., k], p[..., k])
+        p[:, :, :part, :, full] = t[..., full * BLOCK:].reshape(
+            k, 2, 2, part).transpose(1, 2, 3, 0)
+        p[:, :, part:, :, full] = 0.0  # the padding steps are I
+    if k * m < BLOCK:
+        blocks = p.reshape(2, 2, BLOCK, k * m)
+        for b in range(k * m):
+            _scan_floats(blocks[..., b], blocks[..., b])
     else:
-        e, f = rest[:8 * m].reshape(2, 2, 2, m)
+        e, f = rest[:8 * k * m].reshape(2, 2, 2, k, m)
         for j in range(1, BLOCK):
             _compose_into(p[:, :, j], p[:, :, j - 1], e, f)
-    _blocked_scan(p[:, :, -1, :-1].reshape(4, m - 1), carry, rest)
-    e, f = rest[:2 * BLOCK * (m - 1)].reshape(2, BLOCK, m - 1)
-    _carry_into(p[..., 1:], carry.reshape(2, 2, 1, m - 1), e, f)
-    _block_view(out, full)[...] = p[..., :full]
+    _blocked_scan(p[:, :, -1, :, :-1].transpose(2, 0, 1, 3).reshape(k, 4, m - 1),
+                  carry, rest)
+    e, f = rest[:2 * BLOCK * k * (m - 1)].reshape(2, BLOCK, k, m - 1)
+    _carry_into(p[..., 1:], carry.reshape(k, 2, 2, 1, m - 1).transpose(1, 2, 3, 0, 4),
+                e, f)
+    _block_view(batch, full)[...] = p[..., :full]
     if part:
-        out[:, full * BLOCK:] = p[:, :, :part, full].reshape(4, part)
+        batch[..., full * BLOCK:] = p[:, :, :part, :, full].transpose(
+            3, 0, 1, 2).reshape(k, 4, part)
     return out
 
 
@@ -382,62 +430,77 @@ def checked_count(count, name):
     return count
 
 
-def _propagate(q, steps, ws):
+def _propagate(q, steps, ws, lead=()):
     """Sample q; entries of T - I per step and of Phi at the nodes.
 
-    steps has passed checked_steps, and both results are arrays of the
-    workspace ws.
+    steps has passed checked_steps. q gives one potential's samples, or with
+    lead = (k,) a batch of k, shaped lead + (2 steps + 1,); the results are
+    arrays of the workspace ws shaped lead + (4, steps) and
+    lead + (4, steps + 1).
     """
+    k = math.prod(lead)
     tt = ws.free[:2 * steps + 1]
     _fill_times(tt)
-    qq = _sample_q(q, tt)
-    scratch = ws.free[2 * steps + 1:4 * steps + 1].reshape(2, steps)
+    qq = _sample_q(q, tt, lead)
+    scratch = ws.free[2 * steps + 1:2 * steps + 1 + 2 * k * steps].reshape(
+        2, *lead, steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _transfer(qq[0:-1:2], qq[1::2], qq[2::2], TAU / steps, ws.t,
+        t = _transfer(qq[..., 0:-1:2], qq[..., 1::2], qq[..., 2::2],
+                      TAU / steps, ws.t[:4 * k * steps].reshape(*lead, 4, steps),
                       scratch)
         del qq  # it may be a view of tt, which the scan overwrites
-        nodes = ws.nodes()
-        nodes[:, 0] = 0.0
-        _blocked_scan(t, nodes[:, 1:], ws.free)
-    nodes[0] += 1.0
-    nodes[3] += 1.0
+        nodes = ws.output_views(lead)[0]
+        nodes[..., 0] = 0.0
+        _blocked_scan(t, nodes[..., 1:], ws.free)
+    a, _, _, d = _entries(nodes)
+    a += 1.0
+    d += 1.0
     if not _all_finite(nodes):
-        raise _overflow("fundamental matrix entries are not finite", nodes)
+        i = next(i for i in np.ndindex(lead) if not _all_finite(nodes[i]))
+        raise _overflow("fundamental matrix entries are not finite", nodes[i])
     return t, nodes
 
 
 def _checked_turns(turns):
-    """The per-step angles, after the gate that makes them exact."""
-    worst = float(max(turns.max(), -turns.min()))  # max |turn|, no temporary
-    if not worst < STEP_ANGLE_LIMIT:
-        raise NumericalInvariantError(
-            f"angle change {worst:.3e} in one step is not below "
-            f"{STEP_ANGLE_LIMIT:.3e}; increase steps")
+    """The per-step angles, after the gate that makes them exact.
+
+    A batch, (k, n), is gated member by member; the first to fail raises.
+    """
+    # max |turn| of each member, no temporary of the turns' size
+    worst = np.maximum(turns.max(axis=-1), -turns.min(axis=-1))
+    for w in np.ravel(worst).tolist():
+        if not w < STEP_ANGLE_LIMIT:
+            raise NumericalInvariantError(
+                f"angle change {w:.3e} in one step is not below "
+                f"{STEP_ANGLE_LIMIT:.3e}; increase steps")
     return turns
 
 
 def _scale(x, y, out, tmp):
     """Larger |entry| of each vector (x, y); a zero vector has no angle.
 
-    Written into out, with tmp as scratch, and returned.
+    Written into out, with tmp as scratch, and returned; in a batch, the
+    first member with a zero vector raises.
     """
     scale = np.maximum(np.abs(x, out=out), np.abs(y, out=tmp), out=out)
     if not scale.all():  # steps with det T << 1 can round a vector to zero
+        i = next(i for i in np.ndindex(scale.shape[:-1]) if not scale[i].all())
         raise NumericalInvariantError(
             f"the second column or a solution vector is zero at node "
-            f"{int(np.argmin(scale))} of {scale.size}: the step determinants "
-            "shrank it below rounding; increase steps")
+            f"{int(np.argmin(scale[i]))} of {scale.shape[-1]}: the step "
+            "determinants shrank it below rounding; increase steps")
     return scale
 
 
 def _column_turns(t, x, y, scratch):
     """Per-step angles of the columns (x, y) at the left nodes.
 
-    The columns are scaled by their larger entry, which cannot overflow.
-    scratch holds six vectors shaped like x, of which the first two may be
-    x and y themselves; the angles come back in the third.
+    t holds the entries (..., 4, n) and x, y are (..., n). The columns are
+    scaled by their larger entry, which cannot overflow. scratch holds six
+    vectors shaped like x, of which the first two may be x and y
+    themselves; the angles come back in the third.
     """
-    ta, tb, tc, td = t
+    ta, tb, tc, td = _entries(t)
     xs, ys, cross, dot, u, v = scratch
     scale = _scale(x, y, out=cross, tmp=u)
     x = np.divide(x, scale, out=xs)
@@ -475,19 +538,22 @@ def _check_wronskian(nodes, ws):
     ad - bc rounds at |Phi_i|^2 eps, so the allowance grows with the entry
     size. As in CoverElement, each node is divided by the power of two at
     or below its largest |entry|, which rounds as Phi_i does but cannot
-    overflow. T - I is dead by now, so its buffer is reused.
+    overflow. T - I is dead by now, so its buffer is reused. In a batch,
+    the first member to fail raises.
     """
-    n1 = nodes.shape[1]
-    scaled = ws.free[:4 * n1].reshape(4, n1)
-    largest, scale, dev = ws.t.reshape(-1)[:3 * n1].reshape(3, n1)
-    allowed, tmp = ws.free[4 * n1:6 * n1].reshape(2, n1)
+    nodes = _batched(nodes)
+    members, _, n1 = nodes.shape
+    size = members * n1
+    scaled = ws.free[:4 * size].reshape(members, 4, n1)
+    largest, scale, dev = ws.t[:3 * size].reshape(3, members, n1)
+    allowed, tmp = ws.free[4 * size:6 * size].reshape(2, members, n1)
     np.abs(nodes, out=scaled)
-    np.max(scaled, axis=0, out=largest)
-    neg_k = np.frexp(largest, out=(tmp, ws.exps))[1]
+    np.max(scaled, axis=1, out=largest)
+    neg_k = np.frexp(largest, out=(tmp, ws.exps[:size].reshape(members, n1)))[1]
     np.subtract(1, neg_k, out=neg_k)
     np.minimum(neg_k, 0, out=neg_k)  # -k, k = max(exponent - 1, 0)
     np.ldexp(1.0, neg_k, out=scale)
-    sa, sb, sc, sd = np.multiply(nodes, scale, out=scaled)
+    sa, sb, sc, sd = _entries(np.multiply(nodes, scale[:, None], out=scaled))
     largest *= scale
     one = np.square(scale, out=scale)  # the unit determinant, scaled
     np.multiply(sa, sd, out=dev)
@@ -499,34 +565,41 @@ def _check_wronskian(nodes, ws):
     np.square(largest, out=tmp)
     tmp *= 16.0 * np.finfo(float).eps
     np.maximum(allowed, tmp, out=allowed)
-    worst = int(np.argmax(np.divide(dev, allowed, out=tmp)))
-    if dev[worst] > allowed[worst]:
-        drift, k = float(dev[worst]), -int(neg_k[worst])
-        try:
-            drift = f"{math.ldexp(drift, 2 * k):.3e}"
-        except OverflowError:  # beyond the double range unscaled
-            drift = f"{drift:.3e} * 4**{k}"
-        raise NumericalInvariantError(f"Wronskian drift {drift}; increase steps")
+    worst = np.argmax(np.divide(dev, allowed, out=tmp), axis=1).tolist()
+    for i, w in enumerate(worst):
+        if dev[i, w] > allowed[i, w]:
+            drift, k = float(dev[i, w]), -int(neg_k[i, w])
+            try:
+                drift = f"{math.ldexp(drift, 2 * k):.3e}"
+            except OverflowError:  # beyond the double range unscaled
+                drift = f"{drift:.3e} * 4**{k}"
+            raise NumericalInvariantError(
+                f"Wronskian drift {drift}; increase steps")
 
 
-def _windings(q, steps, ws):
-    """The kernel: node entries, omega and theta in ws, past every gate."""
-    t, nodes = _propagate(q, steps, ws)
-    _, omega, theta = ws.outputs
-    a, b, c, d = nodes
-    omega[0] = 0.0
-    turns = _column_turns(t, b[:-1], d[:-1], ws.free[:6 * steps].reshape(6, steps))
-    np.cumsum(turns, out=omega[1:])
+def _windings(q, steps, ws, lead=()):
+    """The kernel: node entries, omega and theta in ws, past every gate,
+    for one potential or, with lead = (k,), a batch of k."""
+    t, nodes = _propagate(q, steps, ws, lead)
+    _, omega, theta = ws.output_views(lead)
+    a, b, c, d = _entries(nodes)
+    k = math.prod(lead)
+    omega[..., 0] = 0.0
+    turns = _column_turns(t, b[..., :-1], d[..., :-1],
+                          ws.free[:6 * k * steps].reshape(6, *lead, steps))
+    np.cumsum(turns, axis=-1, out=omega[..., 1:])
     # The branch rule of cover.to_right_iwasawa at every node; the gate on
     # its steps refuses a 2 pi slip of omega wherever it falls.
     np.arctan2(b, a, out=theta)
-    branch = np.negative(omega, out=ws.free[:steps + 1])
+    branch = np.negative(omega, out=ws.free[:k * (steps + 1)].reshape(
+        *lead, steps + 1))
     branch -= theta
     branch /= TAU
     np.round(branch, out=branch)
     branch *= TAU
     theta += branch
-    _checked_turns(np.subtract(theta[1:], theta[:-1], out=ws.free[:steps]))
+    _checked_turns(np.subtract(theta[..., 1:], theta[..., :-1],
+                               out=ws.free[:k * steps].reshape(*lead, steps)))
     _check_wronskian(nodes, ws)
     return nodes, omega, theta
 
@@ -543,9 +616,27 @@ def integrate(q, steps=DEFAULT_STEPS):
     """
     steps = checked_steps(steps)
     with _workspace(steps) as ws:
+        if ws.outputs is not None and ws.outputs[1].size > steps + 1:
+            ws.outputs = None  # made for a batch: the path gets its own
         nodes, omega, theta = _windings(q, steps, ws)
         ws.outputs = None  # the path owns them from here on
     return FundamentalPath(np.linspace(0.0, TAU, steps + 1), nodes, theta, omega)
+
+
+def _lifts(q, steps, ws, lead=()):
+    """MonodromyResults of the potentials that q samples, in order."""
+    nodes, omega, _ = _windings(q, steps, ws, lead)
+    out = []
+    for end, w in zip(nodes[..., -1].reshape(-1, 2, 2), omega[..., -1].reshape(-1)):
+        try:  # the element copies the endpoint out of the workspace
+            element = CoverElement(end, w)
+        except NumericalInvariantError as exc:
+            raise NumericalInvariantError(f"{exc}; increase steps") from None
+        theta_r = to_right_iwasawa(element).theta
+        if not (winding_exceeds(element, 0.0) and theta_r > 0.0):
+            raise NumericalInvariantError("monodromy left the expected image set")
+        out.append(MonodromyResult(element, theta_r))
+    return out
 
 
 def monodromy(q, steps=DEFAULT_STEPS):
@@ -559,15 +650,25 @@ def monodromy(q, steps=DEFAULT_STEPS):
     """
     steps = checked_steps(steps)
     with _workspace(steps) as ws:
-        nodes, omega, _ = _windings(q, steps, ws)
-        try:  # the element copies the endpoint out of the workspace
-            element = CoverElement(nodes[:, -1].reshape(2, 2), omega[-1])
-        except NumericalInvariantError as exc:
-            raise NumericalInvariantError(f"{exc}; increase steps") from None
-    theta_r = to_right_iwasawa(element).theta
-    if not (winding_exceeds(element, 0.0) and theta_r > 0.0):
-        raise NumericalInvariantError("monodromy left the expected image set")
-    return MonodromyResult(element, theta_r)
+        (result,) = _lifts(q, steps, ws)
+    return result
+
+
+def monodromies(samples, steps=DEFAULT_STEPS):
+    """Lifted monodromies of k potentials sampled on one grid, in one run.
+
+    samples is (k, 2 steps + 1): row i holds potential i at
+    sample_times(steps). Returns k MonodromyResults, each bit for bit what
+    monodromy gives for its row alone, through one pass of the kernel. A
+    member that fails a check raises what its own call would; if several
+    do, the first in order to fail the earliest check.
+    """
+    steps = checked_steps(steps)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or not len(samples):
+        raise DomainError("samples must be a (k, 2 steps + 1) array, k >= 1")
+    with _workspace(steps, len(samples)) as ws:
+        return _lifts(lambda t: samples, steps, ws, samples.shape[:1])
 
 
 def solution_winding(q, phi0, steps=DEFAULT_STEPS):

@@ -17,6 +17,14 @@ hyperplane once and then each cone in either two leaf points or one vertex,
 giving the periodic eigenvalues s_0 < s_1 <= s_2 < s_3 <= ... with their
 stratum labels.
 
+The walk has two phases: a gallop from the start of the line, with steps
+doubling from 0.25 up to 4, until the Cartan angle passes the last window;
+then rounds of bisection, which split every node interval whose angle
+advance is pi/4 or more. A round's midpoints are evaluated together: they
+go through the batched kernel (integrate.monodromies) in batches of at
+most DEFAULT_STEPS // steps members, the most that the pooled workspace
+holds, and each result is bit for bit that of its own monodromy call.
+
 The eigenvalues come from one pass over the scan nodes: every sign change of
 trace - 2 between two nodes is refined, and the root is labelled by the
 window round(alpha / pi) of its Cartan angle. Window 0 holds the hyperplane
@@ -26,7 +34,11 @@ S_RESOLUTION apart are the minus and plus leaves, closer ones a vertex at
 their midpoint. Any other count means a vertex, or a split narrower than the
 node spacing, that the nodes do not resolve. Only such a window takes the
 maximum path: its two trace-zero walls are refined, the trace maximum
-between them is found, and the roots are bracketed outward from it.
+between them is found, and the roots are bracketed outward from it. Where
+those roots fall closer than S_RESOLUTION, or the maximum stays at or
+below 2, the window holds a vertex, placed at the midpoint of the chord
+VERTEX_TRACE_TOL below the maximum: there the trace is steep, while at
+its flat maximum rounding moves the maximizer by about 1e-8.
 """
 
 import math
@@ -36,7 +48,7 @@ import numpy as np
 
 from .cover import classify, to_cartan
 from .errors import DomainError, Immutable, NumericalInvariantError
-from .integrate import checked_steps, monodromy, sample_times
+from .integrate import DEFAULT_STEPS, checked_steps, monodromies, sample_times
 
 TAU = math.tau
 
@@ -144,6 +156,9 @@ class _LineScan:
     q0 and qplus are sampled once, at the times monodromy samples at these
     steps; each s then costs one array operation, q0 - s * qplus, on those
     samples, which gives the same values as evaluating the line there.
+    evaluate() runs the values of s it has not seen in kernel batches of at
+    most `batch` members, as many as the pooled workspace holds at these
+    steps; each result is bit for bit that of its own monodromy call.
     """
 
     def __init__(self, q0, qplus, steps):
@@ -152,28 +167,45 @@ class _LineScan:
         self.steps = checked_steps(steps)
         times = sample_times(self.steps)
         self.samples = (q0(times), qplus(times))
+        self.batch = max(1, DEFAULT_STEPS // self.steps)
         self.cache = {}
 
+    def evaluate(self, ss):
+        """(element, theta_r, trace, alpha) at each s of ss."""
+        q0v, qplusv = self.samples
+        new = [s for s in dict.fromkeys(ss) if s not in self.cache]
+        for i in range(0, len(new), self.batch):
+            chunk = new[i:i + self.batch]
+            rows = q0v - np.array(chunk)[:, None] * qplusv
+            for s, (element, theta_r) in zip(chunk, monodromies(rows, self.steps)):
+                self.cache[s] = (element, theta_r, element.trace,
+                                 to_cartan(element).alpha)
+        return [self.cache[s] for s in ss]
+
     def __call__(self, s):
-        rec = self.cache.get(s)
-        if rec is None:
-            q0v, qplusv = self.samples
-            element, theta_r = monodromy(
-                lambda t: q0v - s * qplusv, self.steps)
-            alpha = to_cartan(element).alpha
-            rec = (element, theta_r, element.trace, alpha)
-            self.cache[s] = rec
-        return rec
+        return self.evaluate([s])[0]
 
     def trace(self, s):
         return self(s)[2]
 
 
+def _exhausted(n_max, alpha):
+    return DomainError(
+        f"eigenvalue scan exhausted {_MAX_SCAN_NODES} nodes before reaching "
+        f"cone {n_max}; last winding angle {alpha!r}")
+
+
 def _scan_line(line, n_max):
     """Adaptive s-nodes covering the windows up to the n_max-th cone.
 
-    Keeps the winding advance below pi/4 per accepted node so no window is
-    skipped, and asserts the monotonicity that justifies the whole sweep.
+    A gallop from s_start, its step ds doubling from 0.25 up to 4, runs
+    until the Cartan angle reaches alpha_stop. Rounds of bisection follow:
+    each splits every node interval whose winding advance is pi/4 or more,
+    evaluates all the round's midpoints together, and cuts the nodes at the
+    first one whose angle reaches alpha_stop. So no window is skipped, and
+    the monotonicity that justifies the whole sweep is asserted on every
+    adjacent pair. An interval no wider than 1e-6, or whose midpoint rounds
+    onto an end, is not split.
     """
     tgrid = np.linspace(0.0, TAU, _POSITIVITY_SAMPLES, endpoint=False)
     qpv = np.asarray(line.qplus(tgrid), dtype=float)
@@ -185,32 +217,36 @@ def _scan_line(line, n_max):
 
     nodes = [s_start]
     ds = 0.25
-    evals = 1
-    while True:
-        _, theta_r, _, alpha = line(nodes[-1])
-        if alpha >= alpha_stop:
-            break
-        if evals >= _MAX_SCAN_NODES:
-            raise DomainError(
-                "eigenvalue scan exhausted before reaching cone "
-                f"{n_max}; last winding angle {alpha!r}")
+    while (alpha := line(nodes[-1])[3]) < alpha_stop:
+        if len(nodes) >= _MAX_SCAN_NODES:
+            raise _exhausted(n_max, alpha)
         s_next = nodes[-1] + ds
         if s_next == nodes[-1]:
             raise DomainError(
                 f"the scan cannot move along the line: s = {nodes[-1]!r} "
                 f"plus the step ds = {ds!r} rounds back to s")
-        _, theta_next, _, _ = line(s_next)
-        evals += 1
-        if theta_next <= theta_r:
-            raise NumericalInvariantError(
-                "winding angle is not increasing along the line")
-        if theta_next - theta_r > math.pi / 4 and ds > 1e-6:
-            ds /= 2
-            continue
         nodes.append(s_next)
-        if theta_next - theta_r < math.pi / 32:
-            ds = min(2 * ds, 4.0)
-    return nodes
+        ds = min(2 * ds, 4.0)
+
+    while True:
+        recs = line.evaluate(nodes)
+        stop = next(i for i, r in enumerate(recs) if r[3] >= alpha_stop)
+        nodes, recs = nodes[:stop + 1], recs[:stop + 1]
+        mids = []
+        for a, b, (_, theta_a, _, _), (_, theta_b, _, _) in zip(
+                nodes, nodes[1:], recs, recs[1:]):
+            if theta_b <= theta_a:
+                raise NumericalInvariantError(
+                    "winding angle is not increasing along the line")
+            mid = 0.5 * (a + b)
+            if theta_b - theta_a >= math.pi / 4 and b - a > 1e-6 and a < mid < b:
+                mids.append(mid)
+        if not mids:
+            return nodes
+        if len(nodes) + len(mids) > _MAX_SCAN_NODES:
+            raise _exhausted(n_max, recs[-1][3])
+        line.evaluate(mids)
+        nodes = sorted(nodes + mids)
 
 
 def _crossings(nodes, f):
@@ -264,9 +300,20 @@ def _roots_from_maximum(line, nodes, m):
             f"window {m} trace maximum {top!r} never reaches 2")
     if top > 2.0:
         f = lambda s: line.trace(s) - 2.0
-        return (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16),
-                brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
-    return s_top, s_top
+        roots = (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16),
+                 brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
+        if roots[1] - roots[0] >= S_RESOLUTION:
+            return roots
+    # A vertex: the trace touches 2, flat to second order, so rounding moves
+    # its maximizer, and roots that close, by about the square root of the
+    # rounding, some 1e-8. The chord VERTEX_TRACE_TOL below the maximum,
+    # where the trace is steep, has its midpoint within about 1e-11 of the
+    # vertex.
+    level = min(top, 2.0) - VERTEX_TRACE_TOL
+    f = lambda s: line.trace(s) - level
+    s_vertex = 0.5 * (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16)
+                      + brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
+    return s_vertex, s_vertex
 
 
 def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):

@@ -169,12 +169,12 @@ def test_synthesize_output_is_byte_stable(files):
 @pytest.mark.parametrize("name, q0, qplus, size, digest", [
     pytest.param(
         "mathieu", Potential.trig_poly([2.0]), Potential.constant(1.0), 266,
-        "b45fbe80ed09236fc259c3ca124da84e5d417cf88d0fc87307dae71a9a246d14",
+        "00b615012ce0994fe96794c673ec5e7f74cd6733a6ece940bac00656ddd51795",
         id="mathieu"),
     pytest.param(
         "generic", Potential.trig_poly([1.0], [0.0, 0.0, 0.5]),
-        Potential.trig_poly([0.2], constant_term=1.0), 250,
-        "afd1105d11db2601cd0f996a74df092be96f2c097f762b4de3a1255e1ead562a",
+        Potential.trig_poly([0.2], constant_term=1.0), 266,
+        "5c0b10ef46bea6029ef34bd71da540c4a65fa6146f1b8d082a28e27f262fe111",
         id="generic"),
 ])
 def test_spectrum_output_is_byte_stable(tmp_path, name, q0, qplus, size,
@@ -658,6 +658,29 @@ def test_boundary_general_overflowing_matrix_exits_2(files, capsys):
 ])
 def test_plotdata_refuses_non_finite_bounds(capsys, argv, message):
     assert main(["plotdata", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+# Finite bounds whose difference overflows, and a zero level whose vertical
+# lines would need more rows than the longest integration has nodes, exit 2
+# before any row is built, with no numpy warning.
+@pytest.mark.parametrize("argv, message", [
+    (["--levels", "3", "--alpha-min=-1e308", "--alpha-max", "1e308"],
+     "--alpha-max - --alpha-min overflows double precision"),
+    (["--levels", "0", "--alpha-min=-1e308", "--alpha-max", "1e308"],
+     "--alpha-max - --alpha-min overflows double precision"),
+    (["--levels", "0", "--alpha-min=-1e5", "--alpha-max", "1e5"],
+     "--levels 0 asks for 101 rows on each line alpha = pi/2 + k pi between "
+     "--alpha-min and --alpha-max, over 4194305 in all"),
+    (["--levels", "2,0", "--alpha-min=-8e307", "--alpha-max", "8e307"],
+     "--levels 0 asks for 101 rows on each line"),
+])
+def test_plotdata_refuses_unbounded_alpha_ranges(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plotdata", *argv, "--alpha-samples", "5"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""

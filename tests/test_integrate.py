@@ -30,7 +30,8 @@ from hillmono import (
 from hillmono.cli import main
 from hillmono.integrate import (DEFAULT_STEPS, MIN_STEPS, STEP_ANGLE_LIMIT,
                                 _blocked_scan, _propagate, _scan_size,
-                                _transfer, _Workspace, sample_times)
+                                _transfer, _Workspace, monodromies,
+                                sample_times)
 from oracles import blocked_scan, row_turns
 
 TAU = math.tau
@@ -550,6 +551,58 @@ def test_threads_run_on_their_own_workspaces():
     finally:
         sys.setswitchinterval(old)
     assert got == [[w] * 6 for w in want]
+
+
+# The batched kernel: k sample rows on one grid run through one pass, and
+# each member is bit for bit its own monodromy call. BLOCK (32) divides
+# none of 1000 and 4097 steps, and 4096 is the spectrum scan's default.
+@pytest.mark.parametrize("steps", [1000, 4096, 4097])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_batched_members_match_their_own_calls(steps, width):
+    rng = np.random.default_rng(100 * steps + width)
+    tt = sample_times(steps)
+    for _ in range(2):
+        q0 = Potential.trig_poly(rng.uniform(-0.5, 0.5, 3),
+                                 rng.uniform(-0.5, 0.5, 2),
+                                 constant_term=rng.uniform(-0.5, 0.5))(tt)
+        qplus = Potential.trig_poly(rng.uniform(-0.2, 0.2, 1),
+                                    constant_term=1.0)(tt)
+        rows = q0 - rng.uniform(-0.5, 2.0, width)[:, None] * qplus
+        batch = monodromies(rows, steps)
+        assert len(batch) == width
+        for row, got in zip(rows, batch):
+            assert _bits(*got) == _bits(*monodromy(lambda t, r=row: r, steps))
+
+
+_FAILING_AT_1000 = [
+    Potential.trig_poly([15.0], constant_term=-5.0),  # theta step gate
+    Potential.constant(-2500.0),  # column step gate
+    Potential.constant(1e5),  # overflow
+    Potential.constant(700.0),  # Wronskian drift
+    Potential.constant(-60.0),  # the endpoint's determinant check
+]
+
+
+@pytest.mark.parametrize("failing", range(len(_FAILING_AT_1000)))
+def test_a_batch_raises_its_failing_members_own_message(failing):
+    tt = sample_times(1000)
+    bad = _FAILING_AT_1000[failing](tt)
+    with pytest.raises(NumericalInvariantError) as alone:
+        monodromy(lambda t: bad, 1000)
+    mild = [_mild(1000)(tt) + c for c in (0.0, 0.1)]
+    for at in range(3):
+        rows = np.array(mild[:at] + [bad] + mild[at:])
+        with pytest.raises(NumericalInvariantError) as batched:
+            monodromies(rows, 1000)
+        assert str(batched.value) == str(alone.value)
+
+
+def test_batch_samples_are_checked():
+    rows = np.zeros((3, 2 * 1000 + 1))
+    rows[1, 7] = np.nan
+    for bad in (rows, rows[:, 1:], rows[0], rows[:0]):
+        with pytest.raises(DomainError):
+            monodromies(bad, 1000)
 
 
 class _Reentrant:

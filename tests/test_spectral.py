@@ -166,22 +166,32 @@ class _Counting:
         return self.q(t)
 
 
+def _count_evaluations(monkeypatch):
+    """Count the s-values spectral evaluates, and its kernel runs, through
+    the batched entry point that every evaluation takes."""
+    calls = {"values": 0, "kernel": 0}
+    monodromies = spectral.monodromies
+
+    def counted(samples, steps):
+        calls["values"] += len(samples)
+        calls["kernel"] += 1
+        return monodromies(samples, steps)
+
+    monkeypatch.setattr(spectral, "monodromies", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n_max", [2, 4])
 def test_scan_samples_the_line_once(monkeypatch, n_max):
     # One evaluation each for the positivity check and one for the grid the
-    # monodromy calls share, however many calls the scan makes.
-    monodromy_calls = []
-
-    def counted(q, steps):
-        monodromy_calls.append(steps)
-        return monodromy(q, steps)
-
-    monkeypatch.setattr(spectral, "monodromy", counted)
+    # monodromy calls share, however many s-values the scan evaluates.
+    calls = _count_evaluations(monkeypatch)
     q0 = _Counting(Potential.trig_poly([2.0]))
     qplus = _Counting(Potential.constant(1.0))
     records = oscillation_eigenvalues(q0, qplus, n_max)
     assert len(records) == n_max + 1
-    assert len(monodromy_calls) > 50
+    assert calls["values"] > 40
+    assert calls["kernel"] < calls["values"]  # some rounds ran as batches
     assert (q0.calls, qplus.calls) == (2, 2)
 
 
@@ -212,21 +222,17 @@ def test_mathieu_split_pairs_match_scipy():
 
 
 def _spy_calls(monkeypatch):
-    """Count spectral's monodromy calls and scipy's minimize_scalar calls."""
+    """Count spectral's evaluated s-values and scipy's minimize_scalar calls."""
     import scipy.optimize
 
-    calls = {"monodromy": 0, "minimize_scalar": 0}
+    calls = _count_evaluations(monkeypatch)
+    calls["minimize_scalar"] = 0
     minimize_scalar = scipy.optimize.minimize_scalar
-
-    def counted_monodromy(q, steps):
-        calls["monodromy"] += 1
-        return monodromy(q, steps)
 
     def counted_minimize(*args, **kwargs):
         calls["minimize_scalar"] += 1
         return minimize_scalar(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "monodromy", counted_monodromy)
     monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted_minimize)
     return calls
 
@@ -240,7 +246,7 @@ def test_split_pair_comes_from_the_node_crossings(monkeypatch):
     assert [r.component for r in records[1:]] == [
         C1Component("cone_leaf", 1, -1), C1Component("cone_leaf", 1, 1)]
     assert calls["minimize_scalar"] == 0
-    assert calls["monodromy"] <= 70
+    assert calls["values"] <= 70
 
 
 def test_vertex_off_the_nodes_takes_the_maximum_path(monkeypatch):
@@ -275,3 +281,56 @@ def test_window_with_one_node_crossing_takes_the_maximum_path(monkeypatch):
     assert [r.component for r in records] == [r.component for r in direct]
     for a, b in zip(records, direct):
         assert abs(a.s - b.s) < 1e-12
+
+
+class _AngleLine:
+    """A stand-in line for the walk: theta_R and alpha are both angle(s),
+    and the line starts at s0."""
+
+    def __init__(self, s0, angle):
+        self.q0 = lambda t: np.full_like(t, s0 + 1.0)
+        self.qplus = lambda t: np.ones_like(t)
+        self.angle = angle
+
+    def evaluate(self, ss):
+        return [(None, self.angle(s), None, self.angle(s)) for s in ss]
+
+    def __call__(self, s):
+        return self.evaluate([s])[0]
+
+
+def test_walk_accepts_an_interval_at_the_width_floor():
+    # A jump of pi at s = 0.3 cannot be resolved; bisection stops once the
+    # interval holding it is no wider than 1e-6.
+    line = _AngleLine(0.0, lambda s: s + math.pi * (s > 0.3))
+    nodes = spectral._scan_line(line, 1)
+    wide = [(a, b) for a, b in zip(nodes, nodes[1:])
+            if line.angle(b) - line.angle(a) >= math.pi / 4]
+    assert len(wide) == 1
+    a, b = wide[0]
+    assert a <= 0.3 < b and 5e-7 < b - a <= 1e-6
+
+
+def test_walk_never_splits_an_interval_whose_midpoint_rounds_to_an_end():
+    # At 2^50 the spacing of doubles is 0.25, so the first gallop interval
+    # has no midpoint; its jump of pi is kept, not split into a repeat node.
+    s0 = 2.0 ** 50
+    line = _AngleLine(s0, lambda s: 0.01 * (s - s0) + math.pi * (s > s0))
+    nodes = spectral._scan_line(line, 1)
+    assert nodes[:2] == [s0, s0 + 0.25]
+    assert np.all(np.diff(nodes) > 0)
+
+
+def test_walk_refuses_a_winding_that_does_not_increase():
+    line = _AngleLine(0.0, lambda s: 3.0 * s - 2.0 * (s >= 1.0))
+    with pytest.raises(spectral.NumericalInvariantError, match="not increasing"):
+        spectral._scan_line(line, 1)
+
+
+@pytest.mark.parametrize("cap", [4, 12])
+def test_walk_stops_at_the_node_cap(monkeypatch, cap):
+    # Seven gallop nodes reach the last window, and bisection then needs
+    # more than twelve: the cap is kept in both phases.
+    monkeypatch.setattr(spectral, "_MAX_SCAN_NODES", cap)
+    with pytest.raises(DomainError, match="eigenvalue scan exhausted"):
+        spectral._scan_line(_AngleLine(0.0, lambda s: s), 1)
