@@ -56,6 +56,13 @@ as it would alone, reductions included, so each member is bit for bit its
 own monodromy call; a gate raises the message of the first member to fail
 it.
 
+The Wronskian gate first takes |ad - bc - 1| unscaled at every node, in
+a few passes; where every node is within 1e-6 it passes at once, as every
+run of the benchmark does. Only otherwise does the scaled test run, which
+scales each node by a power of two so that nothing overflows and which
+decides and words every refusal. The fast accept passes nothing that the
+scaled test would refuse (see _check_wronskian), so no decision changes.
+
 The kernel writes every full-length intermediate into a workspace made for
 its step count n and up to k members: t, the entries of T - I (4 k n
 doubles); free (about 6.1 k n), reused phase by phase for the sample times
@@ -535,13 +542,43 @@ def _column_turns(t, x, y, scratch):
 def _check_wronskian(nodes, ws):
     """The node Wronskian gate, on the workspace's buffers.
 
+    A fast accept comes first: |ad - bc - 1| unscaled, in the buffer of
+    T - I, which is dead by now. Where it is within 1e-6 at every node of
+    every member, the gate passes; otherwise, or where a product overflows,
+    _scaled_wronskian decides and words any refusal.
+
+    The fast accept passes nothing that the scaled test refuses. Scaling by
+    s = 2^-k commutes with rounding while values stay normal, and then the
+    scaled deviation is s^2 times the unscaled one, within the allowance's
+    s^2 1e-6. Subnormal values round absolutely instead. Two doubles whose
+    difference rounds within 1e-6 of 1 are below 2^54, so where
+    s^2 < 2^-110 every scaled term, and so the deviation, is below the
+    allowance's floor of 16 eps (s |Phi_i| >= 1 once k >= 1). Where s^2 is
+    larger, a subnormal is an entry below 2^-967 or a product of two;
+    either way that product is below 2^-1021 while the other is near s^2,
+    so the difference rounds to the other's grid point scaled and unscaled
+    alike, and the exact relation holds.
+    """
+    batch = _batched(nodes)
+    a, b, c, d = _entries(batch)
+    dev, tmp = ws.t[:2 * a.size].reshape(2, *a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a, d, out=dev)
+        dev -= np.multiply(b, c, out=tmp)
+        dev -= 1.0
+        if np.abs(dev, out=dev).max() <= 1e-6:
+            return
+    _scaled_wronskian(batch, ws)
+
+
+def _scaled_wronskian(nodes, ws):
+    """The node Wronskian test, scaled, for (k, 4, n + 1) node entries.
+
     ad - bc rounds at |Phi_i|^2 eps, so the allowance grows with the entry
     size. As in CoverElement, each node is divided by the power of two at
     or below its largest |entry|, which rounds as Phi_i does but cannot
-    overflow. T - I is dead by now, so its buffer is reused. In a batch,
-    the first member to fail raises.
+    overflow. In a batch, the first member to fail raises.
     """
-    nodes = _batched(nodes)
     members, _, n1 = nodes.shape
     size = members * n1
     scaled = ws.free[:4 * size].reshape(members, 4, n1)

@@ -39,6 +39,16 @@ those roots fall closer than S_RESOLUTION, or the maximum stays at or
 below 2, the window holds a vertex, placed at the midpoint of the chord
 VERTEX_TRACE_TOL below the maximum: there the trace is steep, while at
 its flat maximum rounding moves the maximizer by about 1e-8.
+
+Every refinement is a search of .brent, a generator that yields each s it
+needs, and the searches run in lockstep: first those of all the trace-2
+crossings, then the maximum paths of all unresolved windows, each of which
+refines its two walls, and later its two roots, in lockstep too. Each
+round, every pending search's next s goes, in root order, to one
+_LineScan.evaluate call, and so through the batched kernel. A search's
+result depends only on the values it is sent, so every root is bit for bit
+what scipy's brentq or bounded minimizer gives one call at a time, and the
+module needs no scipy.
 """
 
 import math
@@ -46,6 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .brent import brentq, fminbound
 from .cover import classify, to_cartan
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import DEFAULT_STEPS, checked_steps, monodromies, sample_times
@@ -185,9 +196,6 @@ class _LineScan:
     def __call__(self, s):
         return self.evaluate([s])[0]
 
-    def trace(self, s):
-        return self(s)[2]
-
 
 def _exhausted(n_max, alpha):
     return DomainError(
@@ -249,20 +257,65 @@ def _scan_line(line, n_max):
         nodes = sorted(nodes + mids)
 
 
-def _crossings(nodes, f):
-    """Bracketed sign changes of f at the nodes, refined by brentq."""
-    from scipy.optimize import brentq
+def _rounds(line, search, f):
+    """The brent search as a scan search: each round is the one s it asks
+    for, and once the round is evaluated it is sent f of the cached record
+    there."""
+    s = next(search)
+    while True:
+        yield [s]
+        try:
+            s = search.send(f(line(s)))
+        except StopIteration as done:
+            return done.value
 
-    out = []
-    vals = [f(s) for s in nodes]
-    for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
-        if fa == 0.0:
-            out.append(a)
-        elif fa * fb < 0:
-            out.append(brentq(f, a, b, xtol=1e-13, rtol=8.9e-16))
-    if vals[-1] == 0.0:
-        out.append(nodes[-1])
-    return out
+
+def _root(line, a, b, f):
+    """Scan search: the root of f(record) in [a, b] by brentq, at the
+    scan's tolerances."""
+    return _rounds(line, brentq(a, b, xtol=1e-13, rtol=8.9e-16), f)
+
+
+def _together(searches):
+    """Scan searches in lockstep: each round yields every pending search's
+    round, in order; returns the searches' results, in order."""
+    searches = list(searches)
+    results, pending = [None] * len(searches), {}
+
+    def advance(i):
+        try:
+            pending[i] = next(searches[i])
+        except StopIteration as done:
+            results[i] = done.value
+            pending.pop(i, None)
+
+    for i in range(len(searches)):
+        advance(i)
+    while pending:
+        yield [s for ss in pending.values() for s in ss]
+        for i in list(pending):
+            advance(i)
+    return results
+
+
+def _run(line, search):
+    """A scan search's result, its rounds evaluated on the line in turn."""
+    try:
+        while True:
+            line.evaluate(next(search))
+    except StopIteration as done:
+        return done.value
+
+
+def _crossings(line, nodes, f):
+    """Scan search: the sign changes of f(record) at the nodes, refined by
+    Brent's method, all brackets in lockstep."""
+    vals = [f(r) for r in line.evaluate(nodes)]
+    roots = yield from _together(
+        _root(line, a, b, f)
+        for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:])
+        if fa == 0.0 or fa * fb < 0)
+    return roots + nodes[-1:] if vals[-1] == 0.0 else roots
 
 
 def _window_label(line, s):
@@ -271,19 +324,21 @@ def _window_label(line, s):
 
 
 def _roots_from_maximum(line, nodes, m):
-    """Both trace-2 roots of window m, bracketed outward from the maximum.
+    """Scan search: both trace-2 roots of window m, bracketed outward from
+    the maximum.
 
     Refines only the window's two trace-zero walls, each from the node
-    bracket whose windows straddle it.
+    bracket whose windows straddle it; the walls, the two roots and the two
+    chord ends each run as a pair in lockstep.
     """
-    from scipy.optimize import brentq, minimize_scalar
-
+    labels = [_window_label(line, s) for s in nodes]
+    found = yield from _together(
+        _crossings(line, [a, b], lambda r: r[2])
+        for a, b, wa, wb in zip(nodes, nodes[1:], labels, labels[1:])
+        if wa != wb and min(wa, wb) <= m <= max(wa, wb))
     walls = {}
-    for a, b in zip(nodes, nodes[1:]):
-        wa, wb = _window_label(line, a), _window_label(line, b)
-        if wa != wb and min(wa, wb) <= m <= max(wa, wb):
-            for s in _crossings([a, b], line.trace):
-                walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
+    for s in (s for ss in found for s in ss):
+        walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
     try:
         lo, hi = walls[m - 1], walls[m]
     except KeyError:
@@ -291,17 +346,14 @@ def _roots_from_maximum(line, nodes, m):
             f"window {m} is missing a trace-zero wall") from None
     # The trace rises from 0 at both walls to its single interior maximum,
     # so bracketing outward from the maximum finds the pair.
-    res = minimize_scalar(lambda s: -line.trace(s), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    s_top = float(res.x)
-    top = line.trace(s_top)
+    s_top = yield from _rounds(line, fminbound(lo, hi, xatol=1e-10),
+                               lambda r: -r[2])
+    top = line(s_top)[2]
     if top < 2.0 - VERTEX_TRACE_TOL:
         raise NumericalInvariantError(
             f"window {m} trace maximum {top!r} never reaches 2")
     if top > 2.0:
-        f = lambda s: line.trace(s) - 2.0
-        roots = (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16),
-                 brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
+        roots = yield from _outward(line, lo, s_top, hi, 2.0)
         if roots[1] - roots[0] >= S_RESOLUTION:
             return roots
     # A vertex: the trace touches 2, flat to second order, so rounding moves
@@ -309,11 +361,18 @@ def _roots_from_maximum(line, nodes, m):
     # rounding, some 1e-8. The chord VERTEX_TRACE_TOL below the maximum,
     # where the trace is steep, has its midpoint within about 1e-11 of the
     # vertex.
-    level = min(top, 2.0) - VERTEX_TRACE_TOL
-    f = lambda s: line.trace(s) - level
-    s_vertex = 0.5 * (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16)
-                      + brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
+    ends = yield from _outward(line, lo, s_top, hi,
+                               min(top, 2.0) - VERTEX_TRACE_TOL)
+    s_vertex = 0.5 * (ends[0] + ends[1])
     return s_vertex, s_vertex
+
+
+def _outward(line, lo, s_top, hi, level):
+    """Scan search: the roots of trace - level in [lo, s_top] and
+    [s_top, hi], in lockstep."""
+    f = lambda r: r[2] - level
+    return (yield from _together(
+        _root(line, a, b, f) for a, b in ((lo, s_top), (s_top, hi))))
 
 
 def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
@@ -322,17 +381,29 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
     Records come back sorted; a vertex contributes two records with equal s
     and multiplicity 2, a split pair two simple records with the minus leaf
     first.
+
+    n_max above steps // 2 is refused before anything is sampled: no scan
+    reaches it. Every step of an accepted run turns the second column by
+    less than pi/2, so -omega < steps pi/2, and the Cartan angle, at most
+    -omega + pi/2, stays below (steps + 1) pi/2; the scan stops only once
+    that angle passes (2 p + 1/2) pi, p = (n_max + 1) // 2, which is at
+    least (steps + 2) pi/2 for any larger n_max.
     """
-    n_max = int(n_max)
+    n_max, steps = int(n_max), checked_steps(steps)
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    if n_max > steps // 2:
+        raise DomainError(
+            f"n_max must be at most {steps // 2} at {steps} steps: each step "
+            f"turns the winding by less than pi/2, so no scan reaches a "
+            f"higher cone")
     line = _LineScan(q0, qplus, steps)
     pair_count = (n_max + 1) // 2
     nodes = _scan_line(line, pair_count)
 
     # The trace-2 crossings between the nodes, grouped by their window.
     hits = {}
-    for s in _crossings(nodes, lambda s: line.trace(s) - 2.0):
+    for s in _run(line, _crossings(line, nodes, lambda r: r[2] - 2.0)):
         hits.setdefault(_window_label(line, s), []).append(s)
 
     ground = hits.get(0, [])
@@ -348,11 +419,16 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
             f"ground crossing classified as {comp!r}")
     records.append(EigenvalueRecord(0, ground[0], 1, comp, trace, theta_r))
 
+    windows = range(2, 2 * pair_count + 1, 2)
+    unresolved = [m for m in windows if len(hits.get(m, [])) != 2]
+    hits.update(zip(unresolved, _run(line, _together(
+        _roots_from_maximum(line, nodes, m) for m in unresolved))))
+    # Every window's vertex, in one evaluation.
+    line.evaluate([0.5 * (hits[m][0] + hits[m][1]) for m in windows
+                   if hits[m][1] - hits[m][0] < S_RESOLUTION])
     for pair in range(1, pair_count + 1):
         m = 2 * pair
-        roots = hits.get(m, [])
-        if len(roots) != 2:
-            roots = _roots_from_maximum(line, nodes, m)
+        roots = hits[m]
         if roots[1] - roots[0] >= S_RESOLUTION:
             for s_leaf, want in zip(roots, (-1, 1)):
                 el, theta_r, trace, _ = line(s_leaf)

@@ -266,6 +266,17 @@ def test_spectrum_that_cannot_move_along_its_line_exits_2(files, capsys):
     assert "s = 1e+300 plus the step ds = 0.25 rounds back to s" in err
 
 
+def test_spectrum_past_the_reachable_cones_exits_2(files, capsys):
+    # Each of the 4096 steps turns the winding by less than pi/2, so no
+    # scan reaches cone 2049; a huge count is refused before any sampling.
+    for nmax in (str(10 ** 400), "2049"):
+        assert main(["spectrum", "--q0", files["q0"], "--qplus", files["qp1"],
+                     "--nmax", nmax]) == 2
+        err = capsys.readouterr().err
+        assert "n_max must be at most 2048 at 4096 steps" in err
+        assert "Traceback" not in err
+
+
 def test_boundary_separated_output(files):
     out = str(files["dir"] / "sep.json")
     half_pi = repr(math.pi / 2)
@@ -555,6 +566,23 @@ def test_cli_loads_no_scipy_for_a_monodromy(files):
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
     assert read_json(out)["stratum"]["kind"] == "parabolic_vertex"
+
+
+def test_cli_loads_no_scipy_for_a_spectrum(files):
+    # The spectrum scan's root finder and minimizer are the package's own.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = str(files["dir"] / "fresh.csv")
+    code = ("import sys, hillmono.cli\n"
+            f"assert hillmono.cli.main(['spectrum', '--q0', {files['mathieu']!r},"
+            f" '--qplus', {files['qp1']!r}, '--nmax', '2', '-o', {out!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["hyperplane", "cone_leaf(1-)",
+                                    "cone_leaf(1+)"]
 
 
 def test_parser_survives_a_rejected_argv(files):

@@ -161,6 +161,80 @@ def test_wronskian_drift_is_refused_where_the_determinant_overflows(
         integrate(q, 16384)
 
 
+def _spy_scaled_wronskian(monkeypatch):
+    """Record the node arrays that reach the scaled Wronskian test."""
+    integ = importlib.import_module("hillmono.integrate")
+    seen = []
+
+    def spied(nodes, ws, original=integ._scaled_wronskian):
+        seen.append(nodes.shape)
+        return original(nodes, ws)
+
+    monkeypatch.setattr(integ, "_scaled_wronskian", spied)
+    return seen
+
+
+def _nodes_with(*node):
+    """Node entries (4, 17): identity matrices, then the given entries."""
+    nodes = np.tile(np.array([[1.0], [0.0], [0.0], [1.0]]), 17)
+    nodes[:, -1] = node
+    return nodes
+
+
+def test_unit_determinants_take_the_fast_accept(monkeypatch):
+    seen = _spy_scaled_wronskian(monkeypatch)
+    q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
+    monodromy(q, 4096)
+    integrate(q, 1000)
+    monodromies(np.array([q(sample_times(4096)) - s for s in (0.0, 1.0)]),
+                4096)
+    assert seen == []
+
+
+def test_rounding_of_large_entries_is_accepted_by_the_scaled_test(
+        monkeypatch):
+    # With entries near 2^22, ad - bc - 1 is 2^-8 here, one rounding unit
+    # of ad: outside the fast accept's 1e-6, inside the allowance
+    # 16 eps |Phi|^2 = 2^-4.
+    integ = importlib.import_module("hillmono.integrate")
+    seen = _spy_scaled_wronskian(monkeypatch)
+    a, b = 2.0 ** 22, 2.0 ** 22
+    c, d = 2.0 ** 22 - 2.0 ** -22, 2.0 ** 22 + 2.0 ** -30
+    assert a * d - b * c - 1.0 == 2.0 ** -8
+    integ._check_wronskian(_nodes_with(a, b, c, d), _Workspace(16))
+    assert seen == [(1, 4, 17)]
+
+
+def test_small_drift_is_refused_by_the_scaled_test(monkeypatch):
+    # |entries| near 1 allow only 1e-6; 5e-6 is refused, alone or as the
+    # second member of a batch.
+    integ = importlib.import_module("hillmono.integrate")
+    seen = _spy_scaled_wronskian(monkeypatch)
+    drifted = _nodes_with(1.0, 0.0, 0.0, 1.0 + 5e-6)
+    for nodes in (drifted, np.stack([_nodes_with(1, 0, 0, 1), drifted])):
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^Wronskian drift 5\.000e-06; increase steps$"):
+            integ._check_wronskian(nodes, _Workspace(16, 2))
+    assert seen == [(1, 4, 17), (2, 4, 17)]
+
+
+def test_squared_overflow_goes_to_the_scaled_test_without_warnings(
+        monkeypatch):
+    # Past 1.3e154 the fast accept's products overflow, silently; the
+    # scaled test accepts the run and words a planted drift as before.
+    integ = importlib.import_module("hillmono.integrate")
+    q = Potential.constant(1e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seen = _spy_scaled_wronskian(monkeypatch)
+        assert abs(integrate(q, 16384).mats).max() > 1e270
+        assert len(seen) == 1
+        nodes = _nodes_with(1e200, 1e200, 1e200, 1e200 * (1.0 + 1e-9))
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^Wronskian drift \d\.\d{3}e-\d\d \* 4\*\*664;"):
+            integ._check_wronskian(nodes, _Workspace(16))
+
+
 def test_solution_winding_closed_forms():
     # q = -k^2/4 from the vertical direction: u = (2/k) sin(k t / 2),
     # a clockwise arc of k pi in the phase plane.

@@ -222,18 +222,16 @@ def test_mathieu_split_pairs_match_scipy():
 
 
 def _spy_calls(monkeypatch):
-    """Count spectral's evaluated s-values and scipy's minimize_scalar calls."""
-    import scipy.optimize
-
+    """Count spectral's evaluated s-values and its bounded minimizations."""
     calls = _count_evaluations(monkeypatch)
-    calls["minimize_scalar"] = 0
-    minimize_scalar = scipy.optimize.minimize_scalar
+    calls["fminbound"] = 0
+    fminbound = spectral.fminbound
 
-    def counted_minimize(*args, **kwargs):
-        calls["minimize_scalar"] += 1
-        return minimize_scalar(*args, **kwargs)
+    def counted_fminbound(*args, **kwargs):
+        calls["fminbound"] += 1
+        return fminbound(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted_minimize)
+    monkeypatch.setattr(spectral, "fminbound", counted_fminbound)
     return calls
 
 
@@ -245,7 +243,7 @@ def test_split_pair_comes_from_the_node_crossings(monkeypatch):
                                       Potential.constant(1.0), 2, 4096)
     assert [r.component for r in records[1:]] == [
         C1Component("cone_leaf", 1, -1), C1Component("cone_leaf", 1, 1)]
-    assert calls["minimize_scalar"] == 0
+    assert calls["fminbound"] == 0
     assert calls["values"] <= 70
 
 
@@ -255,7 +253,7 @@ def test_vertex_off_the_nodes_takes_the_maximum_path(monkeypatch):
     calls = _spy_calls(monkeypatch)
     records = oscillation_eigenvalues(Potential.constant(0.0),
                                       Potential.constant(3.0), 2)
-    assert calls["minimize_scalar"] == 1
+    assert calls["fminbound"] == 1
     for r in records[1:]:
         assert r.component == C1Component("vertex", 1)
         assert r.multiplicity == 2
@@ -269,18 +267,147 @@ def test_window_with_one_node_crossing_takes_the_maximum_path(monkeypatch):
                                      Potential.constant(1.0), 2)
     crossings = spectral._crossings
 
-    def one_short(nodes, f):
-        out = crossings(nodes, f)
+    def one_short(line, nodes, f):
+        out = yield from crossings(line, nodes, f)
         return out[:-1] if len(nodes) > 2 else out
 
     monkeypatch.setattr(spectral, "_crossings", one_short)
     calls = _spy_calls(monkeypatch)
     records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
                                       Potential.constant(1.0), 2)
-    assert calls["minimize_scalar"] == 1
+    assert calls["fminbound"] == 1
     assert [r.component for r in records] == [r.component for r in direct]
     for a, b in zip(records, direct):
         assert abs(a.s - b.s) < 1e-12
+
+
+_FLAT = (Potential.constant(0.0), Potential.constant(1.0))
+_MATHIEU = (Potential.trig_poly([2.0]), Potential.constant(1.0))
+_GENERIC = (Potential.trig_poly([1.0], [0.0, 0.0, 0.5]),
+            Potential.trig_poly([0.2], [], constant_term=1.0))
+# The benchmark's three spectrum scans, at --nmax 2.
+_BENCHMARK_LINES = [(*_FLAT, 2), (*_MATHIEU, 2), (*_GENERIC, 2)]
+
+
+def _mild_lines(count, seed=11):
+    """Random lines q0 - s qplus that the scan resolves at 4096 steps: q0
+    with one or two harmonics in +-1 and a constant in +-1, qplus one plus
+    a harmonic in +-0.2, and n_max from 1 to 4."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(count):
+        h = int(rng.integers(1, 3))
+        q0 = Potential.trig_poly(list(rng.uniform(-1, 1, h)),
+                                 list(rng.uniform(-1, 1, h)),
+                                 constant_term=float(rng.uniform(-1, 1)))
+        qplus = Potential.trig_poly([float(rng.uniform(-0.2, 0.2))],
+                                    [float(rng.uniform(-0.2, 0.2))],
+                                    constant_term=1.0)
+        lines.append((q0, qplus, int(rng.integers(1, 5))))
+    return lines
+
+
+def _sequential_crossings(line, nodes, f):
+    """The trace crossings as the scan found them one brentq at a time."""
+    from scipy.optimize import brentq
+
+    out = []
+    vals = [f(s) for s in nodes]
+    for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
+        if fa == 0.0:
+            out.append(a)
+        elif fa * fb < 0:
+            out.append(brentq(f, a, b, xtol=1e-13, rtol=8.9e-16))
+    if vals[-1] == 0.0:
+        out.append(nodes[-1])
+    return out
+
+
+def _sequential_roots_from_maximum(line, nodes, m):
+    """The maximum path of window m run one scipy call at a time: brentq
+    for the walls, the roots and the chord, minimize_scalar for the top."""
+    from scipy.optimize import brentq, minimize_scalar
+
+    trace = lambda s: line(s)[2]
+    label = lambda s: round(line(s)[3] / math.pi)
+    walls = {}
+    for a, b in zip(nodes, nodes[1:]):
+        if label(a) != label(b) and min(label(a), label(b)) <= m <= max(
+                label(a), label(b)):
+            for s in _sequential_crossings(line, [a, b], trace):
+                walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
+    lo, hi = walls[m - 1], walls[m]
+    s_top = float(minimize_scalar(lambda s: -trace(s), bounds=(lo, hi),
+                                  method="bounded",
+                                  options={"xatol": 1e-10}).x)
+    top = trace(s_top)
+
+    def outward(level):
+        f = lambda s: trace(s) - level
+        return (brentq(f, lo, s_top, xtol=1e-13, rtol=8.9e-16),
+                brentq(f, s_top, hi, xtol=1e-13, rtol=8.9e-16))
+
+    if top > 2.0:
+        roots = outward(2.0)
+        if roots[1] - roots[0] >= spectral.S_RESOLUTION:
+            return roots
+    ends = outward(min(top, 2.0) - spectral.VERTEX_TRACE_TOL)
+    return (0.5 * (ends[0] + ends[1]),) * 2
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("q0, qplus, n_max", _BENCHMARK_LINES + _mild_lines(20))
+def test_lockstep_crossings_match_sequential_scipy_brentq(q0, qplus, n_max):
+    # The lockstep refinement evaluates its rounds in batches; the
+    # reference evaluates every s alone, on a line scan of its own.
+    line = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
+    nodes = spectral._scan_line(line, (n_max + 1) // 2)
+    got = spectral._run(line, spectral._crossings(line, nodes,
+                                                  lambda r: r[2] - 2.0))
+    alone = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
+    want = _sequential_crossings(alone, nodes, lambda s: alone(s)[2] - 2.0)
+    assert got and _hex(got) == _hex(want)
+
+
+@pytest.mark.parametrize("q0, qplus, windows", [
+    (*_FLAT, (2, 4, 6)),  # vertices, from the chord
+    (Potential.constant(0.0), Potential.constant(3.0), (2,)),
+    (*_MATHIEU, (2, 4)),  # split pairs, from the roots of trace 2
+    (*_GENERIC, (2,)),
+])
+def test_maximum_path_matches_sequential_scipy(q0, qplus, windows):
+    line = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
+    nodes = spectral._scan_line(line, max(windows) // 2)
+    got = spectral._run(line, spectral._together(
+        spectral._roots_from_maximum(line, nodes, m) for m in windows))
+    alone = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
+    want = [_sequential_roots_from_maximum(alone, nodes, m) for m in windows]
+    assert [_hex(r) for r in got] == [_hex(r) for r in want]
+
+
+def test_benchmark_scans_take_at_most_62_kernel_calls(monkeypatch):
+    # 119 s-values; 83 kernel calls when every refinement ran alone.
+    calls = _count_evaluations(monkeypatch)
+    for q0, qplus, n_max in _BENCHMARK_LINES:
+        oscillation_eigenvalues(q0, qplus, n_max)
+    assert calls["values"] == 119
+    assert calls["kernel"] <= 62
+
+
+def test_unreachable_n_max_is_refused_before_sampling():
+    # Each step turns the winding by less than pi/2, so a scan at n steps
+    # never gets past cone n / 2.
+    q0 = _Counting(Potential.constant(0.0))
+    qplus = _Counting(Potential.constant(1.0))
+    for n_max, steps in ((10 ** 400, DEFAULT_SCAN_STEPS), (2049, 4096),
+                         (9, 16)):
+        with pytest.raises(DomainError, match=f"^n_max must be at most "
+                           f"{steps // 2} at {steps} steps"):
+            oscillation_eigenvalues(q0, qplus, n_max, steps)
+    assert (q0.calls, qplus.calls) == (0, 0)
 
 
 class _AngleLine:
