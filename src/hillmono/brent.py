@@ -12,6 +12,7 @@ function, is sent the function's value there, and returns its result. A
 caller can so run many searches in lockstep and evaluate each round's
 abscissae together, as the spectrum scan does; a search's result depends
 only on the values it is sent, so it is the same whatever runs beside it.
+solve runs one search on a plain function, as scipy would.
 
 The transcribed code is scipy's, under this notice:
 
@@ -57,6 +58,16 @@ def _checked(fx, x):
     if fx != fx:
         raise DomainError(f"the function value at x={x!r} is NaN")
     return fx
+
+
+def solve(search, f):
+    """The result of a search run on the function f, one value at a time."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 def brentq(xa, xb, xtol=2e-12, rtol=4 * 2.0 ** -52, maxiter=100):

@@ -21,8 +21,8 @@ import numpy as np
 from . import boundary
 from .cover import classify, element_from_dict, element_to_dict
 from .errors import DomainError, NumericalInvariantError
-from .integrate import (DEFAULT_STEPS, MAX_STEPS, checked_count,
-                        checked_steps, monodromy)
+from .integrate import (DEFAULT_STEPS, MAX_STEPS, MIN_STEPS, checked_count,
+                        checked_steps, monodromies, monodromy)
 from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
@@ -124,9 +124,15 @@ def cmd_kepler_to_potential(args):
 def cmd_synthesize(args):
     target = _load_element(args.target)
     q = potential_with_monodromy(target, args.coeffs, args.steps)
-    # Verify at the resolution the potential was synthesized at; stiff
-    # targets need more than the default step count.
-    check, theta_r = monodromy(q, args.steps or q.samples.size - 1)
+    # Verify at the resolution the potential was synthesized at. The n + 1
+    # samples are the node and midpoint values of n / 2 steps, so for even
+    # n those steps integrate the written values themselves and nothing is
+    # interpolated; an odd or tiny n takes the spline's midpoints at n steps.
+    n = q.samples.size - 1
+    if n % 2 == 0 and n // 2 >= MIN_STEPS:
+        check = monodromies(q.samples[None], n // 2)[0].element
+    else:
+        check = monodromy(q, n).element
     residual = max(float(np.abs(check.mat - target.mat).max()),
                    abs(check.omega - target.omega))
     if residual > args.verify_tol:

@@ -3,7 +3,9 @@
 Three kinds are supported: constant, trigonometric polynomial, and sampled
 on a uniform inclusive grid. Sampled potentials are evaluated through
 linear interpolation or a cubic spline; trigonometric polynomials are
-evaluated directly from their coefficients.
+evaluated directly from their coefficients. The cubic spline is built on
+the first evaluation, so a sampled potential that is only written out, or
+whose samples are integrated on their own grid, never builds one.
 """
 
 import json
@@ -53,16 +55,10 @@ class Potential(Immutable):
                 raise DomainError(f"interp must be one of {_INTERPS}")
         else:
             raise DomainError(f"unknown potential kind {kind!r}")
-        spline = None
-        if kind == "sampled" and interp == "cubic":
-            from scipy.interpolate import CubicSpline
-
-            grid = np.linspace(0.0, TAU, samples.size)
-            spline = CubicSpline(grid, samples)
         super().__init__(kind=kind, c=float(c), cos_coeffs=tuple(cos_coeffs),
                          sin_coeffs=tuple(sin_coeffs),
                          constant_term=float(constant_term), samples=samples,
-                         interp=interp, _spline=spline)
+                         interp=interp, _spline=None)
 
     # -- constructors -------------------------------------------------------
 
@@ -105,8 +101,19 @@ class Potential(Immutable):
             grid = np.linspace(0.0, TAU, self.samples.size)
             out = np.interp(t, grid, self.samples)
         else:
-            out = self._spline(t)
+            out = self._cubic_spline()(t)
         return float(out[0]) if scalar else out
+
+    def _cubic_spline(self):
+        """The not-a-knot CubicSpline through the samples, built on the
+        first call and kept in _spline; two threads that build it at once
+        build the same spline."""
+        if self._spline is None:
+            from scipy.interpolate import CubicSpline
+
+            grid = np.linspace(0.0, TAU, self.samples.size)
+            object.__setattr__(self, "_spline", CubicSpline(grid, self.samples))
+        return self._spline
 
     def sample(self, n):
         """Values on the inclusive uniform n-point grid over [0, 2 pi]."""

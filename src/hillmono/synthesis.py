@@ -26,6 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev
 
+from .brent import brentq, solve
 from .cover import to_right_iwasawa, winding_exceeds
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import MAX_STEPS
@@ -165,7 +166,6 @@ def normalize_c(theta_m, p1, r):
     the walk since it is the uniqueness argument.
     """
     from scipy.integrate import simpson
-    from scipy.optimize import brentq
 
     theta_m = float(theta_m)
     if not (theta_m > 0 and math.isfinite(theta_m)):
@@ -197,8 +197,8 @@ def normalize_c(theta_m, p1, r):
         raise NumericalInvariantError(
             "sweep normalization failed to bracket after 200 doublings")
     a, b = (lo, hi) if sign > 0 else (hi, lo)
-    c = brentq(lambda x: sweep(x) - TAU, a, b, xtol=1e-300, rtol=8.9e-16,
-               maxiter=200)
+    c = solve(brentq(a, b, xtol=1e-300, rtol=8.9e-16, maxiter=200),
+              lambda x: sweep(x) - TAU)
     if abs(sweep(c) - TAU) > NORMALIZE_RTOL * TAU:
         raise NumericalInvariantError("sweep normalization missed 2 pi")
     return float(c)

@@ -8,17 +8,7 @@ from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
 from hillmono import DomainError
-from hillmono.brent import brentq, fminbound
-
-
-def solve(search, f):
-    """Run a search on the scalar function f; its result."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value
+from hillmono.brent import brentq, fminbound, solve
 
 
 def _random_function(rng):

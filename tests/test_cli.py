@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from hillmono import (DomainError, Potential, cli, curve_of, element_to_dict,
-                      from_right_iwasawa, load_potential, monodromy, orbit_of,
-                      read_json, write_json)
-from hillmono.cli import main
+                      fmt_float, from_right_iwasawa, load_potential,
+                      monodromies, monodromy, orbit_of,
+                      potential_with_monodromy, read_json, write_json)
+from hillmono.cli import SYNTH_VERIFY_TOL, main
 from hillmono.synthesis import MAX_BASIS_SIZE
 from oracles import rel_l2
 
@@ -223,6 +224,67 @@ def test_synthesize_verify_gate_exits_3(files):
     main(["monodromy", "--potential", files["trig"], "-o", target])
     assert main(["synthesize", "--target", target,
                  "--verify-tol", "1e-15"]) == 3
+
+
+def _miss(element, target):
+    """The synthesize residual: the largest entry or winding difference."""
+    return max(float(np.abs(element.mat - target.mat).max()),
+               abs(element.omega - target.omega))
+
+
+@pytest.mark.parametrize("triple, coeffs", [
+    pytest.param((0.3, 0.5, -2.0), None, id="stiff"),
+    pytest.param((4.0, 1.3, 0.5), "0.05,-0.02", id="16384-steps"),
+])
+def test_synthesize_verifies_on_the_sample_grid(files, capsys, triple,
+                                                coeffs):
+    # The n + 1 written samples are the node and midpoint values of n / 2
+    # steps, so the verify integrates them with nothing interpolated. It
+    # prints that residual, and decides as a spline verify at n steps does.
+    target = from_right_iwasawa(*triple)
+    path, out = files["dir"] / "grid_target.json", files["dir"] / "grid.json"
+    write_json(element_to_dict(target), path)
+    argv = ["synthesize", "--target", str(path), "-o", str(out)]
+    assert main(argv + ([f"--coeffs={coeffs}"] if coeffs else [])) == 0
+    q = load_potential(out)
+    n = q.samples.size - 1
+    knot = _miss(monodromies(q.samples[None], n // 2)[0].element, target)
+    spline = _miss(monodromy(q, n).element, target)
+    assert capsys.readouterr().err == f"synthesis residual: {fmt_float(knot)}\n"
+    assert knot <= 1e-9 and spline <= 1e-9
+    assert (knot <= SYNTH_VERIFY_TOL) == (spline <= SYNTH_VERIFY_TOL)
+
+
+def test_synthesize_at_odd_steps_verifies_through_the_spline(files, capsys):
+    # 16384 samples are no grid of whole steps, so the spline supplies the
+    # midpoints of 16383 steps.
+    target = from_right_iwasawa(4.0, 1.3, 0.5)
+    path, out = files["dir"] / "odd_target.json", files["dir"] / "odd.json"
+    write_json(element_to_dict(target), path)
+    assert main(["synthesize", "--target", str(path), "--coeffs=0.05,-0.02",
+                 "--steps", "16383", "-o", str(out)]) == 0
+    q = load_potential(out)
+    assert q.samples.size == 16384
+    residual = _miss(monodromy(q, 16383).element, target)
+    assert capsys.readouterr().err == (
+        f"synthesis residual: {fmt_float(residual)}\n")
+
+
+def test_synthesize_verify_refuses_scaled_samples(files, capsys, monkeypatch):
+    # Every sample 1e-6 too large moves the monodromy past SYNTH_VERIFY_TOL,
+    # and the verify on the sample grid refuses the file.
+    def scaled(*args):
+        return Potential.sampled(potential_with_monodromy(*args).samples
+                                 * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli, "potential_with_monodromy", scaled)
+    path = files["dir"] / "scaled_target.json"
+    write_json(element_to_dict(from_right_iwasawa(4.0, 1.3, 0.5)), path)
+    assert main(["synthesize", "--target", str(path),
+                 "--coeffs=0.05,-0.02"]) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation: synthesized potential misses the target by "
+        "1.637e-06\n")
 
 
 def test_spectrum_flat_csv(files):

@@ -1,10 +1,18 @@
 """Potential evaluation kinds and their file format."""
 
+import copy
 import math
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+import hillmono
 from hillmono import DomainError, Potential, load_potential, write_json
 
 TAU = math.tau
@@ -29,6 +37,66 @@ def test_sampled_cubic_matches_smooth_source():
     q = Potential.sampled(np.cos(t))
     tt = np.linspace(0.0, TAU, 1001)
     assert np.abs(q(tt) - np.cos(tt)).max() < 1e-7
+
+
+def _off_grid(samples):
+    """Points between the knots of the inclusive grid of samples, and
+    both ends."""
+    knots = np.linspace(0.0, TAU, samples.size)
+    return np.concatenate([[0.0], (knots[:-1] + knots[1:]) / 2,
+                           knots[:-1] + 0.3 * np.diff(knots), [TAU]])
+
+
+def test_cubic_spline_is_built_on_the_first_call():
+    samples = np.cos(np.linspace(0.0, TAU, 65)) - 0.5 * np.sin(
+        np.linspace(0.0, 2 * TAU, 65))
+    q = Potential.sampled(samples)
+    assert q._spline is None
+    t = _off_grid(samples)
+    eager = CubicSpline(np.linspace(0.0, TAU, samples.size), samples)
+    assert q(t).tobytes() == eager(t).tobytes()
+    assert q._spline is not None
+    kept = q._spline
+    assert q(t).tobytes() == eager(t).tobytes()
+    assert q._spline is kept
+    assert q(1.0) == float(eager(1.0))
+
+
+def test_building_a_cubic_sampled_potential_loads_no_interpolator():
+    # Writing a sampled potential, as kepler to-potential does, never
+    # evaluates it, so it needs no spline and no scipy.interpolate.
+    src = pathlib.Path(hillmono.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from hillmono import Potential\n"
+            "q = Potential.sampled(np.cos(np.linspace(0.0, 6.0, 33)))\n"
+            "q.to_dict()\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            "q(0.5)\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("how", [copy.deepcopy,
+                                 lambda q: pickle.loads(pickle.dumps(q))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("called", [False, True], ids=["fresh", "called"])
+def test_lazy_spline_survives_copies(how, called):
+    samples = np.exp(np.sin(np.linspace(0.0, TAU, 129)))
+    q = Potential.sampled(samples)
+    t = _off_grid(samples)
+    if called:
+        q(t)
+    twin = how(q)
+    assert (twin._spline is None) is not called
+    eager = CubicSpline(np.linspace(0.0, TAU, samples.size), samples)
+    assert twin(t).tobytes() == eager(t).tobytes()
+    assert q(t).tobytes() == eager(t).tobytes()
+    with pytest.raises(AttributeError):
+        twin._spline = None
 
 
 def test_sampled_linear_interpolation():

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from scipy.integrate import simpson
+from scipy.optimize import brentq as scipy_brentq
 
 from hillmono import (
     DomainError,
@@ -26,6 +27,7 @@ from hillmono import (
     reflection,
     synthesize_orbit,
 )
+from hillmono import synthesis
 from hillmono.synthesis import _BLOCK, auto_steps, polyval
 from oracles import rel_l2
 
@@ -134,6 +136,38 @@ def test_normalize_c_matches_direct_sweep():
     c = normalize_c(3.5, p1, r)
     orb = synthesize_orbit(3.5, 1.4, 0.2, [0.1])
     assert orb.c == c
+
+
+def test_normalize_c_is_scipy_brentq_bit_for_bit(monkeypatch):
+    # normalize_c runs the package's brentq; with scipy's in its place, on
+    # the same sweep, bracket and tolerances, every c keeps its bits.
+    rng = np.random.default_rng(21)
+    cases = [((13.0, 2.0, -1.0), None), ((0.3, 0.5, -2.0), None),
+             ((0.3, 0.5, -2.0), rng.uniform(-0.1, 0.1, 8))]
+    for _ in range(12):
+        cases.append(((float(rng.uniform(0.3, 13.0)),
+                       math.exp(rng.uniform(-1.5, 1.5)),
+                       float(rng.uniform(-2.0, 2.0))),
+                      rng.uniform(-0.1, 0.1, 8)))
+
+    def all_c():
+        return [normalize_c(theta_m, base_polynomial(theta_m, rho, nu),
+                            perturbation_polynomial(coeffs))
+                for (theta_m, rho, nu), coeffs in cases]
+
+    got = all_c()
+
+    def bracket(a, b, **kw):
+        assert kw == {"xtol": 1e-300, "rtol": 8.9e-16, "maxiter": 200}
+        return a, b, kw
+
+    monkeypatch.setattr(synthesis, "brentq", bracket)
+    monkeypatch.setattr(synthesis, "solve",
+                        lambda search, f: scipy_brentq(f, search[0], search[1],
+                                                       **search[2]))
+    want = all_c()
+    assert [c.hex() for c in got] == [float(c).hex() for c in want]
+    assert all(c != 0.0 for c in got)
 
 
 _fiber = st.lists(st.floats(-0.1, 0.1), min_size=8, max_size=8)

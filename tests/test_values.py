@@ -76,8 +76,9 @@ _COPIES = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
 }
 
-# Beyond _VALUES: a sampled potential with its spline, and an orbit that
-# carries the bound methods of its SynthesizedOrbit.
+# Beyond _VALUES: a sampled potential, whose spline is built on its first
+# evaluation, and an orbit that carries the bound methods of its
+# SynthesizedOrbit.
 _COPIED = dict(_VALUES, **{
     "sampled Potential": lambda: Potential.sampled(
         np.cos(np.linspace(0.0, 2 * np.pi, 33)) - 0.5),
