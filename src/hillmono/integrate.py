@@ -23,17 +23,21 @@ The node path Phi_i = T_{i-1} ... T_0 is a prefix product, evaluated by a
 blocked scan (reduce, then scan; Blelloch 1990): a sequential scan inside
 blocks of BLOCK steps, vectorized across the blocks; the same scan over the
 block totals; and one pass that carries each block's predecessor product
-into it. The numpy passes compose in place through (2, 2, ...) matrix
-views of a block-major copy of the steps: five calls a round inside the
-blocks, and the carry one entry at a time. A level is padded with identity
-steps only when BLOCK does not divide its length. A level of fewer than
-BLOCK blocks, such as the 127 block totals of a 4096-step run, is scanned
-inside its blocks in Python floats, where numpy's per-call cost would
-dominate; the composition tree is the same, and so is every bit of the
-result. The scan works on deviations from the identity, T - I and P - I, so
-the O(h^2) diagonal terms of T are not rounded against 1 at every step; at
-4096 steps this cuts the round-off in the trace of the monodromy about a
-hundredfold.
+into it. The steps are copied round-major, step j of every block of every
+member side by side, so round j inside the blocks is four numpy calls on
+one contiguous slab, composed in place onto round j - 1 through (2, 2, ...)
+matrix views. The carry works one entry at a time into scratch, from which
+the entry is copied to its place in the output. The copy in goes one entry
+row of one member at a time, in tiles of COPY_BLOCKS blocks, so that each
+tile's source stays in cache while it is spread over the rounds. A level is
+padded with identity steps only when BLOCK does not divide its length. A
+level of fewer than FLOAT_LANES blocks in all, such as the 127 block
+totals of a 4096-step run, is scanned inside its blocks in Python floats,
+where numpy's per-call cost would dominate; the composition tree is the
+same, and so is every bit of the result. The scan works on deviations
+from the identity, T - I and P - I, so the O(h^2) diagonal terms of T are
+not rounded against 1 at every step; at 4096 steps this cuts the round-off
+in the trace of the monodromy about a hundredfold.
 
 Each step's angle is one arctan2 of the cross and dot products of a
 column x with its image under T_i, written with the entries of T_i - I so
@@ -66,7 +70,7 @@ scaled test would refuse (see _check_wronskian), so no decision changes.
 The kernel writes every full-length intermediate into a workspace made for
 its step count n and up to k members: t, the entries of T - I (4 k n
 doubles); free (about 6.1 k n), reused phase by phase for the sample times
-and the transfer scratch, then the block-major scan copy, the block totals
+and the transfer scratch, then the round-major scan copy, the block totals
 and the carry products, then the column and theta step angles, and last,
 with t, which is dead by then, the scaled nodes and the vectors of the
 Wronskian gate; an int array for the gate's exponents; and the node
@@ -121,6 +125,16 @@ STEP_ANGLE_LIMIT = math.pi / 2
 
 # Steps per block of the prefix scan.
 BLOCK = 32
+# A level of the scan with fewer blocks than this, over all members, is
+# scanned inside its blocks in Python floats. On a shared 2-vCPU Xeon,
+# numpy's BLOCK - 1 rounds of four calls lose at 8 blocks (0.42 ms against
+# 0.40 in floats) and win from 9 on (0.42 against 0.44; at 12, 0.43 against
+# 0.54).
+FLOAT_LANES = 9
+# Blocks per tile of the scan's copy into its round-major layout: a tile of
+# one entry's steps, 128 KiB, stays in cache while its BLOCK rounds are
+# written.
+COPY_BLOCKS = 512
 
 
 class FundamentalPath(Immutable):
@@ -292,59 +306,61 @@ def _compose(y, x):
             xc + yc + (xc * ya + xd * yc), xd + yd + (xc * yb + xd * yd))
 
 
-def _compose_into(x, y, e, f):
+def _compose_into(x, y, ef):
     """x <- XY - I in place, associated as in _compose, on (2, 2, ...) views
-    of the entries of X - I and Y - I; e and f are scratch shaped like x."""
-    np.multiply(x[:, :1], y[:1], out=e)
-    np.multiply(x[:, 1:], y[1:], out=f)
+    of the entries of X - I and Y - I; ef is scratch shaped (2,) + x.shape.
+
+    One product takes both halves of the matrix product:
+    ef[s, i, c] = x[i, s] y[s, c].
+    """
+    e, f = ef
+    np.multiply(x.swapaxes(0, 1)[:, :, None], y[:, None], out=ef)
     e += f
     x += y
     x += e
 
 
-def _carry_into(x, y, e, f):
-    """_compose_into one entry at a time, y broadcast against x; e and f
-    are scratch shaped like one entry of x."""
-    for i in range(2):
-        x0, x1 = x[i]
-        np.multiply(x0, y[0, 1], out=e)
-        np.multiply(x1, y[1, 1], out=f)
-        e += f  # entry (i, 1) of (X - I)(Y - I), read before x1 changes
-        np.multiply(x1, y[1, 0], out=f)
-        x1 += y[i, 1]
-        x1 += e
-        np.multiply(x0, y[0, 0], out=e)
-        e += f
-        x0 += y[i, 0]
-        x0 += e
+def _carried(x, y, i, c, ef):
+    """Entry (i, c) of XY - I, associated as in _compose, written into ef[0]
+    and returned.
+
+    x, (BLOCK, 2, 2, k, b), holds the entries of X - I, the in-block
+    products of b blocks of k members; y, (2, 2, k, b), those of Y - I,
+    each block's predecessor total, broadcast across its steps; ef is
+    scratch holding two entries of x. x and y are left as they were.
+    """
+    e, f = ef
+    np.multiply(x[:, i].swapaxes(0, 1), y[:, c, None], out=ef)
+    e += f
+    e += np.add(x[:, i, c], y[i, c], out=f)
+    return e
 
 
 def _scan_floats(steps, out, initial=None):
     """out <- the running products of the steps, in Python floats.
 
-    steps and out hold the entries of k matrices as (4, k) or (2, 2, k);
-    with initial, the first step is composed onto it, as a lone block is.
+    steps and out are (lanes, count, 4) views, each lane scanned on its
+    own; with initial, the first step of a lane is composed onto it, as a
+    lone block is.
     """
-    scan = accumulate(zip(*steps.reshape(4, -1).tolist()), _compose,
-                      initial=initial)
-    if initial is not None:
-        next(scan)
-    out[...] = np.fromiter(chain.from_iterable(scan), float, out.size
-                           ).reshape(-1, 4).T.reshape(out.shape)
+    skip = initial is not None
+    scans = (list(accumulate(lane, _compose, initial=initial))[skip:]
+             for lane in steps.tolist())
+    out[...] = np.fromiter(chain.from_iterable(chain.from_iterable(scans)),
+                           float, out.size).reshape(out.shape)
 
 
-def _block_view(a, blocks):
-    """(2, 2, BLOCK, k, blocks) view of the first blocks * BLOCK steps of the
-    (k, 4, n) entries a, whose rows are contiguous: [:, :, j, i, b] is step
-    b * BLOCK + j of member i."""
+def _block_view(a, lo, hi):
+    """(BLOCK, 2, 2, k, hi - lo) view of blocks lo to hi of the (k, 4, n)
+    entries a: [j, :, :, i, b] is step (lo + b) BLOCK + j of member i."""
     k = a.shape[0]
-    return a[..., :blocks * BLOCK].reshape(k, 2, 2, blocks, BLOCK
-                                          ).transpose(1, 2, 4, 0, 3)
+    return a[..., lo * BLOCK:hi * BLOCK].reshape(k, 2, 2, hi - lo, BLOCK
+                                                ).transpose(4, 1, 2, 0, 3)
 
 
 def _scan_size(n):
     """Doubles of scratch that _blocked_scan takes for n steps of one
-    member: the block-major copy, the block totals, and the larger of the
+    member: the round-major copy, the block totals, and the larger of the
     carry products and the totals' own scan. A batch takes as many times
     that as it has members."""
     if n <= BLOCK:
@@ -359,53 +375,60 @@ def _blocked_scan(t, out, scratch):
     Both are (4, n) arrays, or (k, 4, n) for a batch of k members, each
     scanned on its own; t is left as it was, and the result goes to out
     (rows contiguous), which is returned. A single block is scanned step by
-    step from the identity. Longer runs are copied block-major into the
-    scratch, of at least k _scan_size(n) doubles, padded with identity steps
-    only when BLOCK does not divide n; the blocks of every member are
-    scanned inside together, the block totals are scanned by the same
+    step from the identity. Longer runs are copied round-major into the
+    scratch, of at least k _scan_size(n) doubles, as p[j, :, :, i, b] =
+    step b BLOCK + j of member i, padded with identity steps only when
+    BLOCK does not divide n. Round j of the scans inside the blocks then
+    composes the contiguous slab p[j] onto p[j - 1], for every block of
+    every member at once; the block totals p[-1] are scanned by the same
     function as a batch, and each block's predecessor total is composed
-    into it, all in place through the (2, 2, BLOCK, k, blocks) matrix view.
-    With fewer blocks in all than a block has steps, the scans inside the
-    blocks run in Python floats: numpy would make BLOCK rounds of calls on
-    vectors shorter than BLOCK, which costs more than it saves. The
-    composition tree, and so every bit of each member's result, is the
-    same either way, and the same as for that member alone.
+    into it. With fewer than FLOAT_LANES blocks in all, the scans inside
+    the blocks run in Python floats instead, where numpy's per-call cost
+    would exceed the work. The composition tree, and so every bit of each
+    member's result, is the same either way, and the same as for that
+    member alone.
     """
     n = t.shape[-1]
     t, batch = _batched(t), _batched(out)
     k = t.shape[0]
     if n <= BLOCK:
-        for i in range(k):
-            _scan_floats(t[i], batch[i], initial=(0.0,) * 4)
+        _scan_floats(t.transpose(0, 2, 1), batch.transpose(0, 2, 1),
+                     initial=(0.0,) * 4)
         return out
     m = -(-n // BLOCK)
     full, part = divmod(n, BLOCK)
     size = 4 * BLOCK * k * m
-    p = scratch[:size].reshape(2, 2, BLOCK, k, m)
+    p = scratch[:size].reshape(BLOCK, 2, 2, k, m)
     carry = scratch[size:size + 4 * k * (m - 1)].reshape(k, 4, m - 1)
     rest = scratch[size + 4 * k * (m - 1):]
-    p[..., :full] = _block_view(t, full)
+    by_entry = p.reshape(BLOCK, 4, k, m)
+    for i, r in np.ndindex(k, 4):
+        steps = t[i, r, :full * BLOCK].reshape(full, BLOCK)
+        for lo in range(0, full, COPY_BLOCKS):
+            hi = min(lo + COPY_BLOCKS, full)
+            by_entry[:, r, i, lo:hi] = steps[lo:hi].T
     if part:
-        p[:, :, :part, :, full] = t[..., full * BLOCK:].reshape(
-            k, 2, 2, part).transpose(1, 2, 3, 0)
-        p[:, :, part:, :, full] = 0.0  # the padding steps are I
-    if k * m < BLOCK:
-        blocks = p.reshape(2, 2, BLOCK, k * m)
-        for b in range(k * m):
-            _scan_floats(blocks[..., b], blocks[..., b])
+        tail = p[..., full].reshape(BLOCK, 4, k)
+        tail[:part] = t[..., full * BLOCK:].transpose(2, 1, 0)
+        tail[part:] = 0.0  # the padding steps are I
+    if k * m < FLOAT_LANES:
+        lanes = p.reshape(BLOCK, 4, k * m).transpose(2, 0, 1)
+        _scan_floats(lanes, lanes)
     else:
-        e, f = rest[:8 * k * m].reshape(2, 2, 2, k, m)
+        ef = rest[:8 * k * m].reshape(2, 2, 2, k, m)
         for j in range(1, BLOCK):
-            _compose_into(p[:, :, j], p[:, :, j - 1], e, f)
-    _blocked_scan(p[:, :, -1, :, :-1].transpose(2, 0, 1, 3).reshape(k, 4, m - 1),
+            _compose_into(p[j], p[j - 1], ef)
+    _blocked_scan(p[-1, ..., :-1].transpose(2, 0, 1, 3).reshape(k, 4, m - 1),
                   carry, rest)
-    e, f = rest[:2 * BLOCK * k * (m - 1)].reshape(2, BLOCK, k, m - 1)
-    _carry_into(p[..., 1:], carry.reshape(k, 2, 2, 1, m - 1).transpose(1, 2, 3, 0, 4),
-                e, f)
-    _block_view(batch, full)[...] = p[..., :full]
-    if part:
-        batch[..., full * BLOCK:] = p[:, :, :part, :, full].transpose(
-            3, 0, 1, 2).reshape(k, 4, part)
+    _block_view(batch, 0, 1)[...] = p[..., :1]
+    totals = carry.reshape(k, 2, 2, m - 1).transpose(1, 2, 0, 3)
+    ef = rest[:2 * BLOCK * k * (m - 1)].reshape(2, BLOCK, k, m - 1)
+    whole = _block_view(batch, 1, full)
+    for i, c in np.ndindex(2, 2):
+        entry = _carried(p[..., 1:], totals, i, c, ef)
+        whole[:, i, c] = entry[..., :full - 1]
+        if part:  # the last block, of part steps
+            batch[:, 2 * i + c, full * BLOCK:] = entry[:part, :, -1].T
     return out
 
 

@@ -290,7 +290,8 @@ def auto_steps(orb):
     In terms of the exponent E = log rho, the potential along the orbit is
     (2E'' - E'^2 - 4) / (4 rho^2), so its extreme value is available in
     closed form before any integration. A profile that needs more than
-    integrate.MAX_STEPS is refused.
+    integrate.MAX_STEPS is refused, and so is one whose rho overflows or
+    underflows to 0, where q is not a number of double precision.
     """
     grid = np.linspace(0.0, orb.theta_max, 16385)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -300,6 +301,13 @@ def auto_steps(orb):
         qmax = np.abs((2.0 * e2 - e1 ** 2 - 4.0) / (4.0 * rho ** 2)).max()
     if not np.isfinite(rho).all():
         raise _overflow()
+    if not rho.all():
+        e = polyval(orb.exponent.coef, grid)
+        low = int(np.argmin(e))
+        raise NumericalInvariantError(
+            f"the synthesized profile underflows double precision: its "
+            f"exponent E = log rho falls to {e[low]:.4g} at theta = "
+            f"{grid[low]:.4g}, so rho = exp(E) is 0 there")
     need = TAU * math.sqrt(qmax) / _STEP_PHASE_BOUND
     if not need <= MAX_STEPS:
         raise NumericalInvariantError(

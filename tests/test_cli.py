@@ -457,6 +457,23 @@ def test_overflowing_synthesized_profile_exits_3(files, capsys, steps):
         "precision; use fewer or smaller coefficients\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_underflowing_synthesized_profile_exits_3(files, capsys):
+    # The monodromy of 2 cos t lies in the image, but the profile that
+    # synthesize builds for it dips to rho = exp(-1065), which is 0 in
+    # double precision; the refusal names that, not a step count.
+    q = str(files["dir"] / "cos2.json")
+    target = str(files["dir"] / "cos2_target.json")
+    assert main(["sample-potential", "--cos", "2", "-o", q]) == 0
+    assert main(["monodromy", "--potential", q, "-o", target]) == 0
+    capsys.readouterr()
+    assert main(["synthesize", "--target", target]) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation: the synthesized profile underflows double "
+        "precision: its exponent E = log rho falls to -1065 at theta = "
+        "2.891, so rho = exp(E) is 0 there\n")
+
+
 def test_string_coefficients_exit_2(files, capsys):
     q = files["dir"] / "string_coeffs.json"
     for field in ("cos_coeffs", "sin_coeffs"):

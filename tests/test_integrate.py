@@ -418,12 +418,18 @@ def test_step_angle_gate():
     assert abs(solution_winding(q, 0.0, 16384) + 50.0 * TAU) < 1e-4
 
 
-# Lengths on either side of one block (32) and of the switch from Python
-# floats to numpy (992 | 993 steps, 31 | 32 blocks); 31745 steps leave 992
-# block totals, the longest level scanned in Python floats, under a numpy
-# level.
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 992, 993, 1023, 1024,
-                               1025, 4096, 16385, 31745, 32769])
+# Lengths on either side of one block (32); 8, 9 and 10 blocks (256, 257
+# and 288 steps) around the switch from Python floats to numpy at
+# FLOAT_LANES = 9 blocks, and 11, 12 and 13 blocks (352, 353, 384 and 416
+# steps) past it; 31 | 32 blocks (992 | 993 steps); 8224 and 8225 steps,
+# whose 256 and 257 block totals are scanned in floats and in numpy under a
+# numpy level, and likewise 11296 and 11297 steps with 352 and 353 totals;
+# and 262144 steps, where the copy into the round-major layout runs in
+# several tiles.
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 256, 257, 288, 352, 353,
+                               384, 416, 992, 993, 1023, 1024, 1025, 4096,
+                               8224, 8225, 11296, 11297, 16385, 31745, 32769,
+                               262144])
 def test_blocked_scan_matches_reference_bits(n):
     rng = np.random.default_rng(n)
     for scale in (0.01, 1.0, 100.0):
@@ -436,6 +442,22 @@ def test_blocked_scan_matches_reference_bits(n):
         scratch = np.full(_scan_size(n), np.nan)
         assert _blocked_scan(t, out, scratch) is out
         assert out.tobytes() == want
+
+
+# Batches of k members: each member's bits are the reference's for that
+# member alone. The lengths end in a partial block (BLOCK + 1, 13 BLOCK + 5
+# and 4099 steps) or make k times 2 or 3 blocks, which crosses the
+# FLOAT_LANES = 9 switch as k grows.
+@pytest.mark.parametrize("n", [33, 64, 96, 421, 4099])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_batched_blocked_scan_matches_reference_bits(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    t = np.stack([_transfer_of(rng.standard_normal(2 * n + 1),
+                               TAU / max(n, MIN_STEPS)) for _ in range(k)])
+    out = np.full((k, 4, n), np.nan)
+    assert _blocked_scan(t, out, np.full(k * _scan_size(n), np.nan)) is out
+    for member, got in zip(t, out):
+        assert got.tobytes() == blocked_scan(member).tobytes()
 
 
 def test_blocked_scan_matches_reference_past_overflow():
@@ -468,8 +490,8 @@ def test_blocked_scan_peak_memory_is_no_higher_than_reference():
     assert _scan_peak(_scan, t) <= _scan_peak(blocked_scan, t)
 
 
-# One block; fewer than BLOCK blocks, a whole and a partial last block; BLOCK
-# or more blocks, whole and partial, the last over a level of 992 totals.
+# One block; fewer than FLOAT_LANES blocks, a whole and a partial last
+# block; more blocks, whole and partial, the last over a level of 992 totals.
 @pytest.mark.parametrize("n", [20, 32, 500, 512, 1024, 4097, 31745])
 def test_blocked_scan_leaves_its_input_unchanged(n):
     rng = np.random.default_rng(n)
@@ -566,10 +588,11 @@ def _mild(steps):
 
 
 # One block and either side of it; either side of the switch from Python
-# floats to numpy (992 | 993); the default; and above the pool's cap, where
-# 31745 steps leave 992 block totals.
-@pytest.mark.parametrize("steps", [16, 31, 32, 33, 992, 993, 4096, 16384,
-                                   16385, 31745, 32768])
+# floats to numpy (256 | 257 steps, 8 | 9 blocks); 352 | 353 and 992 | 993;
+# the default; and above the pool's cap, where 31745 steps leave 992 block
+# totals.
+@pytest.mark.parametrize("steps", [16, 31, 32, 33, 256, 257, 352, 353, 992,
+                                   993, 4096, 16384, 16385, 31745, 32768])
 def test_pooled_monodromy_matches_a_cold_call_and_the_path(steps):
     q = _mild(steps)
     _pool().clear()

@@ -114,11 +114,16 @@ def test_stiff_profile_gets_more_steps():
     stiff = synthesize_orbit(0.5, 1.0, 0.0)
     assert auto_steps(stiff) > auto_steps(tame)
     # Beyond integrate.MAX_STEPS the profile is refused before anything of
-    # its size is allocated. Where rho underflows, |q| is infinite.
-    for theta_m, rho0, nu0 in ((20.0, 2.0, -1.0), (13.0, 100.0, -50.0)):
-        with pytest.raises(NumericalInvariantError,
-                           match=r"needs .* steps, above the limit 4194304"):
-            auto_steps(synthesize_orbit(theta_m, rho0, nu0))
+    # its size is allocated. Where rho underflows to 0, |q| is infinite, and
+    # the refusal names the underflow instead of a step count.
+    with pytest.raises(NumericalInvariantError,
+                       match=r"needs .* steps, above the limit 4194304"):
+        auto_steps(synthesize_orbit(20.0, 2.0, -1.0))
+    with pytest.raises(NumericalInvariantError,
+                       match=r"underflows double precision: its exponent "
+                             r"E = log rho falls to -1\.443e\+04 at theta = "
+                             r"6\.49, so rho = exp\(E\) is 0 there$"):
+        auto_steps(synthesize_orbit(13.0, 100.0, -50.0))
 
 
 def test_targets_outside_image_are_rejected():
