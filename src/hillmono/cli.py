@@ -27,6 +27,7 @@ from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
 from .serialize import dumps_json, fmt_float, read_json
+from .serialize import write_text as _write_text
 from .spectral import DEFAULT_SCAN_STEPS, oscillation_eigenvalues
 from .synthesis import potential_with_monodromy
 
@@ -56,17 +57,6 @@ def _float_list(text):
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of floats: {text!r}")
-
-
-def _write_text(text, path):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _stratum_dict(stratum):

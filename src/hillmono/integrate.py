@@ -47,18 +47,21 @@ first row on the 2 pi branch nearest -omega_i, the rule of
 cover.to_right_iwasawa. Every step must turn the column, and the first
 row, by less than pi/2, so the principal value of each column angle is the
 exact increment, and a 2 pi slip of omega shows as a step of theta.
-solution_winding applies the column rule to Phi_i u0.
+solution_winding reads its value off the lift: the cover is simply
+connected, so the gated endpoint (Phi(2 pi), omega(2 pi)) alone fixes the
+winding of every solution Phi(t) u0, in the closed form of
+cover.arg_variation.
 
-One kernel serves integrate, monodromy, monodromies and solution_winding.
-It runs one potential or, for monodromies, a batch of k potentials sampled
-on one grid. A batch carries a leading axis on every array: samples
-(k, 2 n + 1), entries (k, 4, n) and (k, 4, n + 1), windings (k, n + 1).
-The transfer, the scan, the column and theta step gates and the Wronskian
-gate run over the whole batch in one pass, so each numpy call's fixed cost
-is paid once for k members. Every operation acts on each member's entries
-as it would alone, reductions included, so each member is bit for bit its
-own monodromy call; a gate raises the message of the first member to fail
-it.
+One kernel serves integrate, monodromy, monodromies and solution_winding,
+and every call of it runs a batch: k potentials sampled on one grid for
+monodromies, a batch of one for the others. Every array carries the
+leading member axis: samples (k, 2 n + 1), entries (k, 4, n) and
+(k, 4, n + 1), windings (k, n + 1). The transfer, the scan, the column and
+theta step gates and the Wronskian gate run over the whole batch in one
+pass, so each numpy call's fixed cost is paid once for k members. Every
+operation acts on each member's entries as it would alone, reductions
+included, so each member is bit for bit its own monodromy call; a gate
+raises the message of the first member to fail it.
 
 The Wronskian gate first takes |ad - bc - 1| unscaled at every node, in
 a few passes; where every node is within 1e-6 it passes at once, as every
@@ -107,7 +110,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cover import CoverElement, to_right_iwasawa, winding_exceeds
+from .cover import CoverElement, _arg_change, to_right_iwasawa, winding_exceeds
 from .errors import DomainError, Immutable, NumericalInvariantError
 
 TAU = math.tau
@@ -185,18 +188,18 @@ class _Workspace:
         self.exps = np.empty(k * (n + 1), np.intc)
         self.outputs = None
 
-    def output_views(self, lead=()):
-        """Views shaped lead + (4, n + 1), lead + (n + 1,) twice of the node
+    def output_views(self, k):
+        """Views (k, 4, n + 1), (k, n + 1) and (k, n + 1) of the node
         entries, omega and theta of outputs, which are made here on first
-        use or when they hold fewer members than lead asks for."""
-        k, n1 = math.prod(lead), self.steps + 1
+        use or when they hold fewer than k members."""
+        n1 = self.steps + 1
         if self.outputs is None or self.outputs[1].size < k * n1:
             self.outputs = (np.empty(4 * k * n1), np.empty(k * n1),
                             np.empty(k * n1))
         nodes, omega, theta = self.outputs
-        return (nodes[:4 * k * n1].reshape(*lead, 4, n1),
-                omega[:k * n1].reshape(*lead, n1),
-                theta[:k * n1].reshape(*lead, n1))
+        return (nodes[:4 * k * n1].reshape(k, 4, n1),
+                omega[:k * n1].reshape(k, n1),
+                theta[:k * n1].reshape(k, n1))
 
 
 # The idle workspace, if any; see the module docstring.
@@ -242,26 +245,21 @@ def _all_finite(a):
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def _sample_q(q, tt, lead=()):
-    qq = np.asarray(q(tt), dtype=float)
-    if qq.shape != (*lead, tt.size) or not _all_finite(qq):
-        raise DomainError("potential evaluation must give finite values")
-    return qq
-
-
-def _entries(a):
-    """The four entry rows of matrices held as (4, n) or (k, 4, n) entries."""
-    return a if a.ndim == 2 else a.swapaxes(0, 1)
-
-
-def _batched(a):
-    """Entries (4, n) as a batch of one, (1, 4, n); a batch as it is."""
-    return a[None] if a.ndim == 2 else a
+def _one(q):
+    """The kernel's sampler of one potential q: its samples at the times
+    tt, of the shape checked, as a batch of one."""
+    def sample(tt):
+        qq = np.asarray(q(tt), dtype=float)
+        if qq.shape != tt.shape:
+            raise DomainError(f"potential evaluation gave shape {qq.shape}; "
+                              f"expected (2 steps + 1,) = {tt.shape}")
+        return qq[None]
+    return sample
 
 
 def _transfer(qa, qb, qd, h, out, scratch):
-    """Entries of T - I for the Runge-Kutta transfer matrices T, (..., 4, n)
-    for samples shaped (..., n).
+    """Entries of T - I for the Runge-Kutta transfer matrices T, (k, 4, n)
+    for samples shaped (k, n).
 
     Written into out, with the two rows of scratch, and returned:
         a = h^2/6 (qa + 2 qb) + h^4/24 qa qb
@@ -270,7 +268,7 @@ def _transfer(qa, qb, qd, h, out, scratch):
         d = h^2/6 (2 qb + qd) + h^4/24 qb qd
     """
     u, v = scratch
-    a, b, c, d = _entries(out)
+    a, b, c, d = out.swapaxes(0, 1)
     h2 = h * h
     h4 = h2 * h2 / 24.0
     np.multiply(qb, 2.0, out=a)
@@ -372,27 +370,24 @@ def _scan_size(n):
 def _blocked_scan(t, out, scratch):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
-    Both are (4, n) arrays, or (k, 4, n) for a batch of k members, each
-    scanned on its own; t is left as it was, and the result goes to out
-    (rows contiguous), which is returned. A single block is scanned step by
-    step from the identity. Longer runs are copied round-major into the
-    scratch, of at least k _scan_size(n) doubles, as p[j, :, :, i, b] =
-    step b BLOCK + j of member i, padded with identity steps only when
-    BLOCK does not divide n. Round j of the scans inside the blocks then
-    composes the contiguous slab p[j] onto p[j - 1], for every block of
-    every member at once; the block totals p[-1] are scanned by the same
-    function as a batch, and each block's predecessor total is composed
-    into it. With fewer than FLOAT_LANES blocks in all, the scans inside
-    the blocks run in Python floats instead, where numpy's per-call cost
-    would exceed the work. The composition tree, and so every bit of each
-    member's result, is the same either way, and the same as for that
-    member alone.
+    Both are (k, 4, n) arrays of k members, each scanned on its own; t is
+    left as it was, and the result goes to out (rows contiguous), which is
+    returned. A single block is scanned step by step from the identity.
+    Longer runs are copied round-major into the scratch, of at least k
+    _scan_size(n) doubles, as p[j, :, :, i, b] = step b BLOCK + j of member
+    i, padded with identity steps only when BLOCK does not divide n. Round j
+    of the scans inside the blocks then composes the contiguous slab p[j]
+    onto p[j - 1], for every block of every member at once; the block totals
+    p[-1] are scanned by the same function as a batch, and each block's
+    predecessor total is composed into it. With fewer than FLOAT_LANES
+    blocks in all, the scans inside the blocks run in Python floats instead,
+    where numpy's per-call cost would exceed the work. The composition tree,
+    and so every bit of each member's result, is the same either way, and
+    the same as for that member alone.
     """
-    n = t.shape[-1]
-    t, batch = _batched(t), _batched(out)
-    k = t.shape[0]
+    k, _, n = t.shape
     if n <= BLOCK:
-        _scan_floats(t.transpose(0, 2, 1), batch.transpose(0, 2, 1),
+        _scan_floats(t.transpose(0, 2, 1), out.transpose(0, 2, 1),
                      initial=(0.0,) * 4)
         return out
     m = -(-n // BLOCK)
@@ -420,15 +415,15 @@ def _blocked_scan(t, out, scratch):
             _compose_into(p[j], p[j - 1], ef)
     _blocked_scan(p[-1, ..., :-1].transpose(2, 0, 1, 3).reshape(k, 4, m - 1),
                   carry, rest)
-    _block_view(batch, 0, 1)[...] = p[..., :1]
+    _block_view(out, 0, 1)[...] = p[..., :1]
     totals = carry.reshape(k, 2, 2, m - 1).transpose(1, 2, 0, 3)
     ef = rest[:2 * BLOCK * k * (m - 1)].reshape(2, BLOCK, k, m - 1)
-    whole = _block_view(batch, 1, full)
+    whole = _block_view(out, 1, full)
     for i, c in np.ndindex(2, 2):
         entry = _carried(p[..., 1:], totals, i, c, ef)
         whole[:, i, c] = entry[..., :full - 1]
         if part:  # the last block, of part steps
-            batch[:, 2 * i + c, full * BLOCK:] = entry[:part, :, -1].T
+            out[:, 2 * i + c, full * BLOCK:] = entry[:part, :, -1].T
     return out
 
 
@@ -460,45 +455,43 @@ def checked_count(count, name):
     return count
 
 
-def _propagate(q, steps, ws, lead=()):
-    """Sample q; entries of T - I per step and of Phi at the nodes.
+def _propagate(sample, steps, ws):
+    """Sample k potentials; entries of T - I per step and of Phi at the
+    nodes.
 
-    steps has passed checked_steps. q gives one potential's samples, or with
-    lead = (k,) a batch of k, shaped lead + (2 steps + 1,); the results are
-    arrays of the workspace ws shaped lead + (4, steps) and
-    lead + (4, steps + 1).
+    steps has passed checked_steps, and sample(tt) gives the samples at the
+    sample times tt, shaped (k, 2 steps + 1), which must be finite; the
+    results are arrays of the workspace ws shaped (k, 4, steps) and
+    (k, 4, steps + 1).
     """
-    k = math.prod(lead)
-    tt = ws.free[:2 * steps + 1]
-    _fill_times(tt)
-    qq = _sample_q(q, tt, lead)
-    scratch = ws.free[2 * steps + 1:2 * steps + 1 + 2 * k * steps].reshape(
-        2, *lead, steps)
+    tt = _fill_times(ws.free[:2 * steps + 1])
+    qq = sample(tt)
+    if not _all_finite(qq):
+        raise DomainError("potential evaluation must give finite values")
+    k, size = len(qq), len(qq) * steps
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _transfer(qq[..., 0:-1:2], qq[..., 1::2], qq[..., 2::2],
-                      TAU / steps, ws.t[:4 * k * steps].reshape(*lead, 4, steps),
-                      scratch)
+        t = _transfer(qq[:, 0:-1:2], qq[:, 1::2], qq[:, 2::2], TAU / steps,
+                      ws.t[:4 * size].reshape(k, 4, steps),
+                      ws.free[tt.size:tt.size + 2 * size].reshape(2, k, steps))
         del qq  # it may be a view of tt, which the scan overwrites
-        nodes = ws.output_views(lead)[0]
+        nodes = ws.output_views(k)[0]
         nodes[..., 0] = 0.0
         _blocked_scan(t, nodes[..., 1:], ws.free)
-    a, _, _, d = _entries(nodes)
-    a += 1.0
-    d += 1.0
+    nodes[:, ::3] += 1.0  # the diagonal entries a and d
     if not _all_finite(nodes):
-        i = next(i for i in np.ndindex(lead) if not _all_finite(nodes[i]))
+        i = next(i for i in range(k) if not _all_finite(nodes[i]))
         raise _overflow("fundamental matrix entries are not finite", nodes[i])
     return t, nodes
 
 
 def _checked_turns(turns):
-    """The per-step angles, after the gate that makes them exact.
+    """The per-step angles (k, n), after the gate that makes them exact.
 
-    A batch, (k, n), is gated member by member; the first to fail raises.
+    The members are gated one by one; the first to fail raises.
     """
     # max |turn| of each member, no temporary of the turns' size
     worst = np.maximum(turns.max(axis=-1), -turns.min(axis=-1))
-    for w in np.ravel(worst).tolist():
+    for w in worst.tolist():
         if not w < STEP_ANGLE_LIMIT:
             raise NumericalInvariantError(
                 f"angle change {w:.3e} in one step is not below "
@@ -509,8 +502,9 @@ def _checked_turns(turns):
 def _scale(x, y, out, tmp):
     """Larger |entry| of each vector (x, y); a zero vector has no angle.
 
-    Written into out, with tmp as scratch, and returned; in a batch, the
-    first member with a zero vector raises.
+    Written into out, with tmp as scratch, and returned. x and y may have
+    any leading shape, the nodes running along the last axis; a zero
+    vector raises for the first row that holds one, naming its node.
     """
     scale = np.maximum(np.abs(x, out=out), np.abs(y, out=tmp), out=out)
     if not scale.all():  # steps with det T << 1 can round a vector to zero
@@ -525,12 +519,12 @@ def _scale(x, y, out, tmp):
 def _column_turns(t, x, y, scratch):
     """Per-step angles of the columns (x, y) at the left nodes.
 
-    t holds the entries (..., 4, n) and x, y are (..., n). The columns are
+    t holds the entries (k, 4, n) and x, y are (k, n). The columns are
     scaled by their larger entry, which cannot overflow. scratch holds six
     vectors shaped like x, of which the first two may be x and y
     themselves; the angles come back in the third.
     """
-    ta, tb, tc, td = _entries(t)
+    ta, tb, tc, td = t.swapaxes(0, 1)
     xs, ys, cross, dot, u, v = scratch
     scale = _scale(x, y, out=cross, tmp=u)
     x = np.divide(x, scale, out=xs)
@@ -563,7 +557,8 @@ def _column_turns(t, x, y, scratch):
 
 
 def _check_wronskian(nodes, ws):
-    """The node Wronskian gate, on the workspace's buffers.
+    """The node Wronskian gate on (k, 4, n + 1) node entries, on the
+    workspace's buffers.
 
     A fast accept comes first: |ad - bc - 1| unscaled, in the buffer of
     T - I, which is dead by now. Where it is within 1e-6 at every node of
@@ -582,8 +577,7 @@ def _check_wronskian(nodes, ws):
     so the difference rounds to the other's grid point scaled and unscaled
     alike, and the exact relation holds.
     """
-    batch = _batched(nodes)
-    a, b, c, d = _entries(batch)
+    a, b, c, d = nodes.swapaxes(0, 1)
     dev, tmp = ws.t[:2 * a.size].reshape(2, *a.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(a, d, out=dev)
@@ -591,7 +585,7 @@ def _check_wronskian(nodes, ws):
         dev -= 1.0
         if np.abs(dev, out=dev).max() <= 1e-6:
             return
-    _scaled_wronskian(batch, ws)
+    _scaled_wronskian(nodes, ws)
 
 
 def _scaled_wronskian(nodes, ws):
@@ -613,7 +607,8 @@ def _scaled_wronskian(nodes, ws):
     np.subtract(1, neg_k, out=neg_k)
     np.minimum(neg_k, 0, out=neg_k)  # -k, k = max(exponent - 1, 0)
     np.ldexp(1.0, neg_k, out=scale)
-    sa, sb, sc, sd = _entries(np.multiply(nodes, scale[:, None], out=scaled))
+    np.multiply(nodes, scale[:, None], out=scaled)
+    sa, sb, sc, sd = scaled.swapaxes(0, 1)
     largest *= scale
     one = np.square(scale, out=scale)  # the unit determinant, scaled
     np.multiply(sa, sd, out=dev)
@@ -637,29 +632,28 @@ def _scaled_wronskian(nodes, ws):
                 f"Wronskian drift {drift}; increase steps")
 
 
-def _windings(q, steps, ws, lead=()):
+def _windings(sample, steps, ws):
     """The kernel: node entries, omega and theta in ws, past every gate,
-    for one potential or, with lead = (k,), a batch of k."""
-    t, nodes = _propagate(q, steps, ws, lead)
-    _, omega, theta = ws.output_views(lead)
-    a, b, c, d = _entries(nodes)
-    k = math.prod(lead)
-    omega[..., 0] = 0.0
-    turns = _column_turns(t, b[..., :-1], d[..., :-1],
-                          ws.free[:6 * k * steps].reshape(6, *lead, steps))
-    np.cumsum(turns, axis=-1, out=omega[..., 1:])
+    for the batch of k potentials that sample gives, as (k, 4, steps + 1),
+    (k, steps + 1) and (k, steps + 1)."""
+    t, nodes = _propagate(sample, steps, ws)
+    k = len(nodes)
+    _, omega, theta = ws.output_views(k)
+    omega[:, 0] = 0.0
+    turns = _column_turns(t, nodes[:, 1, :-1], nodes[:, 3, :-1],
+                          ws.free[:6 * k * steps].reshape(6, k, steps))
+    np.cumsum(turns, axis=-1, out=omega[:, 1:])
     # The branch rule of cover.to_right_iwasawa at every node; the gate on
     # its steps refuses a 2 pi slip of omega wherever it falls.
-    np.arctan2(b, a, out=theta)
-    branch = np.negative(omega, out=ws.free[:k * (steps + 1)].reshape(
-        *lead, steps + 1))
+    np.arctan2(nodes[:, 1], nodes[:, 0], out=theta)
+    branch = np.negative(omega, out=ws.free[:omega.size].reshape(omega.shape))
     branch -= theta
     branch /= TAU
     np.round(branch, out=branch)
     branch *= TAU
     theta += branch
     _checked_turns(np.subtract(theta[..., 1:], theta[..., :-1],
-                               out=ws.free[:k * steps].reshape(*lead, steps)))
+                               out=ws.free[:k * steps].reshape(k, steps)))
     _check_wronskian(nodes, ws)
     return nodes, omega, theta
 
@@ -678,16 +672,16 @@ def integrate(q, steps=DEFAULT_STEPS):
     with _workspace(steps) as ws:
         if ws.outputs is not None and ws.outputs[1].size > steps + 1:
             ws.outputs = None  # made for a batch: the path gets its own
-        nodes, omega, theta = _windings(q, steps, ws)
+        (nodes,), (omega,), (theta,) = _windings(_one(q), steps, ws)
         ws.outputs = None  # the path owns them from here on
     return FundamentalPath(np.linspace(0.0, TAU, steps + 1), nodes, theta, omega)
 
 
-def _lifts(q, steps, ws, lead=()):
-    """MonodromyResults of the potentials that q samples, in order."""
-    nodes, omega, _ = _windings(q, steps, ws, lead)
+def _lifts(sample, steps, ws):
+    """MonodromyResults of the potentials that sample gives, in order."""
+    nodes, omega, _ = _windings(sample, steps, ws)
     out = []
-    for end, w in zip(nodes[..., -1].reshape(-1, 2, 2), omega[..., -1].reshape(-1)):
+    for end, w in zip(nodes[..., -1].reshape(-1, 2, 2), omega[:, -1]):
         try:  # the element copies the endpoint out of the workspace
             element = CoverElement(end, w)
         except NumericalInvariantError as exc:
@@ -710,7 +704,7 @@ def monodromy(q, steps=DEFAULT_STEPS):
     """
     steps = checked_steps(steps)
     with _workspace(steps) as ws:
-        (result,) = _lifts(q, steps, ws)
+        (result,) = _lifts(_one(q), steps, ws)
     return result
 
 
@@ -725,10 +719,11 @@ def monodromies(samples, steps=DEFAULT_STEPS):
     """
     steps = checked_steps(steps)
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or not len(samples):
-        raise DomainError("samples must be a (k, 2 steps + 1) array, k >= 1")
+    if samples.shape[1:] != (2 * steps + 1,) or not samples.size:
+        raise DomainError(f"samples have shape {samples.shape}; expected "
+                          f"(k, 2 steps + 1) = (k, {2 * steps + 1}), k >= 1")
     with _workspace(steps, len(samples)) as ws:
-        return _lifts(lambda t: samples, steps, ws, samples.shape[:1])
+        return _lifts(lambda tt: samples, steps, ws)
 
 
 def solution_winding(q, phi0, steps=DEFAULT_STEPS):
@@ -736,17 +731,15 @@ def solution_winding(q, phi0, steps=DEFAULT_STEPS):
 
     The initial condition is u(0) = cos(phi0), u'(0) = sin(phi0) and the
     returned value is the total variation of the counterclockwise argument
-    of (u(t), u'(t)) over [0, 2 pi], read off the node columns Phi_i u0.
+    of (u(t), u'(t)) over [0, 2 pi]. It is read off the endpoint lift
+    (Phi(2 pi), omega(2 pi)), past the gates integrate applies, in the
+    closed form of cover.arg_variation: the turn from u0 to Phi(2 pi) u0
+    that lies within pi of omega(2 pi).
     """
     steps = checked_steps(steps)
     c0, s0 = math.cos(phi0), math.sin(phi0)
     with _workspace(steps) as ws:
-        t, nodes = _propagate(q, steps, ws)
-        a, b, c, d = nodes[:, :-1]
-        scratch = ws.free[:6 * steps].reshape(6, steps)
-        x, y, u = scratch[0], scratch[1], scratch[4]
-        np.multiply(a, c0, out=x)
-        x += np.multiply(b, s0, out=u)
-        np.multiply(c, c0, out=y)
-        y += np.multiply(d, s0, out=u)
-        return float(np.sum(_column_turns(t, x, y, scratch)))
+        nodes, omega, _ = _windings(_one(q), steps, ws)
+        a, b, c, d = nodes[0, :, -1].tolist()
+        near = float(omega[0, -1])
+    return _arg_change((c0, s0), (a * c0 + b * s0, c * c0 + d * s0), near)

@@ -38,7 +38,7 @@ from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
                         integrate)
 from .potentials import Potential
-from .serialize import fmt_csv_rows
+from .serialize import fmt_csv_rows, read_text, write_text
 
 TAU = math.tau
 
@@ -409,23 +409,14 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
 
 def save_curve_csv(curve, path):
     rows = np.column_stack([curve.t, curve.v, curve.vp])
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(CURVE_COLUMNS) + "\n")
-            fh.write(fmt_csv_rows(rows))
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+    write_text(",".join(CURVE_COLUMNS) + "\n" + fmt_csv_rows(rows), path)
 
 
 def load_curve_csv(path):
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.split(",") for line in fh if line.strip()]
-    except OSError as exc:
-        raise DomainError(f"cannot read curve file: {exc}") from None
-    if [h.strip() for h in header] != list(CURVE_COLUMNS):
+    header, *lines = read_text(path).split("\n")
+    if [h.strip() for h in header.split(",")] != list(CURVE_COLUMNS):
         raise DomainError(f"curve CSV must have columns {','.join(CURVE_COLUMNS)}")
+    rows = [line.split(",") for line in lines if line.strip()]
     try:
         data = np.array([[float(x) for x in row] for row in rows])
     except ValueError as exc:

@@ -8,12 +8,12 @@ the first evaluation, so a sampled potential that is only written out, or
 whose samples are integrated on their own grid, never builds one.
 """
 
-import json
 import math
 
 import numpy as np
 
 from .errors import DomainError, Immutable
+from .serialize import read_json
 
 TAU = math.tau
 
@@ -164,9 +164,4 @@ class Potential(Immutable):
 
 
 def load_potential(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read potential file: {exc}") from None
-    return Potential.from_dict(data)
+    return Potential.from_dict(read_json(path))

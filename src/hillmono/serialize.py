@@ -1,4 +1,4 @@
-"""Deterministic text output helpers.
+"""Deterministic text output helpers, and the package's file I/O.
 
 All floating-point values are printed with 17 significant digits so that
 doubles round-trip exactly through text and identical inputs produce
@@ -36,10 +36,15 @@ value does not use hold a zero byte; slots no value of the chunk uses are
 left out. The matrix is read out value by value and the zero bytes are
 deleted, and the chunks' strings are joined once, so the whole text exists
 only as the chunk strings and the joined result.
+
+Every file the package reads or writes goes through read_text and
+write_text, which turn a failure into DomainError; read_json parses on top
+of read_text, and maps every way a text can fail to be JSON the same way.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -373,14 +378,43 @@ def dumps_json(obj):
     return "".join(out)
 
 
+def write_text(text, path):
+    """Write text to the file at path, or to stdout for None or "-"."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def read_text(path):
+    """The text of the UTF-8 file at path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+
+
 def write_json(obj, path):
-    with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+    write_text(dumps_json(obj), path)
 
 
 def read_json(path):
+    """The JSON value in the file at path.
+
+    Besides malformed text, the parser refuses an integer literal past
+    Python's digit limit (ValueError) and nesting past the recursion limit
+    (RecursionError); each is a DomainError here.
+    """
+    text = read_text(path)  # outside the try: DomainError is a ValueError
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read JSON file {path}: {exc}") from None

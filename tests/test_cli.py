@@ -517,6 +517,39 @@ def test_malformed_element_files_exit_2(files):
     assert main(["classify", "--element", str(path)]) == 0
 
 
+# Files that json refuses by an exception other than a decode error: bytes
+# that are not UTF-8, an integer literal past Python's 4300-digit limit for
+# int conversion, and nesting past the recursion limit.
+_UNREADABLE = {
+    "latin1.json": b'{"kind": "constant", "c": 1.0, "note": "caf\xe9"}',
+    "digits.json": b'{"kind": "constant", "c": ' + b"1" * 5000 + b"}",
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_unreadable_json_files_exit_2(files, capsys, name):
+    bad = files["dir"] / name
+    bad.write_bytes(_UNREADABLE[name])
+    bad, q = str(bad), files["q0"]
+    for argv in (["monodromy", "--potential", bad],
+                 ["kepler", "to-orbit", "--potential", bad],
+                 ["kepler", "to-potential", "--orbit", bad],
+                 ["synthesize", "--target", bad],
+                 ["spectrum", "--q0", bad, "--qplus", q, "--nmax", "1"],
+                 ["spectrum", "--q0", q, "--qplus", bad, "--nmax", "1"],
+                 ["boundary", "separated", "--potential", bad,
+                  "--theta0", "0", "--theta2pi", "0"],
+                 ["boundary", "general", "--potential", bad, "--A=1,0,0,1"],
+                 ["classify", "--element", bad],
+                 ["plotdata", "--curve-of", bad,
+                  "-o", str(files["dir"] / "curve.csv")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and bad in err, argv
+        assert "Traceback" not in err and err.count("cannot read") == 1
+
+
 def test_classify_command(files):
     target = str(files["dir"] / "ct.json")
     out = str(files["dir"] / "stratum.json")

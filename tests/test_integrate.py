@@ -28,8 +28,9 @@ from hillmono import (
     write_json,
 )
 from hillmono.cli import main
+from hillmono.cover import _arg_change
 from hillmono.integrate import (DEFAULT_STEPS, MIN_STEPS, STEP_ANGLE_LIMIT,
-                                _blocked_scan, _propagate, _scan_size,
+                                _blocked_scan, _one, _propagate, _scan_size,
                                 _transfer, _Workspace, monodromies,
                                 sample_times)
 from oracles import blocked_scan, row_turns
@@ -39,15 +40,18 @@ TAU = math.tau
 
 def _transfer_of(qq, h):
     """_transfer of the samples qq, at node and midpoint times, into new
-    buffers."""
+    buffers, as a batch of one; returns its (4, n) entries."""
     n = qq.size // 2
-    return _transfer(qq[0:-1:2], qq[1::2], qq[2::2], h, np.empty((4, n)),
-                     np.empty((2, n)))
+    qq = qq[None]
+    return _transfer(qq[:, 0:-1:2], qq[:, 1::2], qq[:, 2::2], h,
+                     np.empty((1, 4, n)), np.empty((2, 1, n)))[0]
 
 
 def _scan(t):
-    """_blocked_scan of t into new buffers."""
-    return _blocked_scan(t, np.empty(t.shape), np.empty(_scan_size(t.shape[1])))
+    """_blocked_scan of the (4, n) entries t, as a batch of one, into new
+    buffers."""
+    return _blocked_scan(t[None], np.empty((1, *t.shape)),
+                         np.empty(_scan_size(t.shape[1])))[0]
 
 
 def test_constant_minus_one_is_central():
@@ -152,7 +156,7 @@ def test_wronskian_drift_is_refused_where_the_determinant_overflows(
 
     def planted(*args, original=integ._propagate):
         t, nodes = original(*args)
-        nodes[0, -1] *= 1.0 + 1e-9
+        nodes[0, 0, -1] *= 1.0 + 1e-9
         return t, nodes
 
     monkeypatch.setattr(integ, "_propagate", planted)
@@ -175,10 +179,11 @@ def _spy_scaled_wronskian(monkeypatch):
 
 
 def _nodes_with(*node):
-    """Node entries (4, 17): identity matrices, then the given entries."""
+    """Node entries of a batch of one, (1, 4, 17): identity matrices, then
+    the given entries."""
     nodes = np.tile(np.array([[1.0], [0.0], [0.0], [1.0]]), 17)
     nodes[:, -1] = node
-    return nodes
+    return nodes[None]
 
 
 def test_unit_determinants_take_the_fast_accept(monkeypatch):
@@ -211,7 +216,7 @@ def test_small_drift_is_refused_by_the_scaled_test(monkeypatch):
     integ = importlib.import_module("hillmono.integrate")
     seen = _spy_scaled_wronskian(monkeypatch)
     drifted = _nodes_with(1.0, 0.0, 0.0, 1.0 + 5e-6)
-    for nodes in (drifted, np.stack([_nodes_with(1, 0, 0, 1), drifted])):
+    for nodes in (drifted, np.concatenate([_nodes_with(1, 0, 0, 1), drifted])):
         with pytest.raises(NumericalInvariantError,
                            match=r"^Wronskian drift 5\.000e-06; increase steps$"):
             integ._check_wronskian(nodes, _Workspace(16, 2))
@@ -322,6 +327,33 @@ def test_solution_winding_is_read_off_the_lift(cos, sin, const, phi, steps):
     mu = monodromy(q, steps).element
     u0 = (math.cos(phi), math.sin(phi))
     assert abs(arg_variation(mu, u0) - solution_winding(q, phi, steps)) <= 1e-12
+
+
+# solution_winding reads its value off the endpoint that integrate returns,
+# through the closed form of arg_variation; the bits agree at one block and
+# on either side of it, and where BLOCK (32) divides neither 1000 nor 4097.
+@pytest.mark.parametrize("steps", [16, 33, 1000, 4097])
+def test_solution_winding_is_the_closed_form_of_the_path_endpoint(steps):
+    q = _mild(steps)
+    path = integrate(q, steps)
+    (a, b), (c, d) = path.mats[-1].tolist()
+    for phi in (0.0, 0.3, math.pi / 2, 2.5, -1.0):
+        c0, s0 = math.cos(phi), math.sin(phi)
+        want = _arg_change((c0, s0), (a * c0 + b * s0, c * c0 + d * s0),
+                           float(path.omega[-1]))
+        got = solution_winding(q, phi, steps)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_solution_winding_passes_the_wronskian_gate_of_integrate():
+    # constant(700) at 1000 steps drifts past the Wronskian allowance;
+    # solution_winding refuses it as integrate does.
+    q = Potential.constant(700.0)
+    for run in (integrate, lambda q, steps: solution_winding(q, 0.0, steps)):
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^Wronskian drift 1\.265e-05; "
+                                 r"increase steps$"):
+            run(q, 1000)
 
 
 def test_overflow_is_named_without_warnings(tmp_path):
@@ -438,9 +470,9 @@ def test_blocked_scan_matches_reference_bits(n):
         want = blocked_scan(t).tobytes()
         assert _scan(t).tobytes() == want
         # Into buffers that held other values before.
-        out = np.full((4, n), np.nan)
+        out = np.full((1, 4, n), np.nan)
         scratch = np.full(_scan_size(n), np.nan)
-        assert _blocked_scan(t, out, scratch) is out
+        assert _blocked_scan(t[None], out, scratch) is out
         assert out.tobytes() == want
 
 
@@ -495,8 +527,8 @@ def test_blocked_scan_peak_memory_is_no_higher_than_reference():
 @pytest.mark.parametrize("n", [20, 32, 500, 512, 1024, 4097, 31745])
 def test_blocked_scan_leaves_its_input_unchanged(n):
     rng = np.random.default_rng(n)
-    t = _transfer(*rng.standard_normal((3, n)), TAU / max(n, MIN_STEPS),
-                  np.empty((4, n)), np.empty((2, n)))
+    t = _transfer(*rng.standard_normal((3, 1, n)), TAU / max(n, MIN_STEPS),
+                  np.empty((1, 4, n)), np.empty((2, 1, n)))[0]
     before = t.tobytes()
     _scan(t)
     assert t.tobytes() == before
@@ -531,12 +563,13 @@ def test_a_slipped_column_winding_is_refused(monkeypatch, slips):
 
     def slipped(*args, original=integ._column_turns):
         turns = original(*args)
-        turns[list(slips)] += TAU * np.array(list(slips.values()))
+        turns[:, list(slips)] += TAU * np.array(list(slips.values()))
         return turns
 
     monkeypatch.setattr(integ, "_column_turns", slipped)
     q = Potential.trig_poly([1.0, 0.5], [0.3], constant_term=-2.0)
-    for run in (integrate, monodromy):
+    for run in (integrate, monodromy,
+                lambda q, steps: solution_winding(q, 0.3, steps)):
         with pytest.raises(NumericalInvariantError,
                            match=r"angle change 6\.\d+e\+00 in one step"):
             run(q, 4096)
@@ -557,7 +590,8 @@ _wide = st.floats(-30.0, 30.0)
 @example([15.0], [], -5.0, 1024)
 def test_theta_steps_match_the_integrated_row_angles(cos, sin, const, steps):
     q = Potential.trig_poly(cos, sin, constant_term=const)
-    turns = row_turns(*_propagate(q, steps, _Workspace(steps)))
+    t, nodes = _propagate(_one(q), steps, _Workspace(steps))
+    turns = row_turns(t[0], nodes[0])
     worst = float(np.abs(turns).max())
     if worst < STEP_ANGLE_LIMIT - 1e-9:
         theta = integrate(q, steps).theta
@@ -697,9 +731,24 @@ def test_a_batch_raises_its_failing_members_own_message(failing):
 def test_batch_samples_are_checked():
     rows = np.zeros((3, 2 * 1000 + 1))
     rows[1, 7] = np.nan
-    for bad in (rows, rows[:, 1:], rows[0], rows[:0]):
-        with pytest.raises(DomainError):
+    shaped = r"; expected \(k, 2 steps \+ 1\) = \(k, 2001\), k >= 1$"
+    for bad, message in (
+            (rows, "^potential evaluation must give finite values$"),
+            (rows[:, 1:], r"^samples have shape \(3, 2000\)" + shaped),
+            (rows[0], r"^samples have shape \(2001,\)" + shaped),
+            (rows[:0], r"^samples have shape \(0, 2001\)" + shaped)):
+        with pytest.raises(DomainError, match=message):
             monodromies(bad, 1000)
+    # A potential of the wrong shape is named as such, not as non-finite.
+    expected = r"; expected \(2 steps \+ 1,\) = \(2001,\)$"
+    for q, shape in ((lambda t: 1.0, r"\(\)"),
+                     (lambda t: np.zeros((2, t.size)), r"\(2, 2001\)")):
+        for run in (monodromy, integrate,
+                    lambda q, steps: solution_winding(q, 0.0, steps)):
+            with pytest.raises(DomainError,
+                               match="^potential evaluation gave shape "
+                                     + shape + expected):
+                run(q, 1000)
 
 
 class _Reentrant:
@@ -759,3 +808,19 @@ def test_cold_calls_peak_no_higher_than_before_the_workspace(steps):
                            _PEAKS_BEFORE_THE_WORKSPACE[steps]):
         _pool().clear()
         assert _peak(lambda: run(_trig3, steps)) <= before
+
+
+# tracemalloc peaks in bytes of a first call on constant(1e4) at 16384
+# steps, (monodromy, integrate), with the scaled Wronskian test on the
+# workspace's buffers, measured before the kernel ran batches only. Its
+# squared entries overflow, so the fast accept hands every run to the
+# scaled test; temporaries there raised the monodromy peak to 3.69 MB.
+_SCALED_PEAKS = (2316652, 2316380)
+
+
+def test_cold_scaled_wronskian_calls_peak_no_higher_than_before():
+    monodromy(_trig3, 1024)  # numpy's own first-use allocations
+    q = Potential.constant(1e4)
+    for run, before in zip((monodromy, integrate), _SCALED_PEAKS):
+        _pool().clear()
+        assert _peak(lambda: run(q, 16384)) <= before

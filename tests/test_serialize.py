@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillmono import (DomainError, Potential, dumps_json, fmt_float,
-                      orbit_to_dict, read_json, synthesize_orbit, write_json)
+                      load_curve_csv, orbit_to_dict, read_json,
+                      synthesize_orbit, write_json)
 from hillmono import serialize
-from hillmono.serialize import _float_chunks, fmt_csv_rows
+from hillmono.serialize import _float_chunks, fmt_csv_rows, write_text
 
 
 def test_fmt_float_round_trips_doubles():
@@ -56,6 +57,32 @@ def test_read_json_errors(tmp_path):
     bad.write_text("[1, 2")
     with pytest.raises(DomainError):
         read_json(bad)
+    # Each of these used to escape read_json as a bare UnicodeDecodeError,
+    # ValueError or RecursionError.
+    for name, data in (("latin1.json", b'["caf\xe9"]'),
+                       ("digits.json", b"1" * 5000),
+                       ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DomainError, match="^cannot read ") as info:
+            read_json(path)
+        assert str(info.value).count("cannot read") == 1
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"t,v1,v2,v1p,v2p\n0,1,0,0,\xff\n")
+    with pytest.raises(DomainError, match="not UTF-8"):
+        load_curve_csv(path)
+
+
+def test_write_text_names_the_unwritable_path(tmp_path, capsys):
+    missing = tmp_path / "missing-dir" / "out.json"
+    for write in (lambda: write_json([1.0], missing),
+                  lambda: write_text("x\n", missing)):
+        with pytest.raises(DomainError) as info:
+            write()
+        assert str(info.value) == \
+            f"cannot write {missing}: No such file or directory"
+    write_text("to stdout\n", "-")
+    assert capsys.readouterr().out == "to stdout\n"
 
 
 def test_identical_inputs_identical_bytes(tmp_path):
