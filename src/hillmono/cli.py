@@ -26,7 +26,9 @@ from .integrate import (DEFAULT_STEPS, MAX_STEPS, MIN_STEPS, checked_count,
 from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
                      potential_of_orbit, save_curve_csv)
 from .potentials import Potential, load_potential
-from .serialize import dumps_json, fmt_float, read_json
+# dumps_json is not called here, but stays importable as cli.dumps_json,
+# which the traced benchmark (bench/spans.py) wraps.
+from .serialize import dumps_json, fmt_float, read_json, write_json
 from .serialize import write_text as _write_text
 from .spectral import DEFAULT_SCAN_STEPS, oscillation_eigenvalues
 from .synthesis import potential_with_monodromy
@@ -93,21 +95,21 @@ def cmd_monodromy(args):
         "trace": element.trace,
         "stratum": _stratum_dict(classify(element)),
     }
-    _write_text(dumps_json(out), args.output)
+    write_json(out, args.output)
     return 0
 
 
 def cmd_kepler_to_orbit(args):
     q = load_potential(args.potential)
     orbit = orbit_of(curve_of(q, args.steps), args.nodes)
-    _write_text(dumps_json(orbit_to_dict(orbit)), args.output)
+    write_json(orbit_to_dict(orbit), args.output)
     return 0
 
 
 def cmd_kepler_to_potential(args):
     orbit = orbit_from_dict(read_json(args.orbit))
     q = potential_of_orbit(orbit, args.steps)
-    _write_text(dumps_json(q.to_dict()), args.output)
+    write_json(q.to_dict(), args.output)
     return 0
 
 
@@ -129,7 +131,7 @@ def cmd_synthesize(args):
         raise NumericalInvariantError(
             f"synthesized potential misses the target by {residual:.3e}")
     print(f"synthesis residual: {fmt_float(residual)}", file=sys.stderr)
-    _write_text(dumps_json(q.to_dict()), args.output)
+    write_json(q.to_dict(), args.output)
     return 0
 
 
@@ -156,7 +158,7 @@ def cmd_boundary_separated(args):
     out = {"has_solution": has, "residual": residual}
     if has:
         out["index"] = boundary.separated_index(mu, bc)
-    _write_text(dumps_json(out), args.output)
+    write_json(out, args.output)
     return 0
 
 
@@ -178,14 +180,14 @@ def cmd_boundary_general(args):
     }
     if image.stratum is not None:
         out["beta_stratum"] = _stratum_dict(image.stratum)
-    _write_text(dumps_json(out), args.output)
+    write_json(out, args.output)
     return 0
 
 
 def cmd_classify(args):
     element = _load_element(args.element)
     out = _stratum_dict(classify(element, tol=args.tol))
-    _write_text(dumps_json(out), args.output)
+    write_json(out, args.output)
     return 0
 
 
@@ -259,7 +261,7 @@ def cmd_sample_potential(args):
         raise DomainError("give --constant or trig coefficients")
     if args.grid is not None:
         q = Potential.sampled(q.sample(checked_count(args.grid, "--grid")))
-    _write_text(dumps_json(q.to_dict()), args.output)
+    write_json(q.to_dict(), args.output)
     return 0
 
 

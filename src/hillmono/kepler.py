@@ -25,8 +25,13 @@ Inverting the swept-time map is the costly step at large step counts. Each
 Newton sweep moves every point from that point's own data alone, so a
 point that a sweep leaves unchanged is a fixed point; later sweeps run only
 on the points that still move, and the result is the same to the bit as
-sweeping all of them. An analytic orbit's profile and its derivatives are
-evaluated once per point set.
+sweeping all of them. Sweeps run over blocks of about INVERT_BLOCK
+targets. Between sweeps only theta, the residuals and each block's moving
+points (their offsets and bracketing table indices, a few bytes a point)
+persist, so besides its targets the inversion holds two arrays of their
+length; the curvature formula then overwrites theta block by block. An
+analytic orbit's profile and its derivatives are evaluated once per point
+set.
 """
 
 import math
@@ -38,7 +43,7 @@ from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import (DEFAULT_STEPS, checked_count, checked_steps,
                         integrate)
 from .potentials import Potential
-from .serialize import fmt_csv_rows, read_text, write_text
+from .serialize import read_text, write_csv
 
 TAU = math.tau
 
@@ -49,6 +54,12 @@ WRONSKIAN_TOL = 1e-7
 ENDPOINT_TOL = 1e-10
 
 CURVE_COLUMNS = ("t", "v1", "v2", "v1p", "v2p")
+
+# Targets per block of the swept-time inversion and of the curvature
+# formula: the blocks' temporaries stay near 1 MB at any step count.
+INVERT_BLOCK = 16384
+# A point's offset in its block; the last block can be up to twice as long.
+_OFFSET = np.min_scalar_type(2 * INVERT_BLOCK - 1)
 
 
 class FundamentalCurve(Immutable):
@@ -253,6 +264,18 @@ def _newton_sweep(value_fn, th, thj, tj, rj, t, theta_max):
     return np.clip(new, 0.0, theta_max, out=new), resid
 
 
+def _blocks(count):
+    """Slices of INVERT_BLOCK items over count items, the last taking the
+    remainder: a short tail block would cost as many calls as a full one."""
+    starts = list(range(0, count - INVERT_BLOCK + 1, INVERT_BLOCK)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def _max_abs(a):
+    """np.abs(a).max(), nan included, without a temporary of a's size."""
+    return np.maximum(a.max(), -a.min())
+
+
 def _invert_times(orbit, value_fn, t_targets):
     """theta(t) for the swept-time map t(theta), by table lookup and Newton.
 
@@ -262,39 +285,58 @@ def _invert_times(orbit, value_fn, t_targets):
     each point from that point's own data alone, so a point whose theta a
     sweep leaves unchanged keeps it and its residual in every later sweep:
     after the first sweep, each sweep runs only on the points that moved in
-    the one before. One full-length residual array holds every point's
-    latest residual, so the stop test and the convergence gate see the same
-    maximum as a sweep over all points would, and theta is the same to the
-    bit.
+    the one before.
+
+    Each sweep runs block by block (see _blocks), and every block finishes
+    a sweep before any block starts the next one. Across sweeps only theta,
+    one full-length residual array and, per block, the moving points'
+    offsets in the block and their bracketing table indices persist; a
+    block's node times, node values and targets are read off the table,
+    orbit.rho and t_targets again in each sweep. The stop test
+    and the convergence gate see every point's latest residual, the same
+    maximum as a sweep over all points, and theta is the same to the bit.
     """
     grid = orbit.theta_grid
     table = _time_table(orbit)
+    rho = orbit.rho
+    theta_max = orbit.theta_max
     t = np.asarray(t_targets, dtype=float)
-    j = np.clip(np.searchsorted(table, t, side="right") - 1, 0, grid.size - 2)
-    thj, tj, rj = grid[j], table[j], orbit.rho[j]
-    del j
-    th = np.clip(thj + (t - tj) / rj, 0.0, orbit.theta_max)
-    new, resid = _newton_sweep(value_fn, th, thj, tj, rj, t, orbit.theta_max)
-    # live indexes the moving points in th and resid; moved indexes them in
-    # the arrays of the last sweep.
-    moved = live = np.flatnonzero(new != th)
-    th = new
+    node_type = np.min_scalar_type(grid.size - 2)
+    th = np.empty_like(t)
+    resid = np.empty_like(t)
+    # Per block: its slice, and the offsets and table indices of the points
+    # that moved in the last sweep.
+    blocks = []
+    for block in _blocks(t.size):
+        tb = t[block]
+        j = np.searchsorted(table, tb, side="right")
+        j -= 1
+        np.clip(j, 0, grid.size - 2, out=j)
+        thj, tj, rj = grid[j], table[j], rho[j]
+        guess = np.clip(thj + (tb - tj) / rj, 0.0, theta_max)
+        new, resid[block] = _newton_sweep(value_fn, guess, thj, tj, rj, tb,
+                                          theta_max)
+        th[block] = new
+        live = np.flatnonzero(new != guess)
+        blocks.append((block, live.astype(_OFFSET), j[live].astype(node_type)))
     for _ in range(5):
-        if not live.size or np.abs(resid).max() < 1e-13 * TAU:
+        if (not any(live.size for _, live, _ in blocks)
+                or _max_abs(resid) < 1e-13 * TAU):
             break
-        # One array at a time, so that no two full-length copies coexist.
-        thj = thj[moved]
-        tj = tj[moved]
-        rj = rj[moved]
-        t = t[moved]
-        old = th[live]
-        new, resid[live] = _newton_sweep(value_fn, old, thj, tj, rj, t,
-                                         orbit.theta_max)
-        th[live] = new
-        moved = np.flatnonzero(new != old)
-        del old, new
-        live = live[moved]
-    if np.abs(resid).max() > 1e-9:
+        for b, (block, live, j) in enumerate(blocks):
+            if not live.size:
+                continue
+            # numpy converts a compact index array on every use; once here.
+            at, node = live.astype(np.intp), j.astype(np.intp)
+            thb = th[block]
+            old = thb[at]
+            new, resid[block][at] = _newton_sweep(
+                value_fn, old, grid[node], table[node], rho[node],
+                t[block][at], theta_max)
+            thb[at] = new
+            moved = new != old
+            blocks[b] = (block, live[moved], j[moved])
+    if _max_abs(resid) > 1e-9:
         raise NumericalInvariantError("swept-time inversion did not converge")
     return th
 
@@ -397,9 +439,15 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
     """Potential along the time grid from the orbit curvature formula."""
     t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
     value_fn = _value_model(orbit)
-    th = _invert_times(orbit, value_fn, t)
-    rho, drho, d2rho = _jet_model(orbit, value_fn, for_curvature=True)(th)
-    q = (2.0 * d2rho * rho - 3.0 * drho ** 2 - 4.0 * rho ** 2) / (4.0 * rho ** 4)
+    q = _invert_times(orbit, value_fn, t)
+    del t
+    jet = _jet_model(orbit, value_fn, for_curvature=True)
+    # One block at a time, overwriting theta with q.
+    for block in _blocks(q.size):
+        th = q[block]
+        rho, drho, d2rho = jet(th)
+        th[:] = ((2.0 * d2rho * rho - 3.0 * drho ** 2 - 4.0 * rho ** 2)
+                 / (4.0 * rho ** 4))
     return Potential.sampled(q, "cubic")
 
 
@@ -408,8 +456,8 @@ def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
 # ---------------------------------------------------------------------------
 
 def save_curve_csv(curve, path):
-    rows = np.column_stack([curve.t, curve.v, curve.vp])
-    write_text(",".join(CURVE_COLUMNS) + "\n" + fmt_csv_rows(rows), path)
+    write_csv(CURVE_COLUMNS, np.column_stack([curve.t, curve.v, curve.vp]),
+              path)
 
 
 def load_curve_csv(path):

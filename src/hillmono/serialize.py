@@ -34,12 +34,16 @@ character slot: separator, sign, the "0.000" of small fixed-point values,
 the digits with a possible point after each one, and the exponent. Slots a
 value does not use hold a zero byte; slots no value of the chunk uses are
 left out. The matrix is read out value by value and the zero bytes are
-deleted, and the chunks' strings are joined once, so the whole text exists
-only as the chunk strings and the joined result.
+deleted. write_json and write_csv write the chunk strings and the pieces
+around them one by one, so the whole text exists once, as those pieces,
+and is never joined or encoded whole; dumps_json and fmt_csv_rows return
+the join of the same pieces. Every piece is made before the output file
+is opened, so a value that cannot be written leaves the file untouched.
 
-Every file the package reads or writes goes through read_text and
-write_text, which turn a failure into DomainError; read_json parses on top
-of read_text, and maps every way a text can fail to be JSON the same way.
+Every file the package reads or writes goes through read_text and the
+writers here, which turn a failure into DomainError; read_json parses on
+top of read_text, and maps every way a text can fail to be JSON the same
+way.
 """
 
 import json
@@ -318,13 +322,17 @@ def _float_chunks(values, seps):
         yield text[ls if start == 0 else 0:].decode("ascii")
 
 
-def fmt_csv_rows(rows):
-    """Comma separated 17-digit lines, one per row of a 2-D float array."""
+def _csv_pieces(rows):
     rows = np.asarray(rows, dtype=float)
     if not rows.size:
-        return "\n" * rows.shape[0]
+        return ["\n" * rows.shape[0]]
     seps = (",",) * (rows.shape[1] - 1) + ("\n",)
-    return "".join([*_float_chunks(rows.ravel(), seps), "\n"])
+    return [*_float_chunks(rows.ravel(), seps), "\n"]
+
+
+def fmt_csv_rows(rows):
+    """Comma separated 17-digit lines, one per row of a 2-D float array."""
+    return "".join(_csv_pieces(rows))
 
 
 def _emit(obj, indent, out):
@@ -370,24 +378,35 @@ def _emit(obj, indent, out):
         raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj):
-    """JSON text with floats at 17 significant digits, newline terminated."""
+def _json_pieces(obj):
     out = []
     _emit(obj, 0, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps_json(obj):
+    """JSON text with floats at 17 significant digits, newline terminated."""
+    return "".join(_json_pieces(obj))
+
+
+def _write_pieces(pieces, path):
+    """Write the strings pieces one after another to the file at path, or
+    to stdout for None or "-"."""
+    if path is None or path == "-":
+        for piece in pieces:
+            sys.stdout.write(piece)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_text(text, path):
     """Write text to the file at path, or to stdout for None or "-"."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+    _write_pieces((text,), path)
 
 
 def read_text(path):
@@ -403,7 +422,14 @@ def read_text(path):
 
 
 def write_json(obj, path):
-    write_text(dumps_json(obj), path)
+    """Write the text of dumps_json(obj) to path as write_text does."""
+    _write_pieces(_json_pieces(obj), path)
+
+
+def write_csv(columns, rows, path):
+    """Write a header line of the column names and the lines of
+    fmt_csv_rows(rows) to path as write_text does."""
+    _write_pieces([",".join(columns) + "\n", *_csv_pieces(rows)], path)
 
 
 def read_json(path):

@@ -29,7 +29,9 @@ from hillmono import (
     synthesize_orbit,
     write_json,
 )
-from hillmono.kepler import _invert_times, _value_model
+from hillmono import kepler
+from hillmono.kepler import (INVERT_BLOCK, _invert_times, _jet_model,
+                             _value_model)
 from hillmono.synthesis import auto_steps
 from oracles import invert_times, rel_l2
 
@@ -215,11 +217,22 @@ def test_invert_times_matches_full_sweeps_on_synthesized_orbits(
     got = _invert_times(orbit, _counted(orbit.value_fn, sizes), t)
     assert got.tobytes() == want.tobytes()
     assert len(ref_sizes) == 1 + 2 * sweeps
-    assert sizes[:2] == [steps + 1] * 2
+    # A sweep evaluates rho at each block's points and at their midpoints,
+    # one block at a time; no call sees more than one block. The blocks
+    # hold INVERT_BLOCK targets, the last one the remainder too.
+    count = max((steps + 1) // INVERT_BLOCK, 1)
+    blocks = [INVERT_BLOCK] * (count - 1)
+    blocks.append(steps + 1 - sum(blocks))
+    first = 2 * len(blocks)
+    assert max(sizes) <= blocks[-1]
+    # The first sweep covers every target once.
+    assert sizes[:first] == [n for n in blocks for _ in range(2)]
+    later = sizes[first:]
+    assert later[0::2] == later[1::2]
+    assert len(later) <= 2 * (sweeps - 1) * len(blocks)
     if sweeps > 2:
         # The later sweeps only see the points that still move.
-        assert sizes[-1] < sizes[2] <= steps + 1
-    assert len(sizes) <= 2 * sweeps
+        assert 0 < sum(later) < 2 * (sweeps - 1) * (steps + 1)
 
 
 @pytest.mark.parametrize("q, steps, nodes", [
@@ -227,6 +240,8 @@ def test_invert_times_matches_full_sweeps_on_synthesized_orbits(
     (Potential.trig_poly([0.3], [0.0, 0.1]), 4096, 1000),
     (Potential.trig_poly([0.2, 0.1], [0.1], -1.2), 4096, None),
     (Potential.constant(-1.0), 1024, 4097),
+    # 40001 targets: a block and a longer last one.
+    (Potential.trig_poly([0.3], [0.0, 0.1]), 20000, None),
 ])
 def test_invert_times_matches_full_sweeps_on_sampled_orbits(q, steps, nodes):
     orbit = orbit_of(curve_of(q, steps), nodes)
@@ -234,6 +249,35 @@ def test_invert_times_matches_full_sweeps_on_sampled_orbits(q, steps, nodes):
     t = np.linspace(0.0, TAU, 2 * steps + 1)
     want = invert_times(orbit, value_fn, t)
     assert _invert_times(orbit, value_fn, t).tobytes() == want.tobytes()
+
+
+def _synthesized():
+    return synthesize_orbit(5.3, 1.9, 0.84).sample()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: orbit_of(curve_of(Potential.trig_poly([0.3], [0.0, 0.1]), 4096)),
+    # JSON drops the analytic callables, so rho'' is read off its samples.
+    lambda: orbit_from_dict(orbit_to_dict(_synthesized())),
+    _synthesized,
+], ids=["sampled", "synthesized-json", "synthesized"])
+def test_blocked_transforms_match_full_sweeps(make, monkeypatch):
+    orbit = make()
+    steps = 40000   # a block and a longer last one
+    curve = curve_of_orbit(orbit, steps)
+    q = potential_of_orbit(orbit, steps)
+    # The same transforms with the unblocked inversion, and the curvature
+    # formula on all points at once.
+    monkeypatch.setattr(kepler, "_invert_times", invert_times)
+    want = curve_of_orbit(orbit, steps)
+    for got, ref in ((curve.t, want.t), (curve.v, want.v),
+                     (curve.vp, want.vp)):
+        assert got.tobytes() == ref.tobytes()
+    value_fn = _value_model(orbit)
+    th = invert_times(orbit, value_fn, np.linspace(0.0, TAU, steps + 1))
+    rho, drho, d2rho = _jet_model(orbit, value_fn, for_curvature=True)(th)
+    q_ref = (2.0 * d2rho * rho - 3.0 * drho ** 2 - 4.0 * rho ** 2) / (4.0 * rho ** 4)
+    assert q.samples.tobytes() == q_ref.tobytes()
 
 
 def test_invert_times_fails_where_full_sweeps_fail():
@@ -253,6 +297,16 @@ def _peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_potential_of_orbit_peak_stays_below_five_grid_arrays():
+    # The stiff synthesis target at its 524288 steps: the inversion holds
+    # theta, its residual and the targets at full length, and per block
+    # only small temporaries; the curvature formula overwrites theta.
+    orbit = synthesize_orbit(13.0, 2.0, -1.0).sample()
+    steps = 524288
+    potential_of_orbit(orbit, steps)
+    assert _peak(lambda: potential_of_orbit(orbit, steps)) < 5 * 8 * (steps + 1)
 
 
 def test_invert_times_peak_is_no_higher_than_full_sweeps():

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillmono import (DomainError, Potential, dumps_json, fmt_float,
-                      load_curve_csv, orbit_to_dict, read_json,
-                      synthesize_orbit, write_json)
+                      load_curve_csv, orbit_to_dict, potential_of_orbit,
+                      read_json, synthesize_orbit, write_json)
 from hillmono import serialize
-from hillmono.serialize import _float_chunks, fmt_csv_rows, write_text
+from hillmono.serialize import (_float_chunks, fmt_csv_rows, write_csv,
+                                write_text)
 
 
 def test_fmt_float_round_trips_doubles():
@@ -83,6 +85,53 @@ def test_write_text_names_the_unwritable_path(tmp_path, capsys):
             f"cannot write {missing}: No such file or directory"
     write_text("to stdout\n", "-")
     assert capsys.readouterr().out == "to stdout\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", [0, 99_999])
+def test_refused_writes_leave_the_file_as_it_was(tmp_path, bad, where):
+    values = np.linspace(-1.0, 1.0, 100_000)
+    values[where] = bad
+    path = tmp_path / "out.json"
+    path.write_bytes(b"earlier contents\n")
+    for write in (lambda: write_json({"n": 1, "samples": values}, path),
+                  lambda: write_json([1.0, {"x": values.tolist()}], path),
+                  lambda: write_csv(("a", "b"), values.reshape(-1, 2), path)):
+        with pytest.raises(DomainError, match="non-finite"):
+            write()
+        assert path.read_bytes() == b"earlier contents\n"
+
+
+def test_writers_write_the_joined_text(tmp_path, capsys):
+    # Several chunks of CHUNK_ITEMS values in the CSV and in "samples".
+    rows = np.linspace(-1.0, 1.0, 200_001)[:-1].reshape(-1, 5) ** 3
+    obj = {"n": 3, "rows": rows[:3], "samples": rows.ravel()[:99_999]}
+    path = tmp_path / "out"
+    write_json(obj, path)
+    assert path.read_bytes() == dumps_json(obj).encode()
+    write_csv(("a", "b", "c", "d", "e"), rows, path)
+    assert path.read_bytes() == ("a,b,c,d,e\n" + fmt_csv_rows(rows)).encode()
+    write_json(obj, "-")
+    write_csv(("a", "b", "c", "d", "e"), rows[:0], None)
+    assert capsys.readouterr().out == dumps_json(obj) + "a,b,c,d,e\n"
+
+
+def test_write_json_does_not_hold_the_joined_text(tmp_path):
+    # The 524289-sample potential of the stiff synthesis target.
+    orbit = synthesize_orbit(13.0, 2.0, -1.0).sample()
+    data = potential_of_orbit(orbit, 524288).to_dict()
+    path = tmp_path / "q.json"
+    tracemalloc.start()
+    try:
+        write_json(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 13e6
+    # The pieces hold the text once and one chunk pass adds about 6 MB; a
+    # joined copy of the text would add 13 MB more.
+    assert peak < size + 8e6
 
 
 def test_identical_inputs_identical_bytes(tmp_path):
