@@ -1,14 +1,12 @@
-"""Brent's root finder and bounded minimizer, as resumable searches.
+"""Brent's root finder, as a resumable search.
 
-brentq transcribes scipy's C brentq (scipy/optimize/Zeros/brentq.c) and
-fminbound scipy's _minimize_scalar_bounded (scipy/optimize/_optimize.py),
-step for step and operation for operation (Brent, Algorithms for
-Minimization without Derivatives, 1973). So on any function they return the
-bits that scipy.optimize.brentq and minimize_scalar(method="bounded") return
-with the same tolerances.
+brentq transcribes scipy's C brentq (scipy/optimize/Zeros/brentq.c) step
+for step and operation for operation (Brent, Algorithms for Minimization
+without Derivatives, 1973). So on any function it returns the bits that
+scipy.optimize.brentq returns with the same tolerances.
 
-Each is a generator: it yields every abscissa at which it needs the
-function, is sent the function's value there, and returns its result. A
+It is a generator: it yields every abscissa at which it needs the
+function, is sent the function's value there, and returns the root. A
 caller can so run many searches in lockstep and evaluate each round's
 abscissae together, as the spectrum scan does; a search's result depends
 only on the values it is sent, so it is the same whatever runs beside it.
@@ -124,81 +122,3 @@ def brentq(xa, xb, xtol=2e-12, rtol=4 * 2.0 ** -52, maxiter=100):
         fcur = _checked((yield xcur), xcur)
     raise NumericalInvariantError(f"brentq failed to converge after "
                                   f"{maxiter} iterations, value is {xcur!r}")
-
-
-def _sign(v):
-    """np.sign(v) + (v == 0): 1 for v >= 0, -1 below."""
-    return -1.0 if v < 0 else 1.0
-
-
-def fminbound(x1, x2, xatol=1e-5, maxiter=500):
-    """Search for a minimizer of f on [x1, x2] by Brent's bounded method.
-
-    Yields x, is sent f(x); returns the best x after the interval shrinks
-    below about xatol, or after maxiter evaluations, as scipy does.
-    """
-    if not (math.isfinite(x1) and math.isfinite(x2) and x1 <= x2):
-        raise DomainError("bounds must be finite, the lower one first")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = yield x
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf

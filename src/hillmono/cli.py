@@ -28,7 +28,7 @@ from .kepler import (curve_of, orbit_from_dict, orbit_of, orbit_to_dict,
 from .potentials import Potential, load_potential
 # dumps_json is not called here, but stays importable as cli.dumps_json,
 # which the traced benchmark (bench/spans.py) wraps.
-from .serialize import dumps_json, fmt_float, read_json, write_json
+from .serialize import dumps_json, fmt_float, read_json, write_csv, write_json
 from .serialize import write_text as _write_text
 from .spectral import DEFAULT_SCAN_STEPS, oscillation_eigenvalues
 from .synthesis import potential_with_monodromy
@@ -223,14 +223,12 @@ def cmd_plotdata(args):
         cosh_rmax = math.cosh(args.rmax)
     except OverflowError:
         cosh_rmax = math.inf
-    lines = ["c,alpha,r"]
+    rows = []
     for c in args.levels:
         if c == 0.0:
             for k in range(k_lo, k_hi + 1):
                 alpha = math.pi / 2 + k * math.pi
-                for r in np.linspace(0.0, args.rmax, 101):
-                    lines.append(",".join([fmt_float(c), fmt_float(alpha),
-                                           fmt_float(r)]))
+                rows += [(c, alpha, r) for r in np.linspace(0.0, args.rmax, 101)]
             continue
         for alpha in alphas:
             ratio = c / (2.0 * math.cos(alpha)) if math.cos(alpha) != 0 else \
@@ -243,9 +241,8 @@ def cmd_plotdata(args):
                 raise NumericalInvariantError(
                     f"trace level identity violated by {err:.3e} at "
                     f"alpha={alpha!r}")
-            lines.append(",".join([fmt_float(c), fmt_float(alpha),
-                                   fmt_float(r)]))
-    _write_text("\n".join(lines) + "\n", args.output)
+            rows.append((c, alpha, r))
+    write_csv(("c", "alpha", "r"), rows, args.output)
     return 0
 
 

@@ -19,7 +19,7 @@ The transforms here move between the three value types:
 
 Sampled orbits are interpolated shape-preservingly for values; derivative
 data is taken from supplied samples or an analytic 2-jet when present and
-otherwise estimated by differences or spline differentiation.
+otherwise from the cubic spline through the highest derivative carried.
 
 Inverting the swept-time map is the costly step at large step counts. Each
 Newton sweep moves every point from that point's own data alone, so a
@@ -102,9 +102,9 @@ class Orbit(Immutable):
 
     Optional derivative samples rho_prime, rho_second and analytic
     callables refine later transforms: value_fn maps theta to rho, and
-    jet_fn maps theta to the tuple (rho, rho', rho''). Both must reproduce
-    the rho samples exactly at the grid nodes. The callables are not
-    serialized.
+    jet_fn maps theta to the tuple (rho, rho', rho''). The callables come
+    together or not at all, must reproduce the rho samples exactly at the
+    grid nodes, and are not serialized.
     """
 
     __slots__ = ("theta_max", "rho", "rho_prime", "rho_second",
@@ -128,6 +128,8 @@ class Orbit(Immutable):
                     raise DomainError(f"{name} must match rho and be finite")
             extras.append(arr)
         rho_prime, rho_second = extras
+        if (value_fn is None) != (jet_fn is None):
+            raise DomainError("value_fn and jet_fn must be given together")
         if abs(rho[0] - 1.0) > RHO_START_TOL:
             raise DomainError(
                 f"rho(0) = {float(rho[0])!r} but must be 1 within {RHO_START_TOL}")
@@ -137,7 +139,7 @@ class Orbit(Immutable):
         elif rho_prime is not None:
             slope0 = float(rho_prime[0])
         else:
-            slope0 = _edge_slopes(rho, grid[1] - grid[0])[0]
+            slope0 = _start_slope(rho, grid[1] - grid[0])
         if abs(slope0) > RHO_SLOPE_TOL:
             raise DomainError(
                 f"rho'(0) = {slope0!r} but must vanish within {RHO_SLOPE_TOL}")
@@ -165,64 +167,36 @@ class Orbit(Immutable):
 # Derivative models for sampled and analytic orbits
 # ---------------------------------------------------------------------------
 
-def _value_model(orbit):
-    if orbit.value_fn is not None:
-        return orbit.value_fn
-    from scipy.interpolate import PchipInterpolator
-
-    return PchipInterpolator(orbit.theta_grid, orbit.rho)
+def _start_slope(f, h):
+    """Fourth-order one-sided slope estimate at the start of a uniform grid."""
+    return (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
 
 
-def _edge_slopes(values, h):
-    """Fourth-order one-sided slope estimates at both ends of a uniform grid."""
-    f = values
-    left = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-    right = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
-    return left, right
+def _model(orbit):
+    """(value, jet) of an orbit: theta -> rho and theta -> (rho, rho', rho'').
 
-
-def _slope_model(orbit, for_curvature):
-    """rho' of a sampled orbit as a callable: supplied samples or estimated.
-
-    Estimation uses centered differences for curve reconstruction and the
-    cubic spline derivative when curvature is also required, so rho'' stays
-    continuous in the latter case.
+    An analytic orbit's value_fn and jet_fn are used as they are, so its
+    profile is evaluated once per point set. A sampled orbit interpolates
+    rho and each derivative it carries by PCHIP; a derivative it does not
+    carry is the cubic spline derivative of the highest one it does, so
+    rho'' stays continuous.
     """
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
-    grid = orbit.theta_grid
-    if orbit.rho_prime is not None:
-        return PchipInterpolator(grid, orbit.rho_prime)
-    if for_curvature:
-        return CubicSpline(grid, orbit.rho).derivative()
-    slopes = np.gradient(orbit.rho, grid, edge_order=2)
-    # np.gradient's three-point end rule leaves an O(h) artifact on
-    # interpolated data; the four-point-order ends match the validation rule.
-    slopes[0], slopes[-1] = _edge_slopes(orbit.rho, grid[1] - grid[0])
-    return PchipInterpolator(grid, slopes)
-
-
-def _curvature_model(orbit):
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
-    grid = orbit.theta_grid
-    if orbit.rho_second is not None:
-        return PchipInterpolator(grid, orbit.rho_second)
-    if orbit.rho_prime is not None:
-        return CubicSpline(grid, orbit.rho_prime).derivative()
-    return CubicSpline(grid, orbit.rho).derivative(2)
-
-
-def _jet_model(orbit, value_fn, for_curvature=False):
-    """theta -> (rho, rho', rho'') as a callable; without for_curvature a
-    sampled orbit's rho'' is None. An analytic orbit's jet_fn is used as is,
-    so its profile is evaluated once per point set."""
     if orbit.jet_fn is not None:
-        return orbit.jet_fn
-    slope_fn = _slope_model(orbit, for_curvature)
-    curv_fn = _curvature_model(orbit) if for_curvature else None
-    return lambda th: (value_fn(th), slope_fn(th),
-                       None if curv_fn is None else curv_fn(th))
+        return orbit.value_fn, orbit.jet_fn
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
+    grid = orbit.theta_grid
+    value = PchipInterpolator(grid, orbit.rho)
+    if orbit.rho_prime is None:
+        spline = CubicSpline(grid, orbit.rho)
+        slope, curvature = spline.derivative(), spline.derivative(2)
+    else:
+        slope = PchipInterpolator(grid, orbit.rho_prime)
+        if orbit.rho_second is None:
+            curvature = CubicSpline(grid, orbit.rho_prime).derivative()
+    if orbit.rho_second is not None:
+        curvature = PchipInterpolator(grid, orbit.rho_second)
+    return value, lambda th: (value(th), slope(th), curvature(th))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +383,9 @@ def curve_of_orbit(orbit, steps=DEFAULT_STEPS):
     along theta(t).
     """
     t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
-    value_fn = _value_model(orbit)
-    th = _invert_times(orbit, value_fn, t)
-    rho, drho, _ = _jet_model(orbit, value_fn)(th)
+    value, jet = _model(orbit)
+    th = _invert_times(orbit, value, t)
+    rho, drho, _ = jet(th)
     c, s = np.cos(th), np.sin(th)
     sq = np.sqrt(rho)
     v = np.stack([sq * c, sq * s], axis=-1)
@@ -438,10 +412,9 @@ def potential_of_curve(curve):
 def potential_of_orbit(orbit, steps=DEFAULT_STEPS):
     """Potential along the time grid from the orbit curvature formula."""
     t = np.linspace(0.0, TAU, checked_steps(steps) + 1)
-    value_fn = _value_model(orbit)
-    q = _invert_times(orbit, value_fn, t)
+    value, jet = _model(orbit)
+    q = _invert_times(orbit, value, t)
     del t
-    jet = _jet_model(orbit, value_fn, for_curvature=True)
     # One block at a time, overwriting theta with q.
     for block in _blocks(q.size):
         th = q[block]

@@ -17,13 +17,14 @@ hyperplane once and then each cone in either two leaf points or one vertex,
 giving the periodic eigenvalues s_0 < s_1 <= s_2 < s_3 <= ... with their
 stratum labels.
 
-The walk has two phases: a gallop from the start of the line, with steps
-doubling from 0.25 up to 4, until the Cartan angle passes the last window;
-then rounds of bisection, which split every node interval whose angle
-advance is pi/4 or more. A round's midpoints are evaluated together: they
-go through the batched kernel (integrate.monodromies) in batches of at
-most DEFAULT_STEPS // steps members, the most that the pooled workspace
-holds, and each result is bit for bit that of its own monodromy call.
+The walk is one loop of rounds. Each round splits every node interval
+whose angle advance is pi/4 or more, and, until the Cartan angle passes
+the last window, gallops: it adds one node past the last, with steps
+doubling from 0.25 up to 4. A round's new nodes are evaluated together:
+they go through the batched kernel (integrate.monodromies) in batches of
+at most DEFAULT_STEPS // steps members, the most that the pooled
+workspace holds, and each result is bit for bit that of its own monodromy
+call.
 
 The eigenvalues come from one pass over the scan nodes: every sign change of
 trace - 2 between two nodes is refined, and the root is labelled by the
@@ -33,22 +34,28 @@ exactly two crossings gives the pair directly: two roots at least
 S_RESOLUTION apart are the minus and plus leaves, closer ones a vertex at
 their midpoint. Any other count means a vertex, or a split narrower than the
 node spacing, that the nodes do not resolve. Only such a window takes the
-maximum path: its two trace-zero walls are refined, the trace maximum
-between them is found, and the roots are bracketed outward from it. Where
-those roots fall closer than S_RESOLUTION, or the maximum stays at or
-below 2, the window holds a vertex, placed at the midpoint of the chord
-VERTEX_TRACE_TOL below the maximum: there the trace is steep, while at
-its flat maximum rounding moves the maximizer by about 1e-8.
+center path: its two trace-zero walls are refined, the point between them
+where the Cartan angle alpha is the window's m pi is found, and the roots
+are bracketed outward from it. In the Cartan chart
+R(alpha)(cosh r I + sinh r K) the trace is 2 cos(alpha) cosh r, so at
+alpha = m pi, m even, it is 2 cosh r >= 2: this center lies between the
+pair's roots, or at the vertex. The trace is flat at its top, but alpha
+is steep there, so one root search on alpha - m pi finds the center, and
+no minimizer is needed. Where the roots fall closer than S_RESOLUTION, or
+the center's trace stays at or below 2, the window holds a vertex, placed
+at the midpoint of the chord VERTEX_TRACE_TOL below the center's trace:
+there the trace is steep, while near its flat top rounding moves a root
+by about 1e-8.
 
-Every refinement is a search of .brent, a generator that yields each s it
-needs, and the searches run in lockstep: first those of all the trace-2
-crossings, then the maximum paths of all unresolved windows, each of which
-refines its two walls, and later its two roots, in lockstep too. Each
-round, every pending search's next s goes, in root order, to one
-_LineScan.evaluate call, and so through the batched kernel. A search's
-result depends only on the values it is sent, so every root is bit for bit
-what scipy's brentq or bounded minimizer gives one call at a time, and the
-module needs no scipy.
+Every refinement is a brentq search of .brent, a generator that yields
+each s it needs, and the searches run in lockstep: first those of all the
+trace-2 crossings, then the center paths of all unresolved windows, each
+of which refines its two walls, then its center, and then its two roots,
+in lockstep too. Each round, every pending search's next s goes, in root
+order, to one _LineScan.evaluate call, and so through the batched kernel.
+A search's result depends only on the values it is sent, so every root is
+bit for bit what scipy's brentq gives one call at a time, and the module
+needs no scipy.
 """
 
 import math
@@ -56,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .brent import brentq, fminbound
+from .brent import brentq
 from .cover import classify, to_cartan
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import DEFAULT_STEPS, checked_steps, monodromies, sample_times
@@ -206,14 +213,14 @@ def _exhausted(n_max, alpha):
 def _scan_line(line, n_max):
     """Adaptive s-nodes covering the windows up to the n_max-th cone.
 
-    A gallop from s_start, its step ds doubling from 0.25 up to 4, runs
-    until the Cartan angle reaches alpha_stop. Rounds of bisection follow:
-    each splits every node interval whose winding advance is pi/4 or more,
-    evaluates all the round's midpoints together, and cuts the nodes at the
-    first one whose angle reaches alpha_stop. So no window is skipped, and
-    the monotonicity that justifies the whole sweep is asserted on every
-    adjacent pair. An interval no wider than 1e-6, or whose midpoint rounds
-    onto an end, is not split.
+    One loop of rounds. Each round evaluates its new nodes together, cuts
+    the nodes at the first one whose Cartan angle reaches alpha_stop, and
+    splits every node interval whose winding advance is pi/4 or more. While
+    the last node is still below alpha_stop, the round also gallops: it
+    adds the node ds past the last one, ds doubling from 0.25 up to 4. So
+    no window is skipped, and the monotonicity that justifies the whole
+    sweep is asserted on every adjacent pair. An interval no wider than
+    1e-6, or whose midpoint rounds onto an end, is not split.
     """
     tgrid = np.linspace(0.0, TAU, _POSITIVITY_SAMPLES, endpoint=False)
     qpv = np.asarray(line.qplus(tgrid), dtype=float)
@@ -225,22 +232,12 @@ def _scan_line(line, n_max):
 
     nodes = [s_start]
     ds = 0.25
-    while (alpha := line(nodes[-1])[3]) < alpha_stop:
-        if len(nodes) >= _MAX_SCAN_NODES:
-            raise _exhausted(n_max, alpha)
-        s_next = nodes[-1] + ds
-        if s_next == nodes[-1]:
-            raise DomainError(
-                f"the scan cannot move along the line: s = {nodes[-1]!r} "
-                f"plus the step ds = {ds!r} rounds back to s")
-        nodes.append(s_next)
-        ds = min(2 * ds, 4.0)
-
     while True:
         recs = line.evaluate(nodes)
-        stop = next(i for i, r in enumerate(recs) if r[3] >= alpha_stop)
-        nodes, recs = nodes[:stop + 1], recs[:stop + 1]
-        mids = []
+        stop = next((i + 1 for i, r in enumerate(recs) if r[3] >= alpha_stop),
+                    len(recs))
+        nodes, recs = nodes[:stop], recs[:stop]
+        new = []
         for a, b, (_, theta_a, _, _), (_, theta_b, _, _) in zip(
                 nodes, nodes[1:], recs, recs[1:]):
             if theta_b <= theta_a:
@@ -248,13 +245,20 @@ def _scan_line(line, n_max):
                     "winding angle is not increasing along the line")
             mid = 0.5 * (a + b)
             if theta_b - theta_a >= math.pi / 4 and b - a > 1e-6 and a < mid < b:
-                mids.append(mid)
-        if not mids:
+                new.append(mid)
+        if recs[-1][3] < alpha_stop:
+            s_next = nodes[-1] + ds
+            if s_next == nodes[-1]:
+                raise DomainError(
+                    f"the scan cannot move along the line: s = {nodes[-1]!r} "
+                    f"plus the step ds = {ds!r} rounds back to s")
+            new.append(s_next)
+            ds = min(2 * ds, 4.0)
+        if not new:
             return nodes
-        if len(nodes) + len(mids) > _MAX_SCAN_NODES:
+        if len(nodes) + len(new) > _MAX_SCAN_NODES:
             raise _exhausted(n_max, recs[-1][3])
-        line.evaluate(mids)
-        nodes = sorted(nodes + mids)
+        nodes = sorted(nodes + new)
 
 
 def _rounds(line, search, f):
@@ -323,9 +327,9 @@ def _window_label(line, s):
     return round(line(s)[3] / math.pi)
 
 
-def _roots_from_maximum(line, nodes, m):
+def _roots_from_center(line, nodes, m):
     """Scan search: both trace-2 roots of window m, bracketed outward from
-    the maximum.
+    the window's Cartan center, where alpha = m pi.
 
     Refines only the window's two trace-zero walls, each from the node
     bracket whose windows straddle it; the walls, the two roots and the two
@@ -344,35 +348,35 @@ def _roots_from_maximum(line, nodes, m):
     except KeyError:
         raise NumericalInvariantError(
             f"window {m} is missing a trace-zero wall") from None
-    # The trace rises from 0 at both walls to its single interior maximum,
-    # so bracketing outward from the maximum finds the pair.
-    s_top = yield from _rounds(line, fminbound(lo, hi, xatol=1e-10),
-                               lambda r: -r[2])
-    top = line(s_top)[2]
+    # The trace is 2 cos(alpha) cosh(r), so it is 0 at the walls, where
+    # alpha - m pi is -pi/2 and pi/2, and at least 2 at the center, where
+    # it is 0. So the center lies between the pair's roots, or at the
+    # vertex, and bracketing outward from it finds the pair.
+    s_mid = yield from _root(line, lo, hi, lambda r: r[3] - m * math.pi)
+    top = line(s_mid)[2]
     if top < 2.0 - VERTEX_TRACE_TOL:
         raise NumericalInvariantError(
-            f"window {m} trace maximum {top!r} never reaches 2")
+            f"window {m} trace at the Cartan center {top!r} is below 2")
     if top > 2.0:
-        roots = yield from _outward(line, lo, s_top, hi, 2.0)
+        roots = yield from _outward(line, lo, s_mid, hi, 2.0)
         if roots[1] - roots[0] >= S_RESOLUTION:
             return roots
     # A vertex: the trace touches 2, flat to second order, so rounding moves
-    # its maximizer, and roots that close, by about the square root of the
-    # rounding, some 1e-8. The chord VERTEX_TRACE_TOL below the maximum,
-    # where the trace is steep, has its midpoint within about 1e-11 of the
-    # vertex.
-    ends = yield from _outward(line, lo, s_top, hi,
+    # roots that close by about the square root of the rounding, some 1e-8.
+    # The chord VERTEX_TRACE_TOL below the center's trace, where the trace
+    # is steep, has its midpoint within about 1e-11 of the vertex.
+    ends = yield from _outward(line, lo, s_mid, hi,
                                min(top, 2.0) - VERTEX_TRACE_TOL)
     s_vertex = 0.5 * (ends[0] + ends[1])
     return s_vertex, s_vertex
 
 
-def _outward(line, lo, s_top, hi, level):
-    """Scan search: the roots of trace - level in [lo, s_top] and
-    [s_top, hi], in lockstep."""
+def _outward(line, lo, s_mid, hi, level):
+    """Scan search: the roots of trace - level in [lo, s_mid] and
+    [s_mid, hi], in lockstep."""
     f = lambda r: r[2] - level
     return (yield from _together(
-        _root(line, a, b, f) for a, b in ((lo, s_top), (s_top, hi))))
+        _root(line, a, b, f) for a, b in ((lo, s_mid), (s_mid, hi))))
 
 
 def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
@@ -422,7 +426,7 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
     windows = range(2, 2 * pair_count + 1, 2)
     unresolved = [m for m in windows if len(hits.get(m, [])) != 2]
     hits.update(zip(unresolved, _run(line, _together(
-        _roots_from_maximum(line, nodes, m) for m in unresolved))))
+        _roots_from_center(line, nodes, m) for m in unresolved))))
     # Every window's vertex, in one evaluation.
     line.evaluate([0.5 * (hits[m][0] + hits[m][1]) for m in windows
                    if hits[m][1] - hits[m][0] < S_RESOLUTION])

@@ -206,3 +206,55 @@ def row_turns(t, nodes):
     cross = tb * (wronskian / scale) / scale
     dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale
     return np.arctan2(cross, dot)
+
+
+# The node walk of hillmono.spectral as it ran in two phases: a gallop of
+# single evaluations until the Cartan angle passes alpha_stop, then rounds
+# of bisection. Verbatim but for the package names it reads. The one-loop
+# walk must give the same nodes.
+def two_phase_scan_line(line, n_max):
+    """Adaptive s-nodes covering the windows up to the n_max-th cone."""
+    from hillmono.spectral import (_MAX_SCAN_NODES, _POSITIVITY_SAMPLES,
+                                   DomainError, NumericalInvariantError,
+                                   _exhausted)
+
+    tgrid = np.linspace(0.0, TAU, _POSITIVITY_SAMPLES, endpoint=False)
+    qpv = np.asarray(line.qplus(tgrid), dtype=float)
+    if qpv.min() <= 0:
+        raise DomainError("qplus must be strictly positive")
+    q0v = np.asarray(line.q0(tgrid), dtype=float)
+    s_start = float(np.min((q0v - 1.0) / qpv))
+    alpha_stop = (2 * n_max + 0.5) * math.pi + 0.05
+
+    nodes = [s_start]
+    ds = 0.25
+    while (alpha := line(nodes[-1])[3]) < alpha_stop:
+        if len(nodes) >= _MAX_SCAN_NODES:
+            raise _exhausted(n_max, alpha)
+        s_next = nodes[-1] + ds
+        if s_next == nodes[-1]:
+            raise DomainError(
+                f"the scan cannot move along the line: s = {nodes[-1]!r} "
+                f"plus the step ds = {ds!r} rounds back to s")
+        nodes.append(s_next)
+        ds = min(2 * ds, 4.0)
+
+    while True:
+        recs = line.evaluate(nodes)
+        stop = next(i for i, r in enumerate(recs) if r[3] >= alpha_stop)
+        nodes, recs = nodes[:stop + 1], recs[:stop + 1]
+        mids = []
+        for a, b, (_, theta_a, _, _), (_, theta_b, _, _) in zip(
+                nodes, nodes[1:], recs, recs[1:]):
+            if theta_b <= theta_a:
+                raise NumericalInvariantError(
+                    "winding angle is not increasing along the line")
+            mid = 0.5 * (a + b)
+            if theta_b - theta_a >= math.pi / 4 and b - a > 1e-6 and a < mid < b:
+                mids.append(mid)
+        if not mids:
+            return nodes
+        if len(nodes) + len(mids) > _MAX_SCAN_NODES:
+            raise _exhausted(n_max, recs[-1][3])
+        line.evaluate(mids)
+        nodes = sorted(nodes + mids)

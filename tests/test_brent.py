@@ -1,18 +1,17 @@
-"""The package's Brent solvers against scipy's, bit for bit."""
+"""The package's Brent root finder against scipy's, bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
 from hillmono import DomainError
-from hillmono.brent import brentq, fminbound, solve
+from hillmono.brent import brentq, solve
 
 
 def _random_function(rng):
-    """A smooth function with a few roots and minima on [-3, 3], scaled by
+    """A smooth function with a few roots on [-3, 3], scaled by
     up to 10^+-200 so that products of its values can underflow."""
     c = rng.normal(size=5).tolist()
     w = float(rng.uniform(0.5, 8.0))
@@ -54,25 +53,3 @@ def test_brentq_ends_and_refusals():
             solve(brentq(-1.0, 1.0), f)
     with pytest.raises(DomainError, match="NaN"):
         solve(brentq(-1.0, 1.0), lambda x: math.nan if x > 0 else -1.0)
-
-
-def test_fminbound_matches_scipy_bit_for_bit():
-    rng = np.random.default_rng(21)
-    for _ in range(3000):
-        f = _random_function(rng)
-        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
-        want = minimize_scalar(f, bounds=(a, b), method="bounded",
-                               options={"xatol": 1e-10}).x
-        got = solve(fminbound(a, b, xatol=1e-10), f)
-        assert got.hex() == float(want).hex()
-    # scipy's default tolerance, a flat function, and a point interval.
-    for f, a, b in ((math.cos, 0.0, 6.0), (lambda x: 1.0, -1.0, 2.0),
-                    (math.sin, 0.5, 0.5)):
-        want = minimize_scalar(f, bounds=(a, b), method="bounded").x
-        assert solve(fminbound(a, b), f) == want
-
-
-def test_fminbound_refuses_bad_bounds():
-    for a, b in ((1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(DomainError, match="bounds"):
-            solve(fminbound(a, b), math.cos)

@@ -681,12 +681,16 @@ def test_cli_loads_no_scipy_for_a_monodromy(files):
 
 
 def test_cli_loads_no_scipy_for_a_spectrum(files):
-    # The spectrum scan's root finder and minimizer are the package's own.
+    # The spectrum scan's root finder is the package's own. The flat line
+    # to --nmax 6 takes the center path in windows 4 and 6.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     out = str(files["dir"] / "fresh.csv")
+    flat = str(files["dir"] / "flat.csv")
     code = ("import sys, hillmono.cli\n"
             f"assert hillmono.cli.main(['spectrum', '--q0', {files['mathieu']!r},"
             f" '--qplus', {files['qp1']!r}, '--nmax', '2', '-o', {out!r}]) == 0\n"
+            f"assert hillmono.cli.main(['spectrum', '--q0', {files['q0']!r},"
+            f" '--qplus', {files['qp1']!r}, '--nmax', '6', '-o', {flat!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -695,6 +699,9 @@ def test_cli_loads_no_scipy_for_a_spectrum(files):
     rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
     assert [r[3] for r in rows] == ["hyperplane", "cone_leaf(1-)",
                                     "cone_leaf(1+)"]
+    rows = [line.split(",") for line in open(flat).read().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["hyperplane"] + [
+        f"vertex({k})" for k in (1, 1, 2, 2, 3, 3)]
 
 
 def test_parser_survives_a_rejected_argv(files):

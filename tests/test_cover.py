@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hillmono import (
@@ -470,6 +470,24 @@ def test_cartan_chart_round_trip(alpha, r, phi):
     _close(to_cartan(g), (alpha, x, y))
     with pytest.raises(DomainError):
         to_cartan(multiply(reflection(), g))
+
+
+@_props
+@given(_left, _wide_theta, st.floats(0.0, 690.0), st.floats(0.0, TAU))
+@example((0.5, 1.0, -2.0), 0.3, 25.0, 1.0)  # cos alpha > 0 past r = 19
+@example((0.5, 1.0, -2.0), 3.0, 25.0, 1.0)  # cos alpha < 0
+@example((-2.0, -1.5, 3.0), 0.1, 400.0, 4.0)  # entries past 2^500
+@example((-2.0, -1.5, 3.0), -3.0, 400.0, 4.0)
+def test_cartan_trace_identity(left, alpha, r, phi):
+    # A left Iwasawa factor times a Cartan element of rapidity r: to_cartan
+    # reads (alpha', x', y') off the product, whose trace must be
+    # 2 cos(alpha') cosh |(x', y')|. The spectrum scan's center path rests
+    # on this: at alpha' = m pi, m even, the trace is at least 2.
+    g = multiply(_element(left, 1),
+                 from_cartan(alpha, r * math.cos(phi), r * math.sin(phi)))
+    got = to_cartan(g)
+    ch = math.cosh(math.hypot(got.x, got.y))
+    assert abs(g.trace - 2.0 * math.cos(got.alpha) * ch) <= 1e-10 * ch
 
 
 @_props

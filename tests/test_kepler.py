@@ -30,8 +30,7 @@ from hillmono import (
     write_json,
 )
 from hillmono import kepler
-from hillmono.kepler import (INVERT_BLOCK, _invert_times, _jet_model,
-                             _value_model)
+from hillmono.kepler import INVERT_BLOCK, _invert_times, _model
 from hillmono.synthesis import auto_steps
 from oracles import invert_times, rel_l2
 
@@ -136,6 +135,30 @@ def test_orbit_validation():
         Orbit(TAU, 1.5 * np.ones(65))  # sweeps 3 pi
     with pytest.raises(DomainError):
         Orbit(TAU, np.concatenate(([1.0], -np.ones(64))))
+
+
+def test_orbit_takes_both_callables_or_neither():
+    full = synthesize_orbit(5.3, 1.9, 0.84).sample()
+    for kw in ({"value_fn": full.value_fn}, {"jet_fn": full.jet_fn}):
+        with pytest.raises(DomainError, match="together"):
+            Orbit(full.theta_max, full.rho, **kw)
+
+
+def test_rho_only_orbit_takes_the_spline_slope():
+    # An orbit that carries only rho differentiates its cubic spline in both
+    # transforms. On a synthesized profile stripped to rho, rho' between the
+    # nodes is then within 8.1e-10 of the analytic one, relative, and the
+    # curve's v' within 1.2e-8 (differences under PCHIP gave 1.3e-6 and
+    # 3.3e-7).
+    orb = synthesize_orbit(5.3, 1.9, 0.84)
+    full = orb.sample()
+    bare = Orbit(full.theta_max, full.rho)
+    grid = bare.theta_grid
+    th = 0.5 * (grid[1:] + grid[:-1])
+    slope, want = _model(bare)[1](th)[1], orb.jet(th)[1]
+    assert np.abs(slope - want).max() <= 2e-9 * np.abs(want).max()
+    got, want = curve_of_orbit(bare).vp, curve_of_orbit(full).vp
+    assert np.abs(got - want).max() <= 3e-8 * np.abs(want).max()
 
 
 def test_curve_validation():
@@ -245,7 +268,7 @@ def test_invert_times_matches_full_sweeps_on_synthesized_orbits(
 ])
 def test_invert_times_matches_full_sweeps_on_sampled_orbits(q, steps, nodes):
     orbit = orbit_of(curve_of(q, steps), nodes)
-    value_fn = _value_model(orbit)
+    value_fn, _ = _model(orbit)
     t = np.linspace(0.0, TAU, 2 * steps + 1)
     want = invert_times(orbit, value_fn, t)
     assert _invert_times(orbit, value_fn, t).tobytes() == want.tobytes()
@@ -273,9 +296,9 @@ def test_blocked_transforms_match_full_sweeps(make, monkeypatch):
     for got, ref in ((curve.t, want.t), (curve.v, want.v),
                      (curve.vp, want.vp)):
         assert got.tobytes() == ref.tobytes()
-    value_fn = _value_model(orbit)
+    value_fn, jet = _model(orbit)
     th = invert_times(orbit, value_fn, np.linspace(0.0, TAU, steps + 1))
-    rho, drho, d2rho = _jet_model(orbit, value_fn, for_curvature=True)(th)
+    rho, drho, d2rho = jet(th)
     q_ref = (2.0 * d2rho * rho - 3.0 * drho ** 2 - 4.0 * rho ** 2) / (4.0 * rho ** 4)
     assert q.samples.tobytes() == q_ref.tobytes()
 
@@ -287,7 +310,7 @@ def test_invert_times_fails_where_full_sweeps_fail():
     t = np.linspace(0.0, TAU, 4097)
     for invert in (invert_times, _invert_times):
         with pytest.raises(NumericalInvariantError, match="did not converge"):
-            invert(orbit, _value_model(orbit), t)
+            invert(orbit, _model(orbit)[0], t)
 
 
 def _peak(run):
