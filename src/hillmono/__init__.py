@@ -3,8 +3,9 @@
 The package computes fundamental solutions of -v'' + q(t) v = 0 over one
 period together with their winding data, converts between potentials,
 fundamental curves and swept orbits (a Kepler-style change of clock),
-synthesizes potentials with prescribed lifted monodromy, walks periodic
-spectra through the trace-2 stratification, and solves self-adjoint
+synthesizes potentials with prescribed lifted monodromy, reads periodic
+spectra along lines off Chebyshev proxies of the monodromy and labels them
+by the trace-2 stratification, and solves self-adjoint
 boundary condition problems through the same group-level data.
 """
 

@@ -1,16 +1,9 @@
-"""Brent's root finder, as a resumable search.
+"""Brent's root finder.
 
 brentq transcribes scipy's C brentq (scipy/optimize/Zeros/brentq.c) step
 for step and operation for operation (Brent, Algorithms for Minimization
 without Derivatives, 1973). So on any function it returns the bits that
 scipy.optimize.brentq returns with the same tolerances.
-
-It is a generator: it yields every abscissa at which it needs the
-function, is sent the function's value there, and returns the root. A
-caller can so run many searches in lockstep and evaluate each round's
-abscissae together, as the spectrum scan does; a search's result depends
-only on the values it is sent, so it is the same whatever runs beside it.
-solve runs one search on a plain function, as scipy would.
 
 The transcribed code is scipy's, under this notice:
 
@@ -51,34 +44,24 @@ import math
 from .errors import DomainError, NumericalInvariantError
 
 
-def _checked(fx, x):
-    """fx, refused if NaN, as scipy's brentq refuses it."""
+def _checked(f, x):
+    """f(x), refused if NaN, as scipy's brentq refuses it."""
+    fx = f(x)
     if fx != fx:
         raise DomainError(f"the function value at x={x!r} is NaN")
     return fx
 
 
-def solve(search, f):
-    """The result of a search run on the function f, one value at a time."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value
+def brentq(f, xa, xb, xtol=2e-12, rtol=4 * 2.0 ** -52, maxiter=100):
+    """A root of f in [xa, xb], where f changes sign.
 
-
-def brentq(xa, xb, xtol=2e-12, rtol=4 * 2.0 ** -52, maxiter=100):
-    """Search for a root of f in [xa, xb], where f changes sign.
-
-    Yields x, is sent f(x); returns the root. An end where f is 0 is the
-    root. DomainError if f has one sign at both ends or is NaN;
-    NumericalInvariantError after maxiter iterations.
+    An end where f is 0 is the root. DomainError if f has one sign at both
+    ends or is NaN; NumericalInvariantError after maxiter iterations.
     """
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = _checked((yield xpre), xpre)
-    fcur = _checked((yield xcur), xcur)
+    fpre = _checked(f, xpre)
+    fcur = _checked(f, xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -119,6 +102,6 @@ def brentq(xa, xb, xtol=2e-12, rtol=4 * 2.0 ** -52, maxiter=100):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _checked((yield xcur), xcur)
+        fcur = _checked(f, xcur)
     raise NumericalInvariantError(f"brentq failed to converge after "
                                   f"{maxiter} iterations, value is {xcur!r}")

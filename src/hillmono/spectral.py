@@ -11,59 +11,51 @@ glued at a central vertex.
 Both sets are preimages under the monodromy map, so in_c1, in_c2 and
 c1_component take the lift mu = monodromy(q).element and never integrate.
 
-oscillation_eigenvalues walks the line q0 - s * qplus: the right Iwasawa
-angle of the monodromy grows strictly with s, so the line meets the
-hyperplane once and then each cone in either two leaf points or one vertex,
-giving the periodic eigenvalues s_0 < s_1 <= s_2 < s_3 <= ... with their
-stratum labels.
+oscillation_eigenvalues reads the spectrum of the line q0 - s * qplus off
+Chebyshev proxies of the entries of its monodromy M(s). The right Iwasawa
+angle grows strictly with s, so the line meets the hyperplane once and then
+each cone in either two leaf points or one vertex, giving the periodic
+eigenvalues s_0 < s_1 <= s_2 < s_3 <= ... with their stratum labels. It
+takes four steps.
 
-The walk is one loop of rounds. Each round splits every node interval
-whose angle advance is pi/4 or more, and, until the Cartan angle passes
-the last window, gallops: it adds one node past the last, with steps
-doubling from 0.25 up to 4. A round's new nodes are evaluated together:
-they go through the batched kernel (integrate.monodromies) in batches of
-at most DEFAULT_STEPS // steps members, the most that the pooled
-workspace holds, and each result is bit for bit that of its own monodromy
-call.
+Sample. [s_lo, s_hi] runs from where the potential is at least 1 to where
+the Cartan angle passes the last window. M is evaluated at N + 1 Chebyshev
+points of it through the batched kernel (integrate.monodromies), in batches
+of at most DEFAULT_STEPS // steps members, the most that the pooled
+workspace holds; each result is bit for bit that of its own monodromy call.
 
-The eigenvalues come from one pass over the scan nodes: every sign change of
-trace - 2 between two nodes is refined, and the root is labelled by the
-window round(alpha / pi) of its Cartan angle. Window 0 holds the hyperplane
-eigenvalue and window 2p the pair p. A window whose node brackets hold
-exactly two crossings gives the pair directly: two roots at least
-S_RESOLUTION apart are the minus and plus leaves, closer ones a vertex at
-their midpoint. Any other count means a vertex, or a split narrower than the
-node spacing, that the nodes do not resolve. Only such a window takes the
-center path: its two trace-zero walls are refined, the point between them
-where the Cartan angle alpha is the window's m pi is found, and the roots
-are bracketed outward from it. In the Cartan chart
-R(alpha)(cosh r I + sinh r K) the trace is 2 cos(alpha) cosh r, so at
-alpha = m pi, m even, it is 2 cosh r >= 2: this center lies between the
-pair's roots, or at the vertex. The trace is flat at its top, but alpha
-is steep there, so one root search on alpha - m pi finds the center, and
-no minimizer is needed. Where the roots fall closer than S_RESOLUTION, or
-the center's trace stays at or below 2, the window holds a vertex, placed
-at the midpoint of the chord VERTEX_TRACE_TOL below the center's trace:
-there the trace is steep, while near its flat top rounding moves a root
-by about 1e-8.
+Fit. s -> M(s) is entire, so each entry's Chebyshev coefficients decay
+faster than geometrically (Trefethen, Approximation Theory and
+Approximation Practice, 2013, ch. 8). N doubles, reusing the nested points,
+until every entry's tail, and the fit's miss at two further points, are
+below a fixed share of its largest coefficient (Aurentz and Trefethen,
+ACM TOMS 43, 2017).
 
-Every refinement is a brentq search of .brent, a generator that yields
-each s it needs, and the searches run in lockstep: first those of all the
-trace-2 crossings, then the center paths of all unresolved windows, each
-of which refines its two walls, then its center, and then its two roots,
-in lockstep too. Each round, every pending search's next s goes, in root
-order, to one _LineScan.evaluate call, and so through the batched kernel.
-A search's result depends only on the values it is sent, so every root is
-bit for bit what scipy's brentq gives one call at a time, and the module
-needs no scipy.
+Solve. Window round(alpha / pi) of the Cartan angle alpha holds the
+hyperplane eigenvalue at 0 and the pair p at 2p. The hyperplane eigenvalue
+is the one root of trace - 2 in window 0, taken with every other root from
+the colleague matrix of the trace proxy (Boyd, SIAM Review 55, 2013). Each
+pair is solved from det(M - I) = 0, not from the trace, which is flat at a
+double root. In a second-order model A + l B + l^2 Q of M - I the entries
+are linear in l near a vertex, so a rounding d of them moves a root by
+about d, not sqrt(d). The model is expanded first about the window's Cartan
+center, where alpha = 2 p pi, and then again about the roots until they
+stop moving. Roots at least S_RESOLUTION apart are the minus and plus
+leaves, closer ones a vertex at their midpoint. As a certificate, window 0
+must hold one root of trace - 2 and each cone window two or none (a pair
+with complex roots); another count, or a proxy that needs more than
+_MAX_DEGREE points, is refused.
+
+Label. Every root is evaluated in one kernel batch and classified on its
+lift.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .brent import brentq
 from .cover import classify, to_cartan
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import DEFAULT_STEPS, checked_steps, monodromies, sample_times
@@ -73,8 +65,8 @@ TAU = math.tau
 DEFAULT_TOL = 1e-8
 DEFAULT_SCAN_STEPS = 4096
 S_RESOLUTION = 1e-9
-VERTEX_TRACE_TOL = 1e-9
-_MAX_SCAN_NODES = 20000
+_CHOP_TOL = 1e-13
+_MAX_DEGREE = 1024
 _POSITIVITY_SAMPLES = 4096
 
 
@@ -204,179 +196,137 @@ class _LineScan:
         return self.evaluate([s])[0]
 
 
-def _exhausted(n_max, alpha):
-    return DomainError(
-        f"eigenvalue scan exhausted {_MAX_SCAN_NODES} nodes before reaching "
-        f"cone {n_max}; last winding angle {alpha!r}")
+def _interval(line, pairs):
+    """[s_lo, s_hi] covering the windows up to the pairs-th cone.
 
-
-def _scan_line(line, n_max):
-    """Adaptive s-nodes covering the windows up to the n_max-th cone.
-
-    One loop of rounds. Each round evaluates its new nodes together, cuts
-    the nodes at the first one whose Cartan angle reaches alpha_stop, and
-    splits every node interval whose winding advance is pi/4 or more. While
-    the last node is still below alpha_stop, the round also gallops: it
-    adds the node ds past the last one, ds doubling from 0.25 up to 4. So
-    no window is skipped, and the monotonicity that justifies the whole
-    sweep is asserted on every adjacent pair. An interval no wider than
-    1e-6, or whose midpoint rounds onto an end, is not split.
+    On s_lo = min((q0 - 1) / qplus) the potential is at least 1, so the
+    trace exceeds 2 and the Cartan angle lies below pi/2 <= alpha_stop.
+    s_hi steps on from s_lo, the step doubling from 0.25 up to 4, until
+    the Cartan angle there reaches alpha_stop. The cap keeps s_hi within 4
+    of the first such s: far along the line the steps stop resolving the
+    potential, and an uncapped doubling reaches there first.
     """
     tgrid = np.linspace(0.0, TAU, _POSITIVITY_SAMPLES, endpoint=False)
     qpv = np.asarray(line.qplus(tgrid), dtype=float)
     if qpv.min() <= 0:
         raise DomainError("qplus must be strictly positive")
     q0v = np.asarray(line.q0(tgrid), dtype=float)
-    s_start = float(np.min((q0v - 1.0) / qpv))
-    alpha_stop = (2 * n_max + 0.5) * math.pi + 0.05
-
-    nodes = [s_start]
-    ds = 0.25
+    s_lo = float(np.min((q0v - 1.0) / qpv))
+    alpha_stop = (2 * pairs + 0.5) * math.pi + 0.05
+    s_hi, ds = s_lo, 0.25
     while True:
-        recs = line.evaluate(nodes)
-        stop = next((i + 1 for i, r in enumerate(recs) if r[3] >= alpha_stop),
-                    len(recs))
-        nodes, recs = nodes[:stop], recs[:stop]
-        new = []
-        for a, b, (_, theta_a, _, _), (_, theta_b, _, _) in zip(
-                nodes, nodes[1:], recs, recs[1:]):
-            if theta_b <= theta_a:
+        if s_hi + ds == s_hi:
+            raise DomainError(
+                f"the scan cannot move along the line: s = {s_hi!r} "
+                f"plus the step ds = {ds!r} rounds back to s")
+        s_hi, ds = s_hi + ds, min(2 * ds, 4.0)
+        if line(s_hi)[3] >= alpha_stop:
+            return s_lo, s_hi
+
+
+class _Proxy:
+    """Chebyshev series of the entries a, b, c, d of M(s) on [lo, hi].
+
+    The series are in x = (2 s - lo - hi) / (hi - lo) and interpolate M at
+    the N + 1 extreme points sin(pi k / 2N), k = -N, -N + 2, .., N. N
+    doubles from 16 until, for every entry, the last quarter of the
+    coefficients and the fit's miss at x = -1/3 and 1/3 are at most
+    _CHOP_TOL times its largest coefficient. The points at N recur bit for
+    bit at 2N, so the line's cache evaluates each once.
+    """
+
+    def __init__(self, line, lo, hi):
+        self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        # Two points off every grid, as in chebfun's sample test: a tail can
+        # fall below the tolerance before the entries are resolved.
+        checks = np.array([-1.0, 1.0]) / 3
+        n = 16
+        while True:
+            self.x = np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+            ss = self.mid + self.half * np.concatenate([self.x, checks])
+            ss[0], ss[n] = lo, hi
+            recs = line.evaluate(ss.tolist())
+            exact, recs = np.array([r[0].mat.ravel() for r in recs[-2:]]), recs[:-2]
+            if np.any(np.diff([r[1] for r in recs]) <= 0):
                 raise NumericalInvariantError(
                     "winding angle is not increasing along the line")
-            mid = 0.5 * (a + b)
-            if theta_b - theta_a >= math.pi / 4 and b - a > 1e-6 and a < mid < b:
-                new.append(mid)
-        if recs[-1][3] < alpha_stop:
-            s_next = nodes[-1] + ds
-            if s_next == nodes[-1]:
+            # The DCT-I of the values at x = 1, .., -1, through the FFT of
+            # their even extension.
+            vals = np.array([r[0].mat.ravel() for r in recs])[::-1]
+            coef = np.fft.rfft(np.vstack([vals, vals[-2:0:-1]]), axis=0).real / n
+            coef[[0, n]] /= 2
+            tail = np.maximum(
+                np.abs(coef[3 * n // 4:]).max(axis=0),
+                np.abs(chebyshev.chebval(checks, coef).T - exact).max(axis=0))
+            if np.all(tail <= _CHOP_TOL * np.abs(coef).max(axis=0)):
+                break
+            if 2 * n > _MAX_DEGREE:
                 raise DomainError(
-                    f"the scan cannot move along the line: s = {nodes[-1]!r} "
-                    f"plus the step ds = {ds!r} rounds back to s")
-            new.append(s_next)
-            ds = min(2 * ds, 4.0)
-        if not new:
-            return nodes
-        if len(nodes) + len(new) > _MAX_SCAN_NODES:
-            raise _exhausted(n_max, recs[-1][3])
-        nodes = sorted(nodes + new)
+                    f"the spectrum proxy is not resolved at N = {n} Chebyshev "
+                    f"points, the most it takes, at --steps {line.steps}; "
+                    f"ask for a lower --nmax")
+            n *= 2
+        self.n = n
+        self.alpha = np.array([r[3] for r in recs])
+        # M - I, and its first and second Taylor coefficients in x. T_j' is
+        # 2 j times the sum of the T_i, i < j, j - i odd, T_0 counted once.
+        coef[0] -= (1.0, 0.0, 0.0, 1.0)
+        i, j = np.ogrid[:n + 1, :n + 1]
+        der = np.where((j > i) & ((j - i) % 2 == 1), 2.0 * j, 0.0)
+        der[0] /= 2
+        self.series = np.stack([coef, der @ coef, der @ der @ coef / 2], axis=1)
+
+    def taylor(self, x):
+        """The rows of M - I and of its first and second Taylor coefficients
+        at x, summed over T_k(x) from T_k+1 = 2 x T_k - T_k-1."""
+        t = [1.0, x]
+        for _ in range(self.n - 1):
+            t.append(2.0 * x * t[-1] - t[-2])
+        return np.tensordot(t, self.series, 1)
+
+    def alpha_at(self, x):
+        """The Cartan angle at x, atan2(b - c, a + d) lifted within pi of the
+        nearest point's."""
+        a, b, c, d = self.taylor(x)[0]
+        near = self.alpha[np.argmin(np.abs(self.x - x))]
+        return near + math.remainder(math.atan2(b - c, 2.0 + a + d) - near, TAU)
+
+    def model_roots(self, x):
+        """x plus the roots of det(A + l B + l^2 Q), the second-order model
+        of M - I about x, nearest first."""
+        a, b, c, d = self.taylor(x).T
+        lam = np.roots((np.convolve(a, d) - np.convolve(b, c))[::-1])
+        return x + lam[np.argsort(np.abs(lam))]
+
+    def pair(self, m):
+        """Both roots of det(M - I) in window m, in x.
+
+        The window's Cartan center, where alpha = m pi, is the root of
+        b - c = sin(alpha) tr(S) that Newton's method finds from the
+        points' angles. It lies between the pair's roots, so the model
+        about it gives the pair; each root is then re-expanded about itself
+        until it stops moving. Where the model's roots are complex, as at a
+        vertex, both are their real part.
+        """
+        def newton(x):
+            t = self.taylor(x)
+            return x - (t[0, 1] - t[0, 2]) / (t[1, 1] - t[1, 2])
+
+        j = int(np.argmax(self.alpha >= m * math.pi))
+        a0, a1 = self.alpha[j - 1:j + 1]
+        x0, x1 = self.x[j - 1:j + 1]
+        center = _settle(newton, x0 + (m * math.pi - a0) / (a1 - a0) * (x1 - x0))
+        return _settle(lambda roots: [self.model_roots(r)[0].real for r in roots],
+                       np.sort(self.model_roots(center)[:2].real))
 
 
-def _rounds(line, search, f):
-    """The brent search as a scan search: each round is the one s it asks
-    for, and once the round is evaluated it is sent f of the cached record
-    there."""
-    s = next(search)
-    while True:
-        yield [s]
-        try:
-            s = search.send(f(line(s)))
-        except StopIteration as done:
-            return done.value
-
-
-def _root(line, a, b, f):
-    """Scan search: the root of f(record) in [a, b] by brentq, at the
-    scan's tolerances."""
-    return _rounds(line, brentq(a, b, xtol=1e-13, rtol=8.9e-16), f)
-
-
-def _together(searches):
-    """Scan searches in lockstep: each round yields every pending search's
-    round, in order; returns the searches' results, in order."""
-    searches = list(searches)
-    results, pending = [None] * len(searches), {}
-
-    def advance(i):
-        try:
-            pending[i] = next(searches[i])
-        except StopIteration as done:
-            results[i] = done.value
-            pending.pop(i, None)
-
-    for i in range(len(searches)):
-        advance(i)
-    while pending:
-        yield [s for ss in pending.values() for s in ss]
-        for i in list(pending):
-            advance(i)
-    return results
-
-
-def _run(line, search):
-    """A scan search's result, its rounds evaluated on the line in turn."""
-    try:
-        while True:
-            line.evaluate(next(search))
-    except StopIteration as done:
-        return done.value
-
-
-def _crossings(line, nodes, f):
-    """Scan search: the sign changes of f(record) at the nodes, refined by
-    Brent's method, all brackets in lockstep."""
-    vals = [f(r) for r in line.evaluate(nodes)]
-    roots = yield from _together(
-        _root(line, a, b, f)
-        for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:])
-        if fa == 0.0 or fa * fb < 0)
-    return roots + nodes[-1:] if vals[-1] == 0.0 else roots
-
-
-def _window_label(line, s):
-    """The window round(alpha / pi) that the Cartan angle at s sits in."""
-    return round(line(s)[3] / math.pi)
-
-
-def _roots_from_center(line, nodes, m):
-    """Scan search: both trace-2 roots of window m, bracketed outward from
-    the window's Cartan center, where alpha = m pi.
-
-    Refines only the window's two trace-zero walls, each from the node
-    bracket whose windows straddle it; the walls, the two roots and the two
-    chord ends each run as a pair in lockstep.
-    """
-    labels = [_window_label(line, s) for s in nodes]
-    found = yield from _together(
-        _crossings(line, [a, b], lambda r: r[2])
-        for a, b, wa, wb in zip(nodes, nodes[1:], labels, labels[1:])
-        if wa != wb and min(wa, wb) <= m <= max(wa, wb))
-    walls = {}
-    for s in (s for ss in found for s in ss):
-        walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
-    try:
-        lo, hi = walls[m - 1], walls[m]
-    except KeyError:
-        raise NumericalInvariantError(
-            f"window {m} is missing a trace-zero wall") from None
-    # The trace is 2 cos(alpha) cosh(r), so it is 0 at the walls, where
-    # alpha - m pi is -pi/2 and pi/2, and at least 2 at the center, where
-    # it is 0. So the center lies between the pair's roots, or at the
-    # vertex, and bracketing outward from it finds the pair.
-    s_mid = yield from _root(line, lo, hi, lambda r: r[3] - m * math.pi)
-    top = line(s_mid)[2]
-    if top < 2.0 - VERTEX_TRACE_TOL:
-        raise NumericalInvariantError(
-            f"window {m} trace at the Cartan center {top!r} is below 2")
-    if top > 2.0:
-        roots = yield from _outward(line, lo, s_mid, hi, 2.0)
-        if roots[1] - roots[0] >= S_RESOLUTION:
-            return roots
-    # A vertex: the trace touches 2, flat to second order, so rounding moves
-    # roots that close by about the square root of the rounding, some 1e-8.
-    # The chord VERTEX_TRACE_TOL below the center's trace, where the trace
-    # is steep, has its midpoint within about 1e-11 of the vertex.
-    ends = yield from _outward(line, lo, s_mid, hi,
-                               min(top, 2.0) - VERTEX_TRACE_TOL)
-    s_vertex = 0.5 * (ends[0] + ends[1])
-    return s_vertex, s_vertex
-
-
-def _outward(line, lo, s_mid, hi, level):
-    """Scan search: the roots of trace - level in [lo, s_mid] and
-    [s_mid, hi], in lockstep."""
-    f = lambda r: r[2] - level
-    return (yield from _together(
-        _root(line, a, b, f) for a, b in ((lo, s_mid), (s_mid, hi))))
+def _settle(step, x):
+    """Iterate x = step(x) until it moves by at most 1e-13, or 20 times."""
+    for _ in range(20):
+        moved, x = x, step(x)
+        if np.abs(np.subtract(x, moved)).max() <= 1e-13:
+            break
+    return x
 
 
 def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
@@ -403,40 +353,46 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
             f"higher cone")
     line = _LineScan(q0, qplus, steps)
     pair_count = (n_max + 1) // 2
-    nodes = _scan_line(line, pair_count)
+    proxy = _Proxy(line, *_interval(line, pair_count))
 
-    # The trace-2 crossings between the nodes, grouped by their window.
+    # The roots of trace - 2, grouped by their window round(alpha / pi).
+    tr2 = proxy.series[:, 0, 0] + proxy.series[:, 0, 3]
     hits = {}
-    for s in _run(line, _crossings(line, nodes, lambda r: r[2] - 2.0)):
-        hits.setdefault(_window_label(line, s), []).append(s)
+    for x in chebyshev.chebroots(tr2):
+        if x.imag == 0 and abs(x.real) <= 1:
+            hits.setdefault(round(proxy.alpha_at(x.real) / math.pi), []).append(x.real)
+    # Window 0 holds the hyperplane eigenvalue alone, and each cone window a
+    # pair: two roots of trace - 2, or none where the pair is complex.
+    for m in range(0, 2 * pair_count + 1, 2):
+        if len(hits.get(m, [])) not in ((1,) if m == 0 else (0, 2)):
+            raise NumericalInvariantError(
+                f"window {m} holds {len(hits.get(m, []))} roots of trace - 2 "
+                f"in the proxy at N = {proxy.n} Chebyshev points and "
+                f"--steps {steps}")
+    roots = []
+    for pair in [(hits[0][0],) * 2] + [proxy.pair(m) for m in
+                                       range(2, 2 * pair_count + 1, 2)]:
+        lo, hi = (float(proxy.mid + proxy.half * x) for x in pair)
+        roots.append((lo, hi) if hi - lo >= S_RESOLUTION else ((lo + hi) / 2,) * 2)
+    # Every root, labelled in one evaluation.
+    line.evaluate([s for pair in roots for s in pair])
 
-    ground = hits.get(0, [])
-    if len(ground) != 1:
-        raise NumericalInvariantError(
-            f"expected one hyperplane crossing, found {len(ground)}")
-
-    records = []
-    el, theta_r, trace, _ = line(ground[0])
+    el, theta_r, trace, _ = line(roots[0][0])
     comp = c1_component(el, 1e-7)
     if comp.variant != "hyperplane":
         raise NumericalInvariantError(
             f"ground crossing classified as {comp!r}")
-    records.append(EigenvalueRecord(0, ground[0], 1, comp, trace, theta_r))
-
-    windows = range(2, 2 * pair_count + 1, 2)
-    unresolved = [m for m in windows if len(hits.get(m, [])) != 2]
-    hits.update(zip(unresolved, _run(line, _together(
-        _roots_from_center(line, nodes, m) for m in unresolved))))
-    # Every window's vertex, in one evaluation.
-    line.evaluate([0.5 * (hits[m][0] + hits[m][1]) for m in windows
-                   if hits[m][1] - hits[m][0] < S_RESOLUTION])
+    records = [EigenvalueRecord(0, roots[0][0], 1, comp, trace, theta_r)]
     for pair in range(1, pair_count + 1):
         m = 2 * pair
-        roots = hits[m]
-        if roots[1] - roots[0] >= S_RESOLUTION:
-            for s_leaf, want in zip(roots, (-1, 1)):
+        lo, hi = roots[pair]
+        if lo != hi:
+            for s_leaf, want in zip((lo, hi), (-1, 1)):
                 el, theta_r, trace, _ = line(s_leaf)
-                comp = c1_component(el, 1e-7)
+                # M - I at a leaf is of the order of the split, which can
+                # be below 1e-7: the leaf is classified below that size.
+                tol = min(1e-7, 0.5 * np.abs(el.mat - np.eye(2)).max())
+                comp = c1_component(el, tol) if in_c1(el, tol) else None
                 if comp != C1Component("cone_leaf", pair, want):
                     raise NumericalInvariantError(
                         f"window {m} crossing at s={s_leaf!r} "
@@ -444,14 +400,13 @@ def oscillation_eigenvalues(q0, qplus, n_max, steps=DEFAULT_SCAN_STEPS):
                 records.append(EigenvalueRecord(
                     len(records), s_leaf, 1, comp, trace, theta_r))
             continue
-        s_vertex = 0.5 * (roots[0] + roots[1])
-        el, theta_r, trace, _ = line(s_vertex)
+        el, theta_r, trace, _ = line(lo)
         comp = C1Component("vertex", pair)
         if abs(el.omega + TAU * pair) > 1e-3:
             raise NumericalInvariantError(
                 f"vertex winding {el.omega!r} is off -2 pi {pair}")
         for _ in range(2):
             records.append(EigenvalueRecord(
-                len(records), s_vertex, 2, comp, trace, theta_r))
+                len(records), lo, 2, comp, trace, theta_r))
 
     return records[:n_max + 1]

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev
 
-from .brent import brentq, solve
+from .brent import brentq
 from .cover import to_right_iwasawa, winding_exceeds
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import MAX_STEPS
@@ -197,8 +197,8 @@ def normalize_c(theta_m, p1, r):
         raise NumericalInvariantError(
             "sweep normalization failed to bracket after 200 doublings")
     a, b = (lo, hi) if sign > 0 else (hi, lo)
-    c = solve(brentq(a, b, xtol=1e-300, rtol=8.9e-16, maxiter=200),
-              lambda x: sweep(x) - TAU)
+    c = brentq(lambda x: sweep(x) - TAU, a, b, xtol=1e-300, rtol=8.9e-16,
+               maxiter=200)
     if abs(sweep(c) - TAU) > NORMALIZE_RTOL * TAU:
         raise NumericalInvariantError("sweep normalization missed 2 pi")
     return float(c)

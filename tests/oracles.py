@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately built from different machinery than the
-package: finite differences and sparse eigensolvers instead of shooting,
-and discrete argument tracking instead of the chart algebra. Frozen
+package: finite differences, Fourier-Galerkin and eigensolvers instead of
+shooting, and discrete argument tracking instead of the chart algebra. Frozen
 reference values were produced by the generators in this file and are
 asserted against the generators themselves in the tests that use them.
 """
@@ -10,6 +10,7 @@ asserted against the generators themselves in the tests that use them.
 import math
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse import diags_array, eye_array
 from scipy.sparse.linalg import eigsh
 
@@ -43,6 +44,24 @@ def fd_line_eigenvalues(q0, qplus, count, n=2048, sigma=-3.0):
     vals = eigsh(a.tocsc(), k=count, M=b, sigma=sigma, which="LM",
                  return_eigenvectors=False)
     return np.sort(vals)
+
+
+def galerkin_line_eigenvalues(q0, qplus, count, modes=32):
+    """Lowest periodic eigenvalues s of -v'' + q0 v = s qplus v.
+
+    Fourier-Galerkin on exp(i k t), |k| <= modes: (K^2 + T(q0)) c =
+    s T(qplus) c, with Hermitian Toeplitz blocks T(f)[k, j] = f_(k - j) whose
+    coefficients f_m come from the FFT of f on 4 modes + 1 points, exact for
+    trigonometric polynomials of degree at most 2 modes. T(qplus) is
+    positive definite for positive qplus, so scipy's eigh solves the pencil.
+    """
+    n = 4 * modes + 1
+    t = np.arange(n) * (TAU / n)
+    ks = np.arange(-modes, modes + 1)
+    diff = (ks[:, None] - ks[None, :]) % n
+    a = np.diag(ks.astype(float) ** 2) + (np.fft.fft(q0(t)) / n)[diff]
+    b = (np.fft.fft(qplus(t)) / n)[diff]
+    return eigh(a, b, eigvals_only=True)[:count]
 
 
 def tracked_arg_variation(path_fn, n=4096):
@@ -206,55 +225,3 @@ def row_turns(t, nodes):
     cross = tb * (wronskian / scale) / scale
     dot = (1.0 + ta) * (a * a + b * b) + tb * (a * c + b * d) / scale
     return np.arctan2(cross, dot)
-
-
-# The node walk of hillmono.spectral as it ran in two phases: a gallop of
-# single evaluations until the Cartan angle passes alpha_stop, then rounds
-# of bisection. Verbatim but for the package names it reads. The one-loop
-# walk must give the same nodes.
-def two_phase_scan_line(line, n_max):
-    """Adaptive s-nodes covering the windows up to the n_max-th cone."""
-    from hillmono.spectral import (_MAX_SCAN_NODES, _POSITIVITY_SAMPLES,
-                                   DomainError, NumericalInvariantError,
-                                   _exhausted)
-
-    tgrid = np.linspace(0.0, TAU, _POSITIVITY_SAMPLES, endpoint=False)
-    qpv = np.asarray(line.qplus(tgrid), dtype=float)
-    if qpv.min() <= 0:
-        raise DomainError("qplus must be strictly positive")
-    q0v = np.asarray(line.q0(tgrid), dtype=float)
-    s_start = float(np.min((q0v - 1.0) / qpv))
-    alpha_stop = (2 * n_max + 0.5) * math.pi + 0.05
-
-    nodes = [s_start]
-    ds = 0.25
-    while (alpha := line(nodes[-1])[3]) < alpha_stop:
-        if len(nodes) >= _MAX_SCAN_NODES:
-            raise _exhausted(n_max, alpha)
-        s_next = nodes[-1] + ds
-        if s_next == nodes[-1]:
-            raise DomainError(
-                f"the scan cannot move along the line: s = {nodes[-1]!r} "
-                f"plus the step ds = {ds!r} rounds back to s")
-        nodes.append(s_next)
-        ds = min(2 * ds, 4.0)
-
-    while True:
-        recs = line.evaluate(nodes)
-        stop = next(i for i, r in enumerate(recs) if r[3] >= alpha_stop)
-        nodes, recs = nodes[:stop + 1], recs[:stop + 1]
-        mids = []
-        for a, b, (_, theta_a, _, _), (_, theta_b, _, _) in zip(
-                nodes, nodes[1:], recs, recs[1:]):
-            if theta_b <= theta_a:
-                raise NumericalInvariantError(
-                    "winding angle is not increasing along the line")
-            mid = 0.5 * (a + b)
-            if theta_b - theta_a >= math.pi / 4 and b - a > 1e-6 and a < mid < b:
-                mids.append(mid)
-        if not mids:
-            return nodes
-        if len(nodes) + len(mids) > _MAX_SCAN_NODES:
-            raise _exhausted(n_max, recs[-1][3])
-        line.evaluate(mids)
-        nodes = sorted(nodes + mids)

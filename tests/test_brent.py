@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from hillmono import DomainError
-from hillmono.brent import brentq, solve
+from hillmono.brent import brentq
 
 
 def _random_function(rng):
@@ -35,21 +35,21 @@ def test_brentq_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(20)
     for f, a, b in _brackets(rng, 3000):
         want = scipy_brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
-        got = solve(brentq(a, b, xtol=1e-13, rtol=8.9e-16), f)
+        got = brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
         assert got.hex() == float(want).hex()
     for f, a, b in _brackets(rng, 200):  # scipy's default tolerances
-        assert solve(brentq(a, b), f) == scipy_brentq(f, a, b)
+        assert brentq(f, a, b) == scipy_brentq(f, a, b)
 
 
 def test_brentq_ends_and_refusals():
     # A zero at an end is the root, as in scipy, even where f keeps its sign.
     for f in (lambda x: x - 0.25, lambda x: (x - 0.25) ** 2):
-        assert solve(brentq(0.25, 1.0), f) == scipy_brentq(f, 0.25, 1.0) == 0.25
-        assert solve(brentq(-1.0, 0.25), f) == scipy_brentq(f, -1.0, 0.25) == 0.25
+        assert brentq(f, 0.25, 1.0) == scipy_brentq(f, 0.25, 1.0) == 0.25
+        assert brentq(f, -1.0, 0.25) == scipy_brentq(f, -1.0, 0.25) == 0.25
     for f in (lambda x: x * x + 1.0, lambda x: 1e-200):
         with pytest.raises(ValueError, match="different signs"):
             scipy_brentq(f, -1.0, 1.0)
         with pytest.raises(DomainError, match="different signs"):
-            solve(brentq(-1.0, 1.0), f)
+            brentq(f, -1.0, 1.0)
     with pytest.raises(DomainError, match="NaN"):
-        solve(brentq(-1.0, 1.0), lambda x: math.nan if x > 0 else -1.0)
+        brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0)

@@ -165,17 +165,18 @@ def test_synthesize_output_is_byte_stable(files):
 
 
 # Digests of the spectrum CSVs at 4096 steps; a change in any record's 17
-# digits changes them. Both leaves come from the scan's own trace-2 node
-# brackets.
+# digits changes them. The s values are within 6.4e-14, 5.1e-13 and 3.4e-13
+# (Mathieu) and 5.2e-13, 1.7e-13 and 3.0e-14 (generic) of the references in
+# bench/oracles.py.
 @pytest.mark.parametrize("name, q0, qplus, size, digest", [
     pytest.param(
-        "mathieu", Potential.trig_poly([2.0]), Potential.constant(1.0), 266,
-        "00b615012ce0994fe96794c673ec5e7f74cd6733a6ece940bac00656ddd51795",
+        "mathieu", Potential.trig_poly([2.0]), Potential.constant(1.0), 263,
+        "1cff7b28f9c6c39ac3036a747d7b6ab1a741dac23804b8e232a4e82256a59672",
         id="mathieu"),
     pytest.param(
         "generic", Potential.trig_poly([1.0], [0.0, 0.0, 0.5]),
         Potential.trig_poly([0.2], constant_term=1.0), 266,
-        "5c0b10ef46bea6029ef34bd71da540c4a65fa6146f1b8d082a28e27f262fe111",
+        "11e169b66baa494c400d854aaad270741ae79c8721429ede7aae16b601b5fcb7",
         id="generic"),
 ])
 def test_spectrum_output_is_byte_stable(tmp_path, name, q0, qplus, size,
@@ -681,8 +682,8 @@ def test_cli_loads_no_scipy_for_a_monodromy(files):
 
 
 def test_cli_loads_no_scipy_for_a_spectrum(files):
-    # The spectrum scan's root finder is the package's own. The flat line
-    # to --nmax 6 takes the center path in windows 4 and 6.
+    # The spectrum scan fits and solves with numpy alone. The flat line to
+    # --nmax 6 holds three vertices, each solved from det(M - I) = 0.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     out = str(files["dir"] / "fresh.csv")
     flat = str(files["dir"] / "flat.csv")

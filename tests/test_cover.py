@@ -481,8 +481,9 @@ def test_cartan_chart_round_trip(alpha, r, phi):
 def test_cartan_trace_identity(left, alpha, r, phi):
     # A left Iwasawa factor times a Cartan element of rapidity r: to_cartan
     # reads (alpha', x', y') off the product, whose trace must be
-    # 2 cos(alpha') cosh |(x', y')|. The spectrum scan's center path rests
-    # on this: at alpha' = m pi, m even, the trace is at least 2.
+    # 2 cos(alpha') cosh |(x', y')|. The spectrum scan's pair solve rests
+    # on this: it starts at the window's Cartan center alpha' = m pi, m
+    # even, where the trace is at least 2, between the pair's roots.
     g = multiply(_element(left, 1),
                  from_cartan(alpha, r * math.cos(phi), r * math.sin(phi)))
     got = to_cartan(g)

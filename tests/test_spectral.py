@@ -1,6 +1,7 @@
 """Periodic spectrum along affine potential lines through the trace-2 set."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hillmono import (
 import hillmono.spectral as spectral
 from hillmono.spectral import DEFAULT_SCAN_STEPS
 from oracles import (FROZEN_MATHIEU_FD2048, fd_line_eigenvalues,
-                     two_phase_scan_line)
+                     galerkin_line_eigenvalues)
 
 TAU = math.tau
 
@@ -207,12 +208,13 @@ def _mathieu_line_values(count):
 
 
 def test_mathieu_split_pairs_match_scipy():
-    # At 4096 steps pair 3 (gap 1.35e-4) misses by 4.0e-9, the trace
-    # method's floor near a narrow pair; at 16384 steps every value is
-    # within 7e-13.
+    # Measured at 4096 steps: 2.1e-12 for pair 1, 7.1e-12 for pair 2 and
+    # 7.2e-11 for pair 3 (gap 1.35e-4), RK4's error; at 16384 steps every
+    # value is within 4.9e-13.
     want = _mathieu_line_values(7)
-    for steps, tol in ((DEFAULT_SCAN_STEPS, [1e-10] * 5 + [1e-8] * 2),
-                       (16384, [1e-10] * 7)):
+    for steps, tol in ((DEFAULT_SCAN_STEPS, [2e-12] * 2 + [5e-12]
+                        + [2e-11] * 2 + [2e-10] * 2),
+                       (16384, [2e-12] * 7)):
         records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
                                           Potential.constant(1.0), 6, steps)
         got = np.array([r.s for r in records])
@@ -220,67 +222,6 @@ def test_mathieu_split_pairs_match_scipy():
         for pair in (1, 2, 3):
             assert records[2 * pair - 1].component == C1Component("cone_leaf", pair, -1)
             assert records[2 * pair].component == C1Component("cone_leaf", pair, 1)
-
-
-def _spy_calls(monkeypatch):
-    """Count spectral's evaluated s-values and its entries into the center
-    path."""
-    calls = _count_evaluations(monkeypatch)
-    calls["center"] = 0
-    roots_from_center = spectral._roots_from_center
-
-    def counted_center(*args):
-        calls["center"] += 1
-        return roots_from_center(*args)
-
-    monkeypatch.setattr(spectral, "_roots_from_center", counted_center)
-    return calls
-
-
-def test_split_pair_comes_from_the_node_crossings(monkeypatch):
-    # Each leaf of pair 1 sits in its own node interval, so the trace-2
-    # pass that finds the hyperplane eigenvalue finds both leaves too.
-    calls = _spy_calls(monkeypatch)
-    records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
-                                      Potential.constant(1.0), 2, 4096)
-    assert [r.component for r in records[1:]] == [
-        C1Component("cone_leaf", 1, -1), C1Component("cone_leaf", 1, 1)]
-    assert calls["center"] == 0
-    assert calls["values"] <= 70
-
-
-def test_vertex_off_the_nodes_takes_the_maximum_path(monkeypatch):
-    # On q = -3 s the first vertex is s = 1/3, while the nodes are -1/3 plus
-    # dyadic steps: the trace stays below 2 at every node of window 2.
-    calls = _spy_calls(monkeypatch)
-    records = oscillation_eigenvalues(Potential.constant(0.0),
-                                      Potential.constant(3.0), 2)
-    assert calls["center"] == 1
-    for r in records[1:]:
-        assert r.component == C1Component("vertex", 1)
-        assert r.multiplicity == 2
-        assert abs(r.s - 1.0 / 3.0) < 1e-9
-
-
-def test_window_with_one_node_crossing_takes_the_maximum_path(monkeypatch):
-    # Drop the plus leaf from the node pass: window 2 then holds one
-    # crossing and must fall back to the center path, not raise.
-    direct = oscillation_eigenvalues(Potential.trig_poly([2.0]),
-                                     Potential.constant(1.0), 2)
-    crossings = spectral._crossings
-
-    def one_short(line, nodes, f):
-        out = yield from crossings(line, nodes, f)
-        return out[:-1] if len(nodes) > 2 else out
-
-    monkeypatch.setattr(spectral, "_crossings", one_short)
-    calls = _spy_calls(monkeypatch)
-    records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
-                                      Potential.constant(1.0), 2)
-    assert calls["center"] == 1
-    assert [r.component for r in records] == [r.component for r in direct]
-    for a, b in zip(records, direct):
-        assert abs(a.s - b.s) < 1e-12
 
 
 _FLAT = (Potential.constant(0.0), Potential.constant(1.0))
@@ -309,101 +250,81 @@ def _mild_lines(count, seed=11):
     return lines
 
 
-def _sequential_crossings(line, nodes, f):
-    """The trace crossings as the scan found them one brentq at a time."""
-    from scipy.optimize import brentq
+def _oracle_bound(p, steps, floor):
+    """Per-value bound against the Galerkin oracle for a value of window 2p.
 
-    out = []
-    vals = [f(s) for s in nodes]
-    for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
-        if fa == 0.0:
-            out.append(a)
-        elif fa * fb < 0:
-            out.append(brentq(f, a, b, xtol=1e-13, rtol=8.9e-16))
-    if vals[-1] == 0.0:
-        out.append(nodes[-1])
-    return out
+    The floor is the proxy's rounding, which grows with the span of the
+    line: at most 6e-13 for p <= 1 on lines to --nmax 4, and 5e-12 on the
+    --nmax 12 lines, which span [-3, 61]. The second term is RK4's
+    error, which falls as steps^-4 and grows about as p^6: measured at 4096
+    steps, 8.2e-12 at p = 2, 7e-11 at p = 3, 4e-10 at p = 4, 1.5e-9 at
+    p = 5 and 4.5e-9 at p = 6; at 16384 steps, 2e-11 at p = 6.
+    """
+    return floor + 2e-11 * (DEFAULT_SCAN_STEPS / steps) ** 4 * (p / 2) ** 6
 
 
-def _sequential_roots_from_center(line, nodes, m):
-    """The center path of window m run one scipy brentq call at a time: for
-    the walls, the center alpha = m pi, the roots and the chord."""
-    from scipy.optimize import brentq
-
-    trace = lambda s: line(s)[2]
-    label = lambda s: round(line(s)[3] / math.pi)
-    walls = {}
-    for a, b in zip(nodes, nodes[1:]):
-        if label(a) != label(b) and min(label(a), label(b)) <= m <= max(
-                label(a), label(b)):
-            for s in _sequential_crossings(line, [a, b], trace):
-                walls[round((line(s)[3] - math.pi / 2) / math.pi)] = s
-    lo, hi = walls[m - 1], walls[m]
-    s_mid = brentq(lambda s: line(s)[3] - m * math.pi, lo, hi, xtol=1e-13,
-                   rtol=8.9e-16)
-    top = trace(s_mid)
-
-    def outward(level):
-        f = lambda s: trace(s) - level
-        return (brentq(f, lo, s_mid, xtol=1e-13, rtol=8.9e-16),
-                brentq(f, s_mid, hi, xtol=1e-13, rtol=8.9e-16))
-
-    if top > 2.0:
-        roots = outward(2.0)
-        if roots[1] - roots[0] >= spectral.S_RESOLUTION:
-            return roots
-    ends = outward(min(top, 2.0) - spectral.VERTEX_TRACE_TOL)
-    return (0.5 * (ends[0] + ends[1]),) * 2
-
-
-def _hex(values):
-    return [float(x).hex() for x in values]
+def _assert_values_match_the_galerkin_oracle(q0, qplus, n_max, steps, floor):
+    records = oscillation_eigenvalues(q0, qplus, n_max, steps)
+    want = galerkin_line_eigenvalues(q0, qplus, n_max + 1)
+    for k, (r, s_ref) in enumerate(zip(records, want)):
+        assert abs(r.s - s_ref) < _oracle_bound((k + 1) // 2, steps, floor)
 
 
 @pytest.mark.parametrize("q0, qplus, n_max", _BENCHMARK_LINES + _mild_lines(20))
-def test_lockstep_crossings_match_sequential_scipy_brentq(q0, qplus, n_max):
-    # The lockstep refinement evaluates its rounds in batches; the
-    # reference evaluates every s alone, on a line scan of its own.
-    line = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
-    nodes = spectral._scan_line(line, (n_max + 1) // 2)
-    got = spectral._run(line, spectral._crossings(line, nodes,
-                                                  lambda r: r[2] - 2.0))
-    alone = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
-    want = _sequential_crossings(alone, nodes, lambda s: alone(s)[2] - 2.0)
-    assert got and _hex(got) == _hex(want)
+def test_values_match_the_galerkin_oracle(q0, qplus, n_max):
+    _assert_values_match_the_galerkin_oracle(q0, qplus, n_max,
+                                             DEFAULT_SCAN_STEPS, 1e-12)
 
 
-@pytest.mark.parametrize("q0, qplus, windows", [
-    (*_FLAT, (2, 4, 6)),  # vertices, from the chord
-    (Potential.constant(0.0), Potential.constant(3.0), (2,)),
-    (*_MATHIEU, (2, 4)),  # split pairs, from the roots of trace 2
-    (*_GENERIC, (2,)),
-])
-def test_maximum_path_matches_sequential_scipy(q0, qplus, windows):
-    line = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
-    nodes = spectral._scan_line(line, max(windows) // 2)
-    got = spectral._run(line, spectral._together(
-        spectral._roots_from_center(line, nodes, m) for m in windows))
-    alone = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
-    want = [_sequential_roots_from_center(alone, nodes, m) for m in windows]
-    assert [_hex(r) for r in got] == [_hex(r) for r in want]
+@pytest.mark.parametrize("q0, qplus, n_max", _BENCHMARK_LINES + [
+    (*_FLAT, 12), (*_MATHIEU, 12), (*_GENERIC, 12)] + _mild_lines(10))
+def test_values_at_16384_steps_match_the_galerkin_oracle(q0, qplus, n_max):
+    _assert_values_match_the_galerkin_oracle(q0, qplus, n_max, 16384, 1e-11)
 
 
-def test_benchmark_scans_take_at_most_58_kernel_calls(monkeypatch):
-    # 119 s-values; 83 kernel calls when every refinement ran alone, 62
-    # when the gallop ran before the bisection rounds.
+def test_mathieu_pair_four_splits_at_n_max_12():
+    # Pair 4 splits by 7.8e-8; the trace, flat at a double root, cannot
+    # resolve that at 4096 steps, but det(M - I) on the proxies can. Pairs 5
+    # and 6 split by less than S_RESOLUTION and are vertices.
+    want = _mathieu_line_values(13)
+    records = oscillation_eigenvalues(Potential.trig_poly([2.0]),
+                                      Potential.constant(1.0), 12)
+    assert [r.component for r in records[7:9]] == [
+        C1Component("cone_leaf", 4, -1), C1Component("cone_leaf", 4, 1)]
+    assert [r.component for r in records[9:]] == (
+        [C1Component("vertex", 5)] * 2 + [C1Component("vertex", 6)] * 2)
+    got = np.array([r.s for r in records])
+    assert np.all(np.abs(got - want) < [_oracle_bound((k + 1) // 2, 4096, 1e-11)
+                                        for k in range(13)])
+
+
+def test_benchmark_scans_take_at_most_124_members(monkeypatch):
+    # 33 Chebyshev points, two sample-test points, the gallop's points
+    # inside the interval and the roots: 40, 42 and 42 s-values in 14, 15
+    # and 15 kernel calls. The walk took 119 s-values in 58 calls.
     calls = _count_evaluations(monkeypatch)
     for q0, qplus, n_max in _BENCHMARK_LINES:
         oscillation_eigenvalues(q0, qplus, n_max)
-    assert calls["values"] == 119
-    assert calls["kernel"] <= 58
+    assert calls["values"] <= 124
+    assert calls["kernel"] <= 44
 
 
-def test_hidden_pair_comes_back_as_a_vertex_between_its_leaves():
-    # Pair 4 of this line splits by 5.9e-6, but at 4096 steps no node
-    # resolves it and the trace at the window's Cartan center does not
-    # reach 2: the center path gives a vertex. At 16384 steps the pair
-    # splits, and the vertex lies between its two leaves.
+def test_vertex_between_the_sample_points():
+    # On q = -3 s the first vertex is s = 1/3, which is none of the points
+    # the proxy interpolates.
+    records = oscillation_eigenvalues(Potential.constant(0.0),
+                                      Potential.constant(3.0), 2)
+    for r in records[1:]:
+        assert r.component == C1Component("vertex", 1)
+        assert r.multiplicity == 2
+        assert abs(r.s - 1.0 / 3.0) < 1e-13
+
+
+def test_hidden_pair_splits_at_the_scan_steps():
+    # Pair 4 of this line splits by 5.9e-6. RK4's determinant drift at
+    # 4096 steps lowers the top of the trace below 2, so the trace has no
+    # root there, but det(M - I) splits the pair within 3.8e-10 of its
+    # 16384-step leaves.
     q0 = Potential.trig_poly([0.08096300765882813, -0.35969395787060243],
                              [0.8002449285409579, -0.4342655084100602],
                              constant_term=-0.07432995645601359)
@@ -411,23 +332,11 @@ def test_hidden_pair_comes_back_as_a_vertex_between_its_leaves():
                                 constant_term=1.0)
     coarse = oscillation_eigenvalues(q0, qplus, 8)
     fine = oscillation_eigenvalues(q0, qplus, 8, 16384)
-    assert [r.component for r in coarse[7:]] == [C1Component("vertex", 4)] * 2
-    assert [r.component for r in fine[7:]] == [
-        C1Component("cone_leaf", 4, -1), C1Component("cone_leaf", 4, 1)]
-    assert fine[7].s < coarse[7].s == coarse[8].s < fine[8].s
-    for a, b in zip(coarse[:7], fine[:7]):
-        assert a.component == b.component and abs(a.s - b.s) < 1e-8
-
-
-@pytest.mark.parametrize("q0, qplus, n_max", _BENCHMARK_LINES + [
-    (*_FLAT, 12), (*_MATHIEU, 12), (*_GENERIC, 12)] + _mild_lines(10))
-def test_one_loop_walk_keeps_the_two_phase_nodes(q0, qplus, n_max):
-    # The gallop node of a round lies above every midpoint of that round,
-    # and the angle grows with s, so galloping inside the bisection rounds
-    # changes when a node is evaluated, not which nodes there are.
-    line = spectral._LineScan(q0, qplus, DEFAULT_SCAN_STEPS)
-    pairs = (n_max + 1) // 2
-    assert spectral._scan_line(line, pairs) == two_phase_scan_line(line, pairs)
+    leaves = [C1Component("cone_leaf", 4, -1), C1Component("cone_leaf", 4, 1)]
+    assert [r.component for r in coarse[7:]] == leaves
+    assert [r.component for r in fine[7:]] == leaves
+    for a, b in zip(coarse, fine):
+        assert a.component == b.component and abs(a.s - b.s) < 1e-9
 
 
 def test_unreachable_n_max_is_refused_before_sampling():
@@ -443,54 +352,62 @@ def test_unreachable_n_max_is_refused_before_sampling():
     assert (q0.calls, qplus.calls) == (0, 0)
 
 
-class _AngleLine:
-    """A stand-in line for the walk: theta_R and alpha are both angle(s),
-    and the line starts at s0."""
+class _InjectedLine:
+    """A stand-in for the line scan that starts at s = 0: matrix(s) gives
+    M(s), theta_R and the Cartan angle alpha there."""
 
-    def __init__(self, s0, angle):
-        self.q0 = lambda t: np.full_like(t, s0 + 1.0)
-        self.qplus = lambda t: np.ones_like(t)
-        self.angle = angle
+    def __init__(self, matrix):
+        self.q0 = self.qplus = lambda t: np.ones_like(t)
+        self.steps = DEFAULT_SCAN_STEPS
+        self.matrix = matrix
 
     def evaluate(self, ss):
-        return [(None, self.angle(s), None, self.angle(s)) for s in ss]
+        out = []
+        for s in ss:
+            mat, theta_r, alpha = self.matrix(s)
+            out.append((SimpleNamespace(mat=np.array(mat)), theta_r, None, alpha))
+        return out
 
     def __call__(self, s):
         return self.evaluate([s])[0]
 
 
-def test_walk_accepts_an_interval_at_the_width_floor():
-    # A jump of pi at s = 0.3 cannot be resolved; bisection stops once the
-    # interval holding it is no wider than 1e-6.
-    line = _AngleLine(0.0, lambda s: s + math.pi * (s > 0.3))
-    nodes = spectral._scan_line(line, 1)
-    wide = [(a, b) for a, b in zip(nodes, nodes[1:])
-            if line.angle(b) - line.angle(a) >= math.pi / 4]
-    assert len(wide) == 1
-    a, b = wide[0]
-    assert a <= 0.3 < b and 5e-7 < b - a <= 1e-6
+def _scan(monkeypatch, matrix, n_max):
+    line = _InjectedLine(matrix)
+    monkeypatch.setattr(spectral, "_LineScan", lambda q0, qplus, steps: line)
+    return oscillation_eigenvalues(line.q0, line.qplus, n_max)
 
 
-def test_walk_never_splits_an_interval_whose_midpoint_rounds_to_an_end():
-    # At 2^50 the spacing of doubles is 0.25, so the first gallop interval
-    # has no midpoint; its jump of pi is kept, not split into a repeat node.
-    s0 = 2.0 ** 50
-    line = _AngleLine(s0, lambda s: 0.01 * (s - s0) + math.pi * (s > s0))
-    nodes = spectral._scan_line(line, 1)
-    assert nodes[:2] == [s0, s0 + 0.25]
-    assert np.all(np.diff(nodes) > 0)
+def _rotation(angle):
+    """A rotation by angle(s), whose theta_R and alpha are both angle(s)."""
+    def matrix(s):
+        a = angle(s)
+        return [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]], a, a
+    return matrix
 
 
-def test_walk_refuses_a_winding_that_does_not_increase():
-    line = _AngleLine(0.0, lambda s: 3.0 * s - 2.0 * (s >= 1.0))
+def test_scan_refuses_a_winding_that_does_not_increase(monkeypatch):
     with pytest.raises(spectral.NumericalInvariantError, match="not increasing"):
-        spectral._scan_line(line, 1)
+        _scan(monkeypatch, _rotation(lambda s: 3.0 * s - 2.0 * (s >= 1.0)), 1)
 
 
-@pytest.mark.parametrize("cap", [4, 12])
-def test_walk_stops_at_the_node_cap(monkeypatch, cap):
-    # Seven gallop nodes reach the last window, and with the midpoints the
-    # rounds need more than twelve: the cap holds while galloping and after.
-    monkeypatch.setattr(spectral, "_MAX_SCAN_NODES", cap)
-    with pytest.raises(DomainError, match="eigenvalue scan exhausted"):
-        spectral._scan_line(_AngleLine(0.0, lambda s: s), 1)
+def test_scan_refuses_a_certificate_mismatch(monkeypatch):
+    # trace - 2 = (s - 1)(s - 2)(s - 3) / 8 has three roots in window 0.
+    def matrix(s):
+        return [[1.0 + (s - 1.0) * (s - 2.0) * (s - 3.0) / 8, 0.0],
+                [0.0, 1.0]], s, 0.1 * s
+
+    with pytest.raises(spectral.NumericalInvariantError,
+                       match="window 0 holds 3 roots of trace - 2 in the "
+                             "proxy at N = 16 Chebyshev points and --steps 4096"):
+        _scan(monkeypatch, matrix, 0)
+
+
+@pytest.mark.parametrize("cap", [32, spectral._MAX_DEGREE])
+def test_scan_refuses_a_proxy_at_the_degree_cap(monkeypatch, cap):
+    # A kink at s = 1 leaves every Chebyshev tail above the tolerance.
+    monkeypatch.setattr(spectral, "_MAX_DEGREE", cap)
+    with pytest.raises(DomainError, match=f"not resolved at N = {cap} "
+                       f"Chebyshev points, the most it takes, at --steps 4096"):
+        _scan(monkeypatch, _rotation(lambda s: s + 0.5 * abs(s - 1.0)), 1)
+

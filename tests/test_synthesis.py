@@ -162,14 +162,11 @@ def test_normalize_c_is_scipy_brentq_bit_for_bit(monkeypatch):
 
     got = all_c()
 
-    def bracket(a, b, **kw):
+    def scipys(f, a, b, **kw):
         assert kw == {"xtol": 1e-300, "rtol": 8.9e-16, "maxiter": 200}
-        return a, b, kw
+        return scipy_brentq(f, a, b, **kw)
 
-    monkeypatch.setattr(synthesis, "brentq", bracket)
-    monkeypatch.setattr(synthesis, "solve",
-                        lambda search, f: scipy_brentq(f, search[0], search[1],
-                                                       **search[2]))
+    monkeypatch.setattr(synthesis, "brentq", scipys)
     want = all_c()
     assert [c.hex() for c in got] == [float(c).hex() for c in want]
     assert all(c != 0.0 for c in got)
