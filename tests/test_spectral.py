@@ -301,7 +301,7 @@ def test_mathieu_pair_four_splits_at_n_max_12():
 def test_benchmark_scans_take_at_most_124_members(monkeypatch):
     # 33 Chebyshev points, two sample-test points, the gallop's points
     # inside the interval and the roots: 40, 42 and 42 s-values in 14, 15
-    # and 15 kernel calls. The walk took 119 s-values in 58 calls.
+    # and 15 kernel calls.
     calls = _count_evaluations(monkeypatch)
     for q0, qplus, n_max in _BENCHMARK_LINES:
         oscillation_eigenvalues(q0, qplus, n_max)
