@@ -230,17 +230,18 @@ def cmd_plotdata(args):
                 alpha = math.pi / 2 + k * math.pi
                 rows += [(c, alpha, r) for r in np.linspace(0.0, args.rmax, 101)]
             continue
-        for alpha in alphas:
+        allowance = max(PLOT_IDENTITY_TOL, 16.0 * np.finfo(float).eps * abs(c))
+        for alpha in alphas.tolist():
             ratio = c / (2.0 * math.cos(alpha)) if math.cos(alpha) != 0 else \
                 math.inf
             if not (1.0 <= ratio < cosh_rmax):
                 continue
             r = math.acosh(ratio)
             err = abs(2.0 * math.cos(alpha) * math.cosh(r) - c)
-            if err > max(PLOT_IDENTITY_TOL, 16.0 * np.finfo(float).eps * abs(c)):
+            if err > allowance:
                 raise NumericalInvariantError(
                     f"trace level identity violated by {err:.3e} at "
-                    f"alpha={alpha!r}")
+                    f"alpha={alpha!r}, above its allowance {allowance:.3e}")
             rows.append((c, alpha, r))
     write_csv(("c", "alpha", "r"), rows, args.output)
     return 0

@@ -26,7 +26,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev
 
-from .brent import brentq
 from .cover import to_right_iwasawa, winding_exceeds
 from .errors import DomainError, Immutable, NumericalInvariantError
 from .integrate import MAX_STEPS
@@ -52,8 +51,8 @@ MIN_SYNTH_STEPS = 16384
 # produce |q| up to ~1e5, so the step count is chosen per profile.
 _STEP_PHASE_BOUND = 0.004
 NORMALIZE_RTOL = 1e-12
-MAX_DOUBLINGS = 200
-_EXP_CAP = 700.0
+# Newton steps normalize_c takes at most; 3000 random targets took 3 to 14.
+NEWTON_STEPS = 100
 # Nodes of the uniform theta grid on which c is normalized and the orbit is
 # sampled: Orbit checks the sweep by Simpson's rule on its own grid, so the
 # two agree only on the same nodes.
@@ -160,48 +159,61 @@ def _weight_poly(theta_m):
 def normalize_c(theta_m, p1, r):
     """The unique c making the profile sweep exactly 2 pi.
 
-    The integral of exp(P1 + r + c w) with w = theta^2 (theta_m - theta)^2
-    is strictly increasing in c from 0 to infinity, so an exponential
-    bracket walk plus brentq pins it down; monotonicity is asserted along
-    the walk since it is the uniqueness argument.
-    """
-    from scipy.integrate import simpson
+    The sweep is Simpson's rule on the THETA_NODES grid,
+    S(c) = sum_i omega_i exp(x_i + c w_i), with x = P1 + r(theta / theta_m),
+    positive weights omega_i and w = theta^2 (theta_m - theta)^2 >= 0,
+    which is 0 only at the two end nodes. So S is strictly increasing,
+    falls to the end-node sweep as c goes to -infinity and grows without
+    bound as c goes to +infinity: a root exists, and is unique, exactly
+    when the end nodes alone sweep less than 2 pi.
 
+    h(c) = log S(c) - log 2 pi is a log-sum-exp of functions affine in c,
+    so it is convex and increasing, and h' is the e-weighted mean of w.
+    Newton's method from c = 0 therefore lands at or right of the root in
+    one step and from there falls to it monotonically. It stops when h
+    stops falling strictly or reaches 0, which in exact arithmetic happens
+    only at the root.
+    """
     theta_m = float(theta_m)
     if not (theta_m > 0 and math.isfinite(theta_m)):
         raise DomainError("theta_m must be positive")
     grid = np.linspace(0.0, theta_m, THETA_NODES)
-    base = p1(grid) + r(grid / theta_m)
     w = grid ** 2 * (theta_m - grid) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = p1(grid) + r(grid / theta_m)
+        end = grid[1] / 3.0 * np.exp(base[[0, -1]]).sum()
+    if end >= TAU:
+        raise NumericalInvariantError(f"sweep normalization has no root: the "
+                                      f"end nodes alone sweep {end:.4g} >= 2 pi")
 
-    def sweep(c):
-        return simpson(np.exp(np.minimum(base + c * w, _EXP_CAP)), x=grid)
+    def log_sweep(c):
+        """(c, h(c), h'(c)), from exponents shifted by their maximum."""
+        with np.errstate(all="ignore"):
+            z = base + c * w
+            top = z.max()
+            e = np.exp(z - top)
+            # Composite Simpson: step / 3 times 1, 4, 2, ..., 2, 4, 1.
+            e[1:-1] *= 2.0
+            e[1::2] *= 2.0
+            mass = e.sum()
+            h = top + np.log(mass * grid[1] / (3.0 * TAU))
+            slope = (e @ w) / mass
+        if not (np.isfinite(h) and 0.0 < slope < np.inf):
+            raise NumericalInvariantError(
+                f"sweep normalization fails: slope {slope:.4g} in c at c = {c:.17g}")
+        return c, float(h), float(slope)
 
-    s0 = sweep(0.0)
-    if abs(s0 - TAU) <= NORMALIZE_RTOL * TAU:
-        return 0.0
-    sign = 1.0 if s0 < TAU else -1.0
-    lo, s_lo = 0.0, s0
-    hi = None
-    step = sign
-    for _ in range(MAX_DOUBLINGS):
-        s = sweep(step)
-        if sign * (s - s_lo) < 0:
-            raise NumericalInvariantError("sweep integral is not monotone in c")
-        if sign * (s - TAU) >= 0:
-            hi = step
+    c, h, slope = log_sweep(0.0)
+    for k in range(NEWTON_STEPS):
+        trial = log_sweep(c - h / slope)
+        if k and not trial[1] < h:
             break
-        lo, s_lo = step, s
-        step *= 2.0
-    if hi is None:
-        raise NumericalInvariantError(
-            "sweep normalization failed to bracket after 200 doublings")
-    a, b = (lo, hi) if sign > 0 else (hi, lo)
-    c = brentq(lambda x: sweep(x) - TAU, a, b, xtol=1e-300, rtol=8.9e-16,
-               maxiter=200)
-    if abs(sweep(c) - TAU) > NORMALIZE_RTOL * TAU:
+        c, h, slope = trial
+        if h <= 0.0:
+            break
+    if abs(TAU * math.expm1(h)) > NORMALIZE_RTOL * TAU:
         raise NumericalInvariantError("sweep normalization missed 2 pi")
-    return float(c)
+    return c
 
 
 class SynthesizedOrbit(Immutable):

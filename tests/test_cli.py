@@ -149,8 +149,8 @@ def test_synthesize_from_monodromy_output(files):
 
 
 def test_synthesize_output_is_byte_stable(files):
-    # Digest of the bytes written before float lists were formatted in one
-    # call; a change in any of the 16385 samples' 17 digits changes it.
+    # A change in any of the 16385 samples' 17 digits changes the digest.
+    # Its DOP853 residual (bench/oracles.py) is 2.2e-13.
     target = files["dir"] / "golden_target.json"
     out = files["dir"] / "golden.json"
     write_json({"m": [0.34741380685381607, -1.1744375874465782,
@@ -159,9 +159,9 @@ def test_synthesize_output_is_byte_stable(files):
     assert main(["synthesize", "--target", str(target), "--coeffs=0.05,-0.02",
                  "--steps", "16384", "-o", str(out)]) == 0
     data = out.read_bytes()
-    assert len(data) == 424251
+    assert len(data) == 424266
     assert hashlib.sha256(data).hexdigest() == (
-        "1fc157a009234136a9f7fdcd0907202a51ec78b8ec0b4f042ccbf086130815fe")
+        "6227dce51f84f8da98f06f61739d58434e8c025190977feb30f1a43f92e9d573")
 
 
 # Digests of the spectrum CSVs at 4096 steps; a change in any record's 17
@@ -210,7 +210,7 @@ def test_synthesize_fiber_size_failures(files, capsys):
     assert main(argv + [",".join(["0.01"] * 20)]) == 3
     err = capsys.readouterr().err
     assert "with 20 perturbation coefficients" in err
-    assert "orbit sweeps 6.2830887953791335 instead of 2 pi" in err
+    assert "orbit sweeps 6.283088795379131 instead of 2 pi" in err
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv + [",".join(["0.01"] * 450)]) == 2
@@ -218,6 +218,36 @@ def test_synthesize_fiber_size_failures(files, capsys):
     assert capsys.readouterr().err == (
         f"error: perturbation coefficient count 450 is not in "
         f"[0, {MAX_BASIS_SIZE}]\n")
+
+
+def test_synthesize_refuses_a_sweep_without_a_root(files, capsys):
+    # At right Iwasawa (5, 1e300, 0) the two end nodes, where the weight of
+    # c is 0, alone sweep more than 2 pi, so no c exists. At (5, 1, 1e200)
+    # every interior node underflows at c = 0, so the sweep has slope 0 in
+    # c; that is refused before Newton's method divides by it.
+    target = files["dir"] / "rootless_target.json"
+    for triple, message in (
+            ((5.0, 1e300, 0.0), "sweep normalization has no root: the end "
+             "nodes alone sweep 4.069e+296 >= 2 pi"),
+            ((5.0, 1.0, 1e200),
+             "sweep normalization fails: slope 0 in c at c = 0")):
+        write_json(element_to_dict(from_right_iwasawa(*triple)), target)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synthesize", "--target", str(target)]) == 3
+        assert not caught
+        assert capsys.readouterr().err == f"invariant violation: {message}\n"
+
+
+def test_plotdata_refusal_names_its_allowance(capsys):
+    # At c = 1e4 and r near 44 the acosh/cosh round trip misses c by more
+    # than 16 eps |c|; the refusal prints alpha as a plain float.
+    assert main(["plotdata", "--levels", "1e4", "--rmax", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("invariant violation: trace level identity violated by "
+                   "5.275e-11 at alpha=4.7123889803846915, above its "
+                   "allowance 3.553e-11\n")
+    assert "np.float64" not in err
 
 
 def test_synthesize_verify_gate_exits_3(files):
@@ -854,7 +884,7 @@ def test_sample_potential_grid_is_checked_before_allocation(capsys):
 # numpy's Polynomial; a change in any sample's 17 digits changes them.
 def test_stiff_synthesize_output_is_byte_stable(files):
     # The right Iwasawa target (0.3, 0.5, -2), for which auto_steps picks
-    # 131072 steps.
+    # 131072 steps. Its DOP853 residual (bench/oracles.py) is 2.2e-10.
     target = files["dir"] / "stiff_target.json"
     out = files["dir"] / "stiff.json"
     write_json({"m": [0.6755249097756645, 0.20896434210788314,
@@ -862,9 +892,9 @@ def test_stiff_synthesize_output_is_byte_stable(files):
                 "omega": -0.22030650989861766, "component": "+"}, target)
     assert main(["synthesize", "--target", str(target), "-o", str(out)]) == 0
     data = out.read_bytes()
-    assert len(data) == 3396661
+    assert len(data) == 3396553
     assert hashlib.sha256(data).hexdigest() == (
-        "4284ddd03846777392bf584c04da27f2cf3e549d1830a8e35fe9a22e9d0d3258")
+        "2a385feeff80521916db310acb4d7afa15cb13c4bb8effa2a0edf437961ab7d3")
 
 
 def test_kepler_round_trip_output_is_byte_stable(files):

@@ -1,6 +1,10 @@
 """Prescribed-monodromy synthesis: profiles, normalization, inversion."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,9 +147,30 @@ def test_normalize_c_matches_direct_sweep():
     assert orb.c == c
 
 
-def test_normalize_c_is_scipy_brentq_bit_for_bit(monkeypatch):
-    # normalize_c runs the package's brentq; with scipy's in its place, on
-    # the same sweep, bracket and tolerances, every c keeps its bits.
+def _assert_c_matches_scipy(theta_m, rho, nu, coeffs):
+    # scipy's simpson and brentq are the independent reference: the sweep
+    # at c is 2 pi within NORMALIZE_RTOL, and c is brentq's root of that
+    # sweep within 5e-13 relative.
+    p1 = base_polynomial(theta_m, rho, nu)
+    r = perturbation_polynomial(coeffs)
+    c = normalize_c(theta_m, p1, r)
+    grid = np.linspace(0.0, theta_m, synthesis.THETA_NODES)
+    base = p1(grid) + r(grid / theta_m)
+    w = grid ** 2 * (theta_m - grid) ** 2
+
+    def miss(x):
+        return simpson(np.exp(base + x * w), x=grid) - TAU
+
+    assert abs(miss(c)) <= synthesis.NORMALIZE_RTOL * TAU
+    width = 1e-9 * (1.0 + abs(c))
+    while miss(c - width) > 0.0 or miss(c + width) < 0.0:
+        width *= 2.0
+    want = scipy_brentq(miss, c - width, c + width, xtol=1e-300,
+                        rtol=8.9e-16)
+    assert abs(c - want) <= 5e-13 * abs(want)
+
+
+def test_normalize_c_matches_scipy_brentq():
     rng = np.random.default_rng(21)
     cases = [((13.0, 2.0, -1.0), None), ((0.3, 0.5, -2.0), None),
              ((0.3, 0.5, -2.0), rng.uniform(-0.1, 0.1, 8))]
@@ -154,22 +179,33 @@ def test_normalize_c_is_scipy_brentq_bit_for_bit(monkeypatch):
                        math.exp(rng.uniform(-1.5, 1.5)),
                        float(rng.uniform(-2.0, 2.0))),
                       rng.uniform(-0.1, 0.1, 8)))
+    for triple, coeffs in cases:
+        _assert_c_matches_scipy(*triple, coeffs)
 
-    def all_c():
-        return [normalize_c(theta_m, base_polynomial(theta_m, rho, nu),
-                            perturbation_polynomial(coeffs))
-                for (theta_m, rho, nu), coeffs in cases]
 
-    got = all_c()
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(math.log(0.02), math.log(40.0)), st.floats(-6.0, 6.0),
+       st.floats(-20.0, 20.0),
+       st.lists(st.floats(-0.3, 0.3), max_size=19))
+def test_normalize_c_matches_scipy_brentq_over_targets(log_theta, log_rho,
+                                                       nu, coeffs):
+    _assert_c_matches_scipy(math.exp(log_theta), math.exp(log_rho), nu,
+                            coeffs)
 
-    def scipys(f, a, b, **kw):
-        assert kw == {"xtol": 1e-300, "rtol": 8.9e-16, "maxiter": 200}
-        return scipy_brentq(f, a, b, **kw)
 
-    monkeypatch.setattr(synthesis, "brentq", scipys)
-    want = all_c()
-    assert [c.hex() for c in got] == [float(c).hex() for c in want]
-    assert all(c != 0.0 for c in got)
+def test_synthesis_loads_no_scipy():
+    # normalize_c, the profile and auto_steps run on numpy alone.
+    src = pathlib.Path(synthesis.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from hillmono.synthesis import auto_steps, synthesize_orbit\n"
+            "for triple in [(4.0, 1.3, 0.5), (2.0, 1.0, 0.5), (13.0, 2.0, -1.0),"
+            " (0.3, 0.5, -2.0), (5.3, 1.9, 0.84)]:\n"
+            "    auto_steps(synthesize_orbit(*triple, [0.05, -0.02]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 _fiber = st.lists(st.floats(-0.1, 0.1), min_size=8, max_size=8)
