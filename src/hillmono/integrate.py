@@ -70,39 +70,47 @@ scales each node by a power of two so that nothing overflows and which
 decides and words every refusal. The fast accept passes nothing that the
 scaled test would refuse (see _check_wronskian), so no decision changes.
 
-The kernel writes every full-length intermediate into a workspace made for
-its step count n and up to k members: t, the entries of T - I (4 k n
-doubles); free (about 6.1 k n), reused phase by phase for the sample times
-and the transfer scratch, then the round-major scan copy, the block totals
-and the carry products, then the column and theta step angles, and last,
-with t, which is dead by then, the scaled nodes and the vectors of the
-Wronskian gate; an int array for the gate's exponents; and the node
-entries, omega and theta, 6 k (n + 1) doubles, made once the samples are
-taken. Only the potential's samples are allocated per call. t and free are
-two arrays, not one, so that at long step counts each stays small enough
-for malloc to serve it from freed heap memory rather than from fresh
-pages. The ufuncs write through out= and run the operations of the
-formulas in the same order, with the operands of a product or a sum at
-most swapped, which IEEE arithmetic keeps exact; so every bit of every
-result is what the formulas give with temporaries.
+A run of more than CHUNK steps goes CHUNK steps at a time. Each chunk
+starts from the last node's matrix and omega of the one before, whose node
+is its node 0, so the column and theta step gates and the Wronskian gate
+still see every step and every node. The gates measure each chunk and
+decide once the run is over, so a refusal is the one a single pass over
+the whole run raises, with the same message (see _Gates). The scan of a
+chunk takes what it needs of the chunks before it from a _Carry, which
+keeps the composition tree of one blocked scan of the whole run; so every
+bit of a chunked run is that of one pass.
+
+The kernel writes every intermediate into a workspace made for the steps
+n of one chunk, at most CHUNK, and up to k members: t, the entries of
+T - I (4 k n doubles); free (about 6.1 k n), reused phase by phase for the
+sample times and the transfer scratch, then the round-major scan copy, the
+block totals and the carry products, then the column and theta step
+angles, and last, with t, which is dead by then, the scaled nodes and the
+vectors of the Wronskian gate; an int array for the gate's exponents; and
+the node entries, omega and theta, 6 k (n + 1) doubles, made once the
+samples are taken. Per call, only the potential's samples are allocated,
+and for a run of more than one chunk its sample times. t and free are
+two arrays, not one, so that each stays small enough for malloc to serve
+it from freed heap memory rather than from fresh pages. The ufuncs write
+through out= and run the operations of the formulas in the same order,
+with the operands of a product or a sum at most swapped, which IEEE
+arithmetic keeps exact; so every bit of every result is what the formulas
+give with temporaries.
 
 Nothing of a monodromy, monodromies or solution_winding call escapes but
 its endpoints, so those calls take their workspace from a pool and give it
-back: at most one idle workspace is kept, and only for k n <=
-DEFAULT_STEPS, about 2.1 MiB at that size. A workspace serves any batch up
-to its k at its step count, through prefix views of its buffers. So a
-caller that batches keeps to DEFAULT_STEPS // n members a call, as the
-spectrum scan does, and the pooled workspace serves every call. A
+back: one idle workspace is kept, about 16.7 doubles a step and member of
+a chunk, 4.4 MB for one member at CHUNK steps. A workspace serves any batch
+up to its k at its chunk length, through prefix views of its buffers. A
 workspace is out of the pool while a call uses it, so threads, and a
 potential that itself calls monodromy, each run on their own buffers.
-Without a pooled workspace a call needs about 16.7 doubles a step and
-member besides the samples, less than the per-call temporaries it
-replaces. integrate takes its scratch from the pool too, but hands the
-node entries and windings to the path it returns, so they are never
-shared.
+integrate takes its workspace from the pool too. Its path of one chunk
+takes the workspace's node entries and windings, so they are never shared;
+a longer path is allocated whole, and each chunk is copied into it.
 """
 
 import contextlib
+import functools
 import math
 import threading
 from itertools import accumulate, chain
@@ -117,8 +125,9 @@ TAU = math.tau
 
 DEFAULT_STEPS = 16384
 MIN_STEPS = 16
-# Largest step count accepted. A call peaks at about 150 MB per 2^20 steps,
-# so this bounds one call at about 0.6 GB.
+# Largest step count accepted. integrate's path takes 48 bytes a node, and
+# the sample times and samples 32 bytes a step, so this bounds an integrate
+# call at about 0.34 GB; the other calls hold the samples and one chunk.
 MAX_STEPS = 2 ** 22
 
 # Largest angle a column or the first row may turn by in one step; below it
@@ -138,6 +147,12 @@ FLOAT_LANES = 9
 # one entry's steps, 128 KiB, stays in cache while its BLOCK rounds are
 # written.
 COPY_BLOCKS = 512
+# Steps per chunk: a longer run is integrated CHUNK steps at a time, in a
+# workspace for CHUNK steps. A power of BLOCK, so that a chunk begins a
+# block at every level of the scan (see _Carry). On a shared 2-vCPU Xeon,
+# one warm monodromy call took 109 ns a step at 32768 steps, 119 at 16384
+# and 128 to 146 from 65536 steps up.
+CHUNK = BLOCK ** 3
 
 
 class FundamentalPath(Immutable):
@@ -184,18 +199,18 @@ class _Workspace:
         # 2 k n), the scan, six column vectors a member, and with t the
         # Wronskian gate's 9 (n + 1) doubles a member.
         self.t = np.empty(4 * k * n)
-        self.free = np.empty(k * max(_scan_size(n), 6 * (n + 1)))
+        self.free = np.empty(k * max(_scan_size(n, n == CHUNK), 6 * (n + 1)))
         self.exps = np.empty(k * (n + 1), np.intc)
         self.outputs = None
 
-    def output_views(self, k):
+    def output_views(self, k, n):
         """Views (k, 4, n + 1), (k, n + 1) and (k, n + 1) of the node
-        entries, omega and theta of outputs, which are made here on first
-        use or when they hold fewer than k members."""
-        n1 = self.steps + 1
+        entries, omega and theta of outputs, for n <= steps; the outputs are
+        made here on first use or when they hold fewer than k members."""
+        n1 = n + 1
         if self.outputs is None or self.outputs[1].size < k * n1:
-            self.outputs = (np.empty(4 * k * n1), np.empty(k * n1),
-                            np.empty(k * n1))
+            size = k * (self.steps + 1)
+            self.outputs = (np.empty(4 * size), np.empty(size), np.empty(size))
         nodes, omega, theta = self.outputs
         return (nodes[:4 * k * n1].reshape(k, 4, n1),
                 omega[:k * n1].reshape(k, n1),
@@ -209,8 +224,9 @@ _idle_lock = threading.Lock()
 
 @contextlib.contextmanager
 def _workspace(steps, members=1):
-    """A workspace for `members` potentials at `steps` steps, out of the
-    pool while the block runs."""
+    """A workspace for `members` potentials at `steps` steps, in chunks of
+    at most CHUNK, out of the pool while the block runs."""
+    steps = min(steps, CHUNK)
     with _idle_lock:
         ws = _idle.pop() if _idle else None
     if ws is None or ws.steps != steps or ws.members < members:
@@ -218,9 +234,8 @@ def _workspace(steps, members=1):
     try:
         yield ws
     finally:
-        if ws.members * steps <= DEFAULT_STEPS:
-            with _idle_lock:
-                _idle[:] = [ws]
+        with _idle_lock:
+            _idle[:] = [ws]
 
 
 def sample_times(steps):
@@ -245,16 +260,17 @@ def _all_finite(a):
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def _one(q):
-    """The kernel's sampler of one potential q: its samples at the times
-    tt, of the shape checked, as a batch of one."""
-    def sample(tt):
-        qq = np.asarray(q(tt), dtype=float)
-        if qq.shape != tt.shape:
-            raise DomainError(f"potential evaluation gave shape {qq.shape}; "
-                              f"expected (2 steps + 1,) = {tt.shape}")
-        return qq[None]
-    return sample
+def _one(q, steps, ws):
+    """The samples of one potential q at sample_times(steps), of the shape
+    checked, as a batch of one. The times of a run of one chunk are
+    written into the scratch of the workspace ws."""
+    tt = np.empty(2 * steps + 1) if steps > CHUNK else ws.free[:2 * steps + 1]
+    tt = _fill_times(tt)
+    qq = np.asarray(q(tt), dtype=float)
+    if qq.shape != tt.shape:
+        raise DomainError(f"potential evaluation gave shape {qq.shape}; "
+                          f"expected (2 steps + 1,) = {tt.shape}")
+    return qq[None]
 
 
 def _transfer(qa, qb, qd, h, out, scratch):
@@ -356,18 +372,70 @@ def _block_view(a, lo, hi):
                                                 ).transpose(4, 1, 2, 0, 3)
 
 
-def _scan_size(n):
+def _scan_size(n, every=False):
     """Doubles of scratch that _blocked_scan takes for n steps of one
-    member: the round-major copy, the block totals, and the larger of the
-    carry products and the totals' own scan. A batch takes as many times
-    that as it has members."""
+    member: the round-major copy, the block totals' results, and the larger
+    of the carry products and the totals' own scan; with every, as a chunk
+    of a longer run, which scans every block total. A batch takes as many
+    times that as it has members."""
     if n <= BLOCK:
         return 0
     m = -(-n // BLOCK)
-    return 4 * BLOCK * m + 4 * (m - 1) + max(2 * BLOCK * (m - 1), _scan_size(m - 1))
+    totals = m if every else m - 1
+    return (4 * BLOCK * m + 4 * (totals + every)
+            + max(2 * BLOCK * (m - 1 + every), _scan_size(totals, every)))
 
 
-def _blocked_scan(t, out, scratch):
+class _Carry:
+    """What the scan of a chunk takes from the chunks before it.
+
+    A run longer than CHUNK is scanned chunk by chunk, and every result is
+    bit for bit that of one _blocked_scan of the whole run. That scan
+    composes the first block of each level with the result of the level
+    above at the entry before the block, and the results of its top level,
+    the first of at most BLOCK entries, onto the identity. A chunk begins a
+    block at every level, and its own levels end in one block, whose total
+    is the next entry of the level above. So a chunk's scan needs out[l],
+    the (4, k) result of each level l >= 1 at the entry before the chunk.
+    Each chunk's scan leaves those of its own levels here, and push scans
+    the levels above, one entry a chunk, keeping the product of each one's
+    open block. node is the last node of the chunk before, as P - I.
+    """
+
+    __slots__ = ("top", "out", "open", "node")
+
+    def __init__(self, steps):
+        top, size = 0, steps
+        while size > BLOCK:  # the levels of one scan of the whole run
+            size = -(-size // BLOCK) - 1
+            top += 1
+        self.top, self.out, self.open, self.node = top, {}, {}, 0.0
+
+    def start(self, level):
+        """The initial of _scan_floats at this level: the identity at the
+        top level, else none."""
+        return (0.0,) * 4 if level == self.top else None
+
+    def push(self, level, x):
+        """Scan x, the (4, k) next entry of level; its result goes to
+        out[level]."""
+        run, count = self.open.get(level, (None, 0))
+        if run is None:
+            start = self.start(level)
+            run = x if start is None else np.array(_compose(start, x))
+        else:
+            run = np.array(_compose(run, x))
+        above = self.out.get(level + 1)  # this block's carry
+        self.out[level] = (run if above is None
+                           else np.array(_compose(above, run)))
+        count += 1
+        if count == BLOCK:
+            self.push(level + 1, run)
+            run, count = None, 0
+        self.open[level] = (run, count)
+
+
+def _blocked_scan(t, out, scratch, carry=None, level=0):
     """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
 
     Both are (k, 4, n) arrays of k members, each scanned on its own; t is
@@ -384,18 +452,40 @@ def _blocked_scan(t, out, scratch):
     where numpy's per-call cost would exceed the work. The composition tree,
     and so every bit of each member's result, is the same either way, and
     the same as for that member alone.
+
+    With carry, t is a chunk of a longer run at this level of its scan (see
+    _Carry): the first block is composed with the level above's result
+    before the chunk, every block total is scanned, and the results the
+    next chunk needs are left in carry.
     """
     k, _, n = t.shape
     if n <= BLOCK:
+        if carry is None:
+            _scan_floats(t.transpose(0, 2, 1), out.transpose(0, 2, 1),
+                         initial=(0.0,) * 4)
+            return out
         _scan_floats(t.transpose(0, 2, 1), out.transpose(0, 2, 1),
-                     initial=(0.0,) * 4)
+                     initial=carry.start(level))
+        total = out[..., -1].T.copy()
+        before = carry.out.get(level + 1)
+        if before is not None:
+            rows = out.swapaxes(0, 1)
+            rows[...] = _compose(before[:, :, None], rows)
+        if level:
+            carry.out[level] = out[..., -1].T.copy()
+        carry.push(level + 1, total)
         return out
     m = -(-n // BLOCK)
     full, part = divmod(n, BLOCK)
+    # The totals' results, after a slot for the first block's carry in a
+    # chunk: each block is composed with the entry before its own.
+    every = carry is not None
+    totals = m if every else m - 1
     size = 4 * BLOCK * k * m
     p = scratch[:size].reshape(BLOCK, 2, 2, k, m)
-    carry = scratch[size:size + 4 * k * (m - 1)].reshape(k, 4, m - 1)
-    rest = scratch[size + 4 * k * (m - 1):]
+    width = totals + every
+    before = scratch[size:size + 4 * k * width].reshape(k, 4, width)
+    rest = scratch[size + 4 * k * width:]
     by_entry = p.reshape(BLOCK, 4, k, m)
     for i, r in np.ndindex(k, 4):
         steps = t[i, r, :full * BLOCK].reshape(full, BLOCK)
@@ -413,26 +503,97 @@ def _blocked_scan(t, out, scratch):
         ef = rest[:8 * k * m].reshape(2, 2, 2, k, m)
         for j in range(1, BLOCK):
             _compose_into(p[j], p[j - 1], ef)
-    _blocked_scan(p[-1, ..., :-1].transpose(2, 0, 1, 3).reshape(k, 4, m - 1),
-                  carry, rest)
-    _block_view(out, 0, 1)[...] = p[..., :1]
-    totals = carry.reshape(k, 2, 2, m - 1).transpose(1, 2, 0, 3)
-    ef = rest[:2 * BLOCK * k * (m - 1)].reshape(2, BLOCK, k, m - 1)
-    whole = _block_view(out, 1, full)
+    first = carry.out.get(level + 1) if every else None
+    _blocked_scan(p[-1, ..., :totals].transpose(2, 0, 1, 3).reshape(k, 4, totals),
+                  before[..., every:], rest, carry, level + 1)
+    if first is None:
+        _block_view(out, 0, 1)[...] = p[..., :1]
+        lo = 1
+    else:
+        before[..., 0] = first.T
+        lo = 0
+    y = before.reshape(k, 2, 2, width).transpose(1, 2, 0, 3)[
+        ..., every + lo - 1:every + m - 1]
+    ef = rest[:2 * BLOCK * k * (m - lo)].reshape(2, BLOCK, k, m - lo)
+    whole = _block_view(out, lo, full)
     for i, c in np.ndindex(2, 2):
-        entry = _carried(p[..., 1:], totals, i, c, ef)
-        whole[:, i, c] = entry[..., :full - 1]
+        entry = _carried(p[..., lo:], y, i, c, ef)
+        whole[:, i, c] = entry[..., :full - lo]
         if part:  # the last block, of part steps
             out[:, 2 * i + c, full * BLOCK:] = entry[:part, :, -1].T
+    if every and level:
+        carry.out[level] = out[..., -1].T.copy()
     return out
 
 
-def _overflow(what, nodes):
-    finite = np.abs(nodes[np.isfinite(nodes)])
-    largest = finite.max() if finite.size else 0.0
-    return NumericalInvariantError(
-        f"{what}: double precision overflows; largest finite |entry| of the "
-        f"fundamental matrix is {float(largest):.3e}")
+class _Gates:
+    """The gates' measurements of a run, per member, merged over its
+    chunks. refuse() then raises what one pass over the whole run raises:
+    the first member to fail the earliest gate, in the order overflow,
+    zero vector, column step, theta step, Wronskian.
+
+    Rows of worst: the largest column and theta steps, the largest finite
+    |entry|, whether an entry is not finite, and the first node with a zero
+    vector (-1: none); drift holds the Wronskian's (ratio, refusal).
+    """
+
+    __slots__ = ("steps", "worst", "drift")
+
+    def __init__(self, k, steps):
+        self.steps = steps
+        self.worst = np.zeros((5, k))
+        self.worst[4] = -1.0
+        self.drift = [None] * k
+
+    def nodes(self, nodes):
+        flat = nodes.reshape(len(nodes), -1)
+        high, low = flat.max(axis=1), flat.min(axis=1)
+        finite = np.isfinite(high) & np.isfinite(low)
+        largest, overflow = self.worst[2:4]
+        np.maximum(largest, np.where(finite, np.maximum(high, -low), 0.0),
+                   out=largest)
+        for i in np.flatnonzero(~finite).tolist():
+            entries = np.abs(flat[i][np.isfinite(flat[i])])
+            if entries.size:
+                largest[i] = max(largest[i], entries.max())
+            overflow[i] = 1.0
+
+    def zero(self, zero, lo):
+        """Merge the (k, n) zero vectors at the chunk's left nodes from lo."""
+        first = np.where(zero.any(axis=-1), lo + np.argmax(zero, axis=-1), -1)
+        row = self.worst[4]
+        row[row < 0] = first[row < 0]
+
+    def turned(self, gate, turns):
+        """Merge the (k, n) step angles of gate 0 (column) or 1 (theta)."""
+        worst = np.maximum(turns.max(axis=-1), -turns.min(axis=-1))
+        np.maximum(self.worst[gate], worst, out=self.worst[gate])
+
+    def wronskian(self, measured):
+        for i, (ratio, refusal) in enumerate(measured or ()):
+            if self.drift[i] is None or ratio > self.drift[i][0]:
+                self.drift[i] = (ratio, refusal)
+
+    def refuse(self):
+        turns, largest, overflow, zero = self.worst[:2], *self.worst[2:]
+        for i in np.flatnonzero(overflow)[:1].tolist():
+            raise NumericalInvariantError(
+                "fundamental matrix entries are not finite: double precision "
+                "overflows; largest finite |entry| of the fundamental matrix "
+                f"is {float(largest[i]):.3e}")
+        for node in zero[zero >= 0][:1].tolist():
+            raise NumericalInvariantError(
+                f"the second column or a solution vector is zero at node "
+                f"{int(node)} of {self.steps}: the step determinants shrank "
+                "it below rounding; increase steps")
+        for w in turns.ravel().tolist():
+            if not w < STEP_ANGLE_LIMIT:
+                raise NumericalInvariantError(
+                    f"angle change {w:.3e} in one step is not below "
+                    f"{STEP_ANGLE_LIMIT:.3e}; increase steps")
+        for _, refusal in filter(None, self.drift):
+            if refusal:
+                raise NumericalInvariantError(refusal)
 
 
 def checked_steps(steps):
@@ -455,78 +616,57 @@ def checked_count(count, name):
     return count
 
 
-def _propagate(sample, steps, ws):
-    """Sample k potentials; entries of T - I per step and of Phi at the
-    nodes.
-
-    steps has passed checked_steps, and sample(tt) gives the samples at the
-    sample times tt, shaped (k, 2 steps + 1), which must be finite; the
-    results are arrays of the workspace ws shaped (k, 4, steps) and
-    (k, 4, steps + 1).
-    """
-    tt = _fill_times(ws.free[:2 * steps + 1])
-    qq = sample(tt)
-    if not _all_finite(qq):
-        raise DomainError("potential evaluation must give finite values")
-    k, size = len(qq), len(qq) * steps
+def _steps(qq, h, ws):
+    """Entries of T - I, (k, 4, n) in the workspace ws, for the samples qq
+    of k potentials at a chunk's sample times, (k, 2 n + 1), and the step
+    h."""
+    k, n = len(qq), qq.shape[1] // 2
+    size = k * n
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _transfer(qq[:, 0:-1:2], qq[:, 1::2], qq[:, 2::2], TAU / steps,
-                      ws.t[:4 * size].reshape(k, 4, steps),
-                      ws.free[tt.size:tt.size + 2 * size].reshape(2, k, steps))
-        del qq  # it may be a view of tt, which the scan overwrites
-        nodes = ws.output_views(k)[0]
-        nodes[..., 0] = 0.0
-        _blocked_scan(t, nodes[..., 1:], ws.free)
+        # The scratch lies past the sample times, which qq may view.
+        return _transfer(qq[:, 0:-1:2], qq[:, 1::2], qq[:, 2::2], h,
+                         ws.t[:4 * size].reshape(k, 4, n),
+                         ws.free[2 * n + 1:2 * n + 1 + 2 * size].reshape(2, k, n))
+
+
+def _propagate(t, ws, carry=None):
+    """t, the entries (k, 4, n) of T - I of a chunk, and the entries of Phi
+    at its nodes, (k, 4, n + 1) in the workspace ws. The first node is the
+    identity, or with carry the last node of the chunk before."""
+    k, _, n = t.shape
+    nodes = ws.output_views(k, n)[0]
+    nodes[..., 0] = 0.0 if carry is None else carry.node
+    with np.errstate(over="ignore", invalid="ignore"):
+        _blocked_scan(t, nodes[..., 1:], ws.free, carry)
+    if carry is not None:
+        carry.node = nodes[..., -1].copy()
     nodes[:, ::3] += 1.0  # the diagonal entries a and d
-    if not _all_finite(nodes):
-        i = next(i for i in range(k) if not _all_finite(nodes[i]))
-        raise _overflow("fundamental matrix entries are not finite", nodes[i])
     return t, nodes
 
 
-def _checked_turns(turns):
-    """The per-step angles (k, n), after the gate that makes them exact.
-
-    The members are gated one by one; the first to fail raises.
-    """
-    # max |turn| of each member, no temporary of the turns' size
-    worst = np.maximum(turns.max(axis=-1), -turns.min(axis=-1))
-    for w in worst.tolist():
-        if not w < STEP_ANGLE_LIMIT:
-            raise NumericalInvariantError(
-                f"angle change {w:.3e} in one step is not below "
-                f"{STEP_ANGLE_LIMIT:.3e}; increase steps")
-    return turns
-
-
 def _scale(x, y, out, tmp):
-    """Larger |entry| of each vector (x, y); a zero vector has no angle.
-
-    Written into out, with tmp as scratch, and returned. x and y may have
-    any leading shape, the nodes running along the last axis; a zero
-    vector raises for the first row that holds one, naming its node.
-    """
-    scale = np.maximum(np.abs(x, out=out), np.abs(y, out=tmp), out=out)
-    if not scale.all():  # steps with det T << 1 can round a vector to zero
-        i = next(i for i in np.ndindex(scale.shape[:-1]) if not scale[i].all())
-        raise NumericalInvariantError(
-            f"the second column or a solution vector is zero at node "
-            f"{int(np.argmin(scale[i]))} of {scale.shape[-1]}: the step "
-            "determinants shrank it below rounding; increase steps")
-    return scale
+    """Larger |entry| of each vector (x, y), written into out, with tmp as
+    scratch, and returned. x and y may have any leading shape."""
+    return np.maximum(np.abs(x, out=out), np.abs(y, out=tmp), out=out)
 
 
-def _column_turns(t, x, y, scratch):
-    """Per-step angles of the columns (x, y) at the left nodes.
+def _column_turns(t, x, y, scratch, gates, lo=0):
+    """Per-step angles of the columns (x, y) at the left nodes, measured
+    by the column gate of gates; lo is the chunk's first step.
 
     t holds the entries (k, 4, n) and x, y are (k, n). The columns are
-    scaled by their larger entry, which cannot overflow. scratch holds six
-    vectors shaped like x, of which the first two may be x and y
+    scaled by their larger entry, which cannot overflow. A zero vector has
+    no angle: gates records its first node, and its angles are 0. scratch
+    holds six vectors shaped like x, of which the first two may be x and y
     themselves; the angles come back in the third.
     """
     ta, tb, tc, td = t.swapaxes(0, 1)
     xs, ys, cross, dot, u, v = scratch
     scale = _scale(x, y, out=cross, tmp=u)
+    if not scale.all():  # steps with det T << 1 can round a vector to zero
+        zero = scale == 0.0
+        gates.zero(zero, lo)
+        scale[zero] = 1.0
     x = np.divide(x, scale, out=xs)
     y = np.divide(y, scale, out=ys)
     # cross = tc x x + (td - ta) x y - tb y y
@@ -553,12 +693,15 @@ def _column_turns(t, x, y, scratch):
     u += v
     u *= y
     dot += u
-    return _checked_turns(np.arctan2(cross, dot, out=cross))
+    turns = np.arctan2(cross, dot, out=cross)
+    gates.turned(0, turns)
+    return turns
 
 
 def _check_wronskian(nodes, ws):
-    """The node Wronskian gate on (k, 4, n + 1) node entries, on the
-    workspace's buffers.
+    """The node Wronskian gate's measurement of (k, 4, n + 1) node entries,
+    on the workspace's buffers: None where every node passes, else what
+    _scaled_wronskian returns.
 
     A fast accept comes first: |ad - bc - 1| unscaled, in the buffer of
     T - I, which is dead by now. Where it is within 1e-6 at every node of
@@ -584,8 +727,8 @@ def _check_wronskian(nodes, ws):
         dev -= np.multiply(b, c, out=tmp)
         dev -= 1.0
         if np.abs(dev, out=dev).max() <= 1e-6:
-            return
-    _scaled_wronskian(nodes, ws)
+            return None
+    return _scaled_wronskian(nodes, ws)
 
 
 def _scaled_wronskian(nodes, ws):
@@ -594,7 +737,9 @@ def _scaled_wronskian(nodes, ws):
     ad - bc rounds at |Phi_i|^2 eps, so the allowance grows with the entry
     size. As in CoverElement, each node is divided by the power of two at
     or below its largest |entry|, which rounds as Phi_i does but cannot
-    overflow. In a batch, the first member to fail raises.
+    overflow. Returns, per member, the largest ratio of the deviation to
+    its allowance, at its first node, and the refusal there, or None where
+    that node passes.
     """
     members, _, n1 = nodes.shape
     size = members * n1
@@ -620,41 +765,75 @@ def _scaled_wronskian(nodes, ws):
     np.square(largest, out=tmp)
     tmp *= 16.0 * np.finfo(float).eps
     np.maximum(allowed, tmp, out=allowed)
-    worst = np.argmax(np.divide(dev, allowed, out=tmp), axis=1).tolist()
-    for i, w in enumerate(worst):
+    ratio = np.divide(dev, allowed, out=tmp)
+    measured = []
+    for i, w in enumerate(np.argmax(ratio, axis=1).tolist()):
+        refusal = None
         if dev[i, w] > allowed[i, w]:
             drift, k = float(dev[i, w]), -int(neg_k[i, w])
             try:
                 drift = f"{math.ldexp(drift, 2 * k):.3e}"
             except OverflowError:  # beyond the double range unscaled
                 drift = f"{drift:.3e} * 4**{k}"
-            raise NumericalInvariantError(
-                f"Wronskian drift {drift}; increase steps")
+            refusal = f"Wronskian drift {drift}; increase steps"
+        measured.append((float(ratio[i, w]), refusal))
+    return measured
 
 
-def _windings(sample, steps, ws):
-    """The kernel: node entries, omega and theta in ws, past every gate,
-    for the batch of k potentials that sample gives, as (k, 4, steps + 1),
-    (k, steps + 1) and (k, steps + 1)."""
-    t, nodes = _propagate(sample, steps, ws)
-    k = len(nodes)
-    _, omega, theta = ws.output_views(k)
-    omega[:, 0] = 0.0
-    turns = _column_turns(t, nodes[:, 1, :-1], nodes[:, 3, :-1],
-                          ws.free[:6 * k * steps].reshape(6, k, steps))
-    np.cumsum(turns, axis=-1, out=omega[:, 1:])
-    # The branch rule of cover.to_right_iwasawa at every node; the gate on
-    # its steps refuses a 2 pi slip of omega wherever it falls.
-    np.arctan2(nodes[:, 1], nodes[:, 0], out=theta)
-    branch = np.negative(omega, out=ws.free[:omega.size].reshape(omega.shape))
-    branch -= theta
-    branch /= TAU
-    np.round(branch, out=branch)
-    branch *= TAU
-    theta += branch
-    _checked_turns(np.subtract(theta[..., 1:], theta[..., :-1],
-                               out=ws.free[:k * steps].reshape(k, steps)))
-    _check_wronskian(nodes, ws)
+def _windings(sample, steps, ws, path=None):
+    """The kernel: node entries, omega and theta past every gate, for the
+    k potentials whose samples sample() gives, (k, 2 steps + 1).
+
+    The run goes CHUNK steps at a time, each chunk from the last node and
+    omega of the one before; the gates measure each chunk and decide once
+    the run is over. Returns the last chunk's node entries, omega and
+    theta in ws, (k, 4, n + 1), (k, n + 1) and (k, n + 1); path, arrays of
+    those shapes for n = steps, takes a copy of every chunk's. The samples
+    are let go once the last chunk's steps are made.
+    """
+    qq = sample()
+    if not _all_finite(qq):
+        raise DomainError("potential evaluation must give finite values")
+    k = len(qq)
+    gates = None
+    carry = _Carry(steps) if steps > CHUNK else None
+    end = 0.0  # omega at the chunk's first node
+    for lo in range(0, steps, CHUNK):
+        n = min(CHUNK, steps - lo)
+        t = _steps(qq[:, 2 * lo:2 * (lo + n) + 1], TAU / steps, ws)
+        if lo + n == steps:
+            del qq
+        t, nodes = _propagate(t, ws, carry)
+        if gates is None:  # made past the first scan, where a run peaks
+            gates = _Gates(k, steps)
+        gates.nodes(nodes)
+        if gates.worst[3].any():  # an overflow, which refuse() raises first:
+            continue  # only the largest finite entry is measured on
+        _, omega, theta = ws.output_views(k, n)
+        omega[:, 0] = end
+        turns = _column_turns(t, nodes[:, 1, :-1], nodes[:, 3, :-1],
+                              ws.free[:6 * k * n].reshape(6, k, n), gates, lo)
+        if lo:
+            turns[:, 0] += end
+        np.cumsum(turns, axis=-1, out=omega[:, 1:])
+        # The branch rule of cover.to_right_iwasawa at every node; the gate
+        # on its steps refuses a 2 pi slip of omega wherever it falls.
+        np.arctan2(nodes[:, 1], nodes[:, 0], out=theta)
+        branch = np.negative(omega,
+                             out=ws.free[:omega.size].reshape(omega.shape))
+        branch -= theta
+        branch /= TAU
+        np.round(branch, out=branch)
+        branch *= TAU
+        theta += branch
+        gates.turned(1, np.subtract(theta[..., 1:], theta[..., :-1],
+                                    out=ws.free[:k * n].reshape(k, n)))
+        gates.wronskian(_check_wronskian(nodes, ws))
+        end = omega[:, -1].copy()
+        if path is not None:
+            for whole, part in zip(path, (nodes, omega, theta)):
+                whole[..., lo:lo + n + 1] = part
+    gates.refuse()
     return nodes, omega, theta
 
 
@@ -670,15 +849,22 @@ def integrate(q, steps=DEFAULT_STEPS):
     """
     steps = checked_steps(steps)
     with _workspace(steps) as ws:
-        if ws.outputs is not None and ws.outputs[1].size > steps + 1:
-            ws.outputs = None  # made for a batch: the path gets its own
-        (nodes,), (omega,), (theta,) = _windings(_one(q), steps, ws)
-        ws.outputs = None  # the path owns them from here on
+        sample = functools.partial(_one, q, steps, ws)
+        if steps <= CHUNK:  # the path takes the workspace's outputs
+            ws.outputs = None
+            (nodes,), (omega,), (theta,) = _windings(sample, steps, ws)
+            ws.outputs = None
+        else:
+            path = (np.empty((1, 4, steps + 1)), np.empty((1, steps + 1)),
+                    np.empty((1, steps + 1)))
+            _windings(sample, steps, ws, path)
+            (nodes,), (omega,), (theta,) = path
     return FundamentalPath(np.linspace(0.0, TAU, steps + 1), nodes, theta, omega)
 
 
 def _lifts(sample, steps, ws):
-    """MonodromyResults of the potentials that sample gives, in order."""
+    """MonodromyResults of the potentials whose samples sample() gives, in
+    order."""
     nodes, omega, _ = _windings(sample, steps, ws)
     out = []
     for end, w in zip(nodes[..., -1].reshape(-1, 2, 2), omega[:, -1]):
@@ -704,7 +890,7 @@ def monodromy(q, steps=DEFAULT_STEPS):
     """
     steps = checked_steps(steps)
     with _workspace(steps) as ws:
-        (result,) = _lifts(_one(q), steps, ws)
+        (result,) = _lifts(functools.partial(_one, q, steps, ws), steps, ws)
     return result
 
 
@@ -723,7 +909,7 @@ def monodromies(samples, steps=DEFAULT_STEPS):
         raise DomainError(f"samples have shape {samples.shape}; expected "
                           f"(k, 2 steps + 1) = (k, {2 * steps + 1}), k >= 1")
     with _workspace(steps, len(samples)) as ws:
-        return _lifts(lambda tt: samples, steps, ws)
+        return _lifts(lambda: samples, steps, ws)
 
 
 def solution_winding(q, phi0, steps=DEFAULT_STEPS):
@@ -739,7 +925,8 @@ def solution_winding(q, phi0, steps=DEFAULT_STEPS):
     steps = checked_steps(steps)
     c0, s0 = math.cos(phi0), math.sin(phi0)
     with _workspace(steps) as ws:
-        nodes, omega, _ = _windings(_one(q), steps, ws)
+        nodes, omega, _ = _windings(functools.partial(_one, q, steps, ws),
+                                    steps, ws)
         a, b, c, d = nodes[0, :, -1].tolist()
         near = float(omega[0, -1])
     return _arg_change((c0, s0), (a * c0 + b * s0, c * c0 + d * s0), near)

@@ -34,11 +34,16 @@ character slot: separator, sign, the "0.000" of small fixed-point values,
 the digits with a possible point after each one, and the exponent. Slots a
 value does not use hold a zero byte; slots no value of the chunk uses are
 left out. The matrix is read out value by value and the zero bytes are
-deleted. write_json and write_csv write the chunk strings and the pieces
-around them one by one, so the whole text exists once, as those pieces,
-and is never joined or encoded whole; dumps_json and fmt_csv_rows return
-the join of the same pieces. Every piece is made before the output file
-is opened, so a value that cannot be written leaves the file untouched.
+deleted. The text of a float array is a lazy piece: its values are
+checked to be finite (their minimum and maximum) when the walk meets it,
+and each chunk is formatted only when it is written. write_json and
+write_csv write the strings and the chunks one by one, so at most one
+chunk of the text exists at a time, and nothing is joined or encoded
+whole; dumps_json and fmt_csv_rows return the join of the same pieces.
+The walk, and so every refusal, comes before the output file is opened,
+so a value that cannot be written leaves the file untouched; what exists
+then is the strings of the walk and the lazy pieces, which hold only
+references to their arrays.
 
 Every file the package reads or writes goes through read_text and the
 writers here, which turn a failure into DomainError; read_json parses on
@@ -322,22 +327,40 @@ def _float_chunks(values, seps):
         yield text[ls if start == 0 else 0:].decode("ascii")
 
 
+def _lazy_chunks(values, seps):
+    """_float_chunks(values, seps), with values checked to be finite here
+    and the chunks formatted as they are read."""
+    if values.size and not (np.isfinite(values.min())
+                            and np.isfinite(values.max())):
+        raise DomainError(_NON_FINITE)
+    return _float_chunks(values, seps)
+
+
+def _strings(pieces):
+    """The strings of pieces, lazy pieces read chunk by chunk."""
+    for piece in pieces:
+        if isinstance(piece, str):
+            yield piece
+        else:
+            yield from piece
+
+
 def _csv_pieces(rows):
     rows = np.asarray(rows, dtype=float)
     if not rows.size:
         return ["\n" * rows.shape[0]]
     seps = (",",) * (rows.shape[1] - 1) + ("\n",)
-    return [*_float_chunks(rows.ravel(), seps), "\n"]
+    return [_lazy_chunks(rows.ravel(), seps), "\n"]
 
 
 def fmt_csv_rows(rows):
     """Comma separated 17-digit lines, one per row of a 2-D float array."""
-    return "".join(_csv_pieces(rows))
+    return "".join(_strings(_csv_pieces(rows)))
 
 
 def _emit(obj, indent, out):
     """Append the JSON text of obj, nested indent levels deep, to the list
-    of strings out."""
+    of pieces out: strings, and the lazy pieces of float arrays."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -366,8 +389,8 @@ def _emit(obj, indent, out):
             return
         out.append("[\n" + inner)
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-            out.extend(_float_chunks(obj.astype(float, copy=False),
-                                     (",\n" + inner,)))
+            out.append(_lazy_chunks(obj.astype(float, copy=False),
+                                    (",\n" + inner,)))
         else:
             for i, v in enumerate(obj):
                 if i:
@@ -387,19 +410,19 @@ def _json_pieces(obj):
 
 def dumps_json(obj):
     """JSON text with floats at 17 significant digits, newline terminated."""
-    return "".join(_json_pieces(obj))
+    return "".join(_strings(_json_pieces(obj)))
 
 
 def _write_pieces(pieces, path):
-    """Write the strings pieces one after another to the file at path, or
-    to stdout for None or "-"."""
+    """Write the strings of pieces one after another to the file at path,
+    or to stdout for None or "-"."""
     if path is None or path == "-":
-        for piece in pieces:
+        for piece in _strings(pieces):
             sys.stdout.write(piece)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            fh.writelines(_strings(pieces))
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 

@@ -21,8 +21,10 @@ takes four steps.
 Sample. [s_lo, s_hi] runs from where the potential is at least 1 to where
 the Cartan angle passes the last window. M is evaluated at N + 1 Chebyshev
 points of it through the batched kernel (integrate.monodromies), in batches
-of at most DEFAULT_STEPS // steps members, the most that the pooled
-workspace holds; each result is bit for bit that of its own monodromy call.
+of at most DEFAULT_STEPS // steps members; each result is bit for bit that
+of its own monodromy call. The batch size is a cache choice: on a shared
+2-vCPU Xeon, 64 Mathieu-line members at 4096 steps took 37 ms in batches of
+4 and 49 ms in one batch of 64.
 
 Fit. s -> M(s) is entire, so each entry's Chebyshev coefficients decay
 faster than geometrically (Trefethen, Approximation Theory and
@@ -167,8 +169,8 @@ class _LineScan:
     steps; each s then costs one array operation, q0 - s * qplus, on those
     samples, which gives the same values as evaluating the line there.
     evaluate() runs the values of s it has not seen in kernel batches of at
-    most `batch` members, as many as the pooled workspace holds at these
-    steps; each result is bit for bit that of its own monodromy call.
+    most `batch` members, DEFAULT_STEPS member-steps, whose workspace stays
+    in cache; each result is bit for bit that of its own monodromy call.
     """
 
     def __init__(self, q0, qplus, steps):

@@ -29,10 +29,10 @@ from hillmono import (
 )
 from hillmono.cli import main
 from hillmono.cover import _arg_change
-from hillmono.integrate import (DEFAULT_STEPS, MIN_STEPS, STEP_ANGLE_LIMIT,
-                                _blocked_scan, _one, _propagate, _scan_size,
-                                _transfer, _Workspace, monodromies,
-                                sample_times)
+from hillmono.integrate import (CHUNK, DEFAULT_STEPS, MIN_STEPS,
+                                STEP_ANGLE_LIMIT, _blocked_scan, _one,
+                                _propagate, _scan_size, _steps, _transfer,
+                                _Workspace, monodromies, sample_times)
 from oracles import blocked_scan, row_turns
 
 TAU = math.tau
@@ -178,6 +178,15 @@ def _spy_scaled_wronskian(monkeypatch):
     return seen
 
 
+def _wronskian_gate(nodes, ws):
+    """The Wronskian gate alone on the (k, 4, n + 1) node entries: raises
+    its refusal, as a run of those nodes does."""
+    integ = importlib.import_module("hillmono.integrate")
+    gates = integ._Gates(len(nodes), nodes.shape[-1] - 1)
+    gates.wronskian(integ._check_wronskian(nodes, ws))
+    gates.refuse()
+
+
 def _nodes_with(*node):
     """Node entries of a batch of one, (1, 4, 17): identity matrices, then
     the given entries."""
@@ -206,7 +215,7 @@ def test_rounding_of_large_entries_is_accepted_by_the_scaled_test(
     a, b = 2.0 ** 22, 2.0 ** 22
     c, d = 2.0 ** 22 - 2.0 ** -22, 2.0 ** 22 + 2.0 ** -30
     assert a * d - b * c - 1.0 == 2.0 ** -8
-    integ._check_wronskian(_nodes_with(a, b, c, d), _Workspace(16))
+    _wronskian_gate(_nodes_with(a, b, c, d), _Workspace(16))
     assert seen == [(1, 4, 17)]
 
 
@@ -219,7 +228,7 @@ def test_small_drift_is_refused_by_the_scaled_test(monkeypatch):
     for nodes in (drifted, np.concatenate([_nodes_with(1, 0, 0, 1), drifted])):
         with pytest.raises(NumericalInvariantError,
                            match=r"^Wronskian drift 5\.000e-06; increase steps$"):
-            integ._check_wronskian(nodes, _Workspace(16, 2))
+            _wronskian_gate(nodes, _Workspace(16, 2))
     assert seen == [(1, 4, 17), (2, 4, 17)]
 
 
@@ -237,7 +246,7 @@ def test_squared_overflow_goes_to_the_scaled_test_without_warnings(
         nodes = _nodes_with(1e200, 1e200, 1e200, 1e200 * (1.0 + 1e-9))
         with pytest.raises(NumericalInvariantError,
                            match=r"^Wronskian drift \d\.\d{3}e-\d\d \* 4\*\*664;"):
-            integ._check_wronskian(nodes, _Workspace(16))
+            _wronskian_gate(nodes, _Workspace(16))
 
 
 def test_solution_winding_closed_forms():
@@ -590,7 +599,8 @@ _wide = st.floats(-30.0, 30.0)
 @example([15.0], [], -5.0, 1024)
 def test_theta_steps_match_the_integrated_row_angles(cos, sin, const, steps):
     q = Potential.trig_poly(cos, sin, constant_term=const)
-    t, nodes = _propagate(_one(q), steps, _Workspace(steps))
+    ws = _Workspace(steps)
+    t, nodes = _propagate(_steps(_one(q, steps, ws), TAU / steps, ws), ws)
     turns = row_turns(t[0], nodes[0])
     worst = float(np.abs(turns).max())
     if worst < STEP_ANGLE_LIMIT - 1e-9:
@@ -631,8 +641,7 @@ def test_pooled_monodromy_matches_a_cold_call_and_the_path(steps):
     q = _mild(steps)
     _pool().clear()
     cold = monodromy(q, steps)
-    assert [ws.steps for ws in _pool()] == \
-        ([steps] if steps <= DEFAULT_STEPS else [])
+    assert [ws.steps for ws in _pool()] == [min(steps, CHUNK)]
     # Leave other values in the pooled buffers, then reuse them.
     monodromy(Potential.constant(0.0), steps)
     warm = monodromy(q, steps)
@@ -824,3 +833,121 @@ def test_cold_scaled_wronskian_calls_peak_no_higher_than_before():
     for run, before in zip((monodromy, integrate), _SCALED_PEAKS):
         _pool().clear()
         assert _peak(lambda: run(q, 16384)) <= before
+
+
+# Runs longer than CHUNK go chunk by chunk, each from the last node and
+# omega of the chunk before. Every member of a batch is bit for bit its own
+# call and the endpoint of integrate's path, on either side of one chunk
+# and past several, the last one partial.
+@pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+def test_chunked_members_match_their_own_calls_and_the_path(steps):
+    q = _mild(steps)
+    tt = sample_times(steps)
+    rows = np.array([q(tt), q(tt) + 0.05])
+    batch = monodromies(rows, steps)
+    path = integrate(q, steps)
+    end = CoverElement(path.mats[-1], path.omega[-1])
+    for row, got in zip(rows, batch):
+        assert _bits(*got) == _bits(*monodromy(lambda t, r=row: r, steps))
+    assert _bits(*batch[0]) == _bits(end, to_right_iwasawa(end).theta)
+
+
+def _with_chunk(monkeypatch, chunk):
+    """The kernel with CHUNK set to chunk, on workspaces made for it."""
+    integ = importlib.import_module("hillmono.integrate")
+    monkeypatch.setattr(integ, "CHUNK", chunk)
+    _pool().clear()
+
+
+# The chunks' scans give every bit of one scan of the whole run: with
+# chunks of one block, so that every level of the scan but the first takes
+# its entries one chunk at a time, of BLOCK ** 2 steps, and of CHUNK.
+@pytest.mark.parametrize("chunk, steps", [(32, 1000), (32, 40000),
+                                          (1024, 40000), (CHUNK, 3 * CHUNK + 17)])
+def test_chunked_paths_match_one_pass_bits(monkeypatch, chunk, steps):
+    q = Potential.trig_poly([0.3, 0.2], [0.1], constant_term=-1.0)
+    t = _transfer_of(q(sample_times(steps)), TAU / steps)
+    want = blocked_scan(t)
+    want[::3] += 1.0
+    whole = integrate(q, steps)
+    _with_chunk(monkeypatch, chunk)
+    try:
+        path = integrate(q, steps)
+    finally:
+        _pool().clear()
+    assert path.mats[1:].transpose(1, 2, 0).tobytes() == \
+        want.reshape(2, 2, -1).tobytes()
+    for a, b in ((path.mats, whole.mats), (path.omega, whole.omega),
+                 (path.theta, whole.theta)):
+        assert a.tobytes() == b.tobytes()
+
+
+def _refusal(run):
+    with pytest.raises(NumericalInvariantError) as info:
+        run()
+    return str(info.value)
+
+
+# A failure that lies only in a later chunk is refused with the message of
+# one pass over the whole run: a 2 pi slip of omega in the second chunk,
+# which the theta gate sees, and a Wronskian drift at the last node.
+@pytest.mark.parametrize("at", [CHUNK, CHUNK + 5000, 2 * CHUNK - 1])
+def test_a_slip_in_a_later_chunk_is_refused_as_in_one_pass(monkeypatch, at):
+    integ = importlib.import_module("hillmono.integrate")
+
+    def slipped(*args, original=integ._column_turns):
+        turns = original(*args)
+        lo = args[5]
+        if lo <= at < lo + turns.shape[1]:
+            turns[:, at - lo] += TAU
+        return turns
+
+    monkeypatch.setattr(integ, "_column_turns", slipped)
+    steps = 3 * CHUNK + 17
+    q = _mild(steps)
+    runs = (lambda: integrate(q, steps), lambda: monodromy(q, steps),
+            lambda: solution_winding(q, 0.3, steps))
+    chunked = [_refusal(run) for run in runs]
+    _with_chunk(monkeypatch, steps)
+    try:
+        whole = [_refusal(run) for run in runs]
+    finally:
+        _pool().clear()
+    assert chunked == whole
+    assert re.match(r"angle change 6\.\d+e\+00 in one step", chunked[0])
+
+
+def test_a_drift_in_the_last_chunk_is_refused_as_in_one_pass(monkeypatch):
+    integ = importlib.import_module("hillmono.integrate")
+
+    steps = 3 * CHUNK + 17
+
+    def planted(*args, original=integ._propagate):
+        t, nodes = original(*args)
+        if t.shape[-1] in (steps % CHUNK, steps):  # the run's last chunk
+            nodes[0, 0, -1] *= 1.0 + 1e-5
+        return t, nodes
+
+    monkeypatch.setattr(integ, "_propagate", planted)
+    q = _mild(steps)
+    chunked = _refusal(lambda: monodromy(q, steps))
+    # One pass of the same run, its last node planted alike.
+    monkeypatch.setattr(integ, "CHUNK", 4 * CHUNK)
+    _pool().clear()
+    try:
+        whole = _refusal(lambda: monodromy(q, steps))
+    finally:
+        _pool().clear()
+    assert chunked == whole
+    assert re.match(r"^Wronskian drift \d\.\d{3}e-05; increase steps$", chunked)
+
+
+# A warm endpoint call past one chunk holds the sample times and the
+# samples, and besides them only a workspace for one chunk, which the pool
+# keeps: what it allocates does not grow with the steps.
+@pytest.mark.parametrize("steps", [262144, 1048576])
+def test_a_warm_long_monodromy_call_allocates_little_but_its_samples(steps):
+    q = Potential.constant(-1.0)
+    monodromy(q, steps)
+    samples = 8 * (2 * steps + 1)
+    assert _peak(lambda: monodromy(q, steps)) <= 2 * samples + 512 * 1024
