@@ -76,9 +76,12 @@ is its node 0, so the column and theta step gates and the Wronskian gate
 still see every step and every node. The gates measure each chunk and
 decide once the run is over, so a refusal is the one a single pass over
 the whole run raises, with the same message (see _Gates). The scan of a
-chunk takes what it needs of the chunks before it from a _Carry, which
-keeps the composition tree of one blocked scan of the whole run; so every
-bit of a chunked run is that of one pass.
+chunk is the blocked scan started from that node, as P - I: every level
+scans its block totals from it, and composes the chunk's first block with
+it. A run of at most CHUNK steps keeps every bit of one pass. A longer
+one adds one composition with the carried node a chunk, so its rounding
+grows linearly in the chunks, at most 128, and stays far below the
+Runge-Kutta error at those step counts.
 
 The kernel writes every intermediate into a workspace made for the steps
 n of one chunk, at most CHUNK, and up to k members: t, the entries of
@@ -99,21 +102,23 @@ give with temporaries.
 
 Nothing of a monodromy, monodromies or solution_winding call escapes but
 its endpoints, so those calls take their workspace from a pool and give it
-back: one idle workspace is kept, about 16.7 doubles a step and member of
-a chunk, 4.4 MB for one member at CHUNK steps. A workspace serves any batch
-up to its k at its chunk length, through prefix views of its buffers. A
-workspace is out of the pool while a call uses it, so threads, and a
-potential that itself calls monodromy, each run on their own buffers.
-integrate takes its workspace from the pool too. Its path of one chunk
-takes the workspace's node entries and windings, so they are never shared;
-a longer path is allocated whole, and each chunk is copied into it.
+back if it holds at most CHUNK member-steps, as every batch of a spectrum
+scan does: one idle workspace is kept, about 16.7 doubles a member-step,
+at most 4.4 MB. A workspace serves any batch up to its k at its chunk
+length, through prefix views of its buffers. A workspace is out of the
+pool while a call uses it, so threads, and a potential that itself calls
+monodromy, each run on their own buffers. A larger batch makes its own,
+which is let go with the call. integrate takes its workspace from the
+pool too. Its path of one chunk takes the workspace's node entries and
+windings, so they are never shared; a longer path is allocated whole,
+and each chunk is copied into it.
 """
 
 import contextlib
 import functools
 import math
 import threading
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -148,10 +153,10 @@ FLOAT_LANES = 9
 # written.
 COPY_BLOCKS = 512
 # Steps per chunk: a longer run is integrated CHUNK steps at a time, in a
-# workspace for CHUNK steps. A power of BLOCK, so that a chunk begins a
-# block at every level of the scan (see _Carry). On a shared 2-vCPU Xeon,
-# one warm monodromy call took 109 ns a step at 32768 steps, 119 at 16384
-# and 128 to 146 from 65536 steps up.
+# workspace for CHUNK steps, each chunk scanned from the last node of the
+# one before. Any length serves; past one chunk, the bits of a run depend
+# on it. On a shared 2-vCPU Xeon, one warm monodromy call took 109 ns a
+# step at 32768 steps, 119 at 16384 and 128 to 146 from 65536 steps up.
 CHUNK = BLOCK ** 3
 
 
@@ -225,7 +230,8 @@ _idle_lock = threading.Lock()
 @contextlib.contextmanager
 def _workspace(steps, members=1):
     """A workspace for `members` potentials at `steps` steps, in chunks of
-    at most CHUNK, out of the pool while the block runs."""
+    at most CHUNK, out of the pool while the block runs; it goes back if it
+    holds at most CHUNK member-steps."""
     steps = min(steps, CHUNK)
     with _idle_lock:
         ws = _idle.pop() if _idle else None
@@ -234,8 +240,9 @@ def _workspace(steps, members=1):
     try:
         yield ws
     finally:
-        with _idle_lock:
-            _idle[:] = [ws]
+        if ws.members * ws.steps <= CHUNK:
+            with _idle_lock:
+                _idle[:] = [ws]
 
 
 def sample_times(steps):
@@ -340,8 +347,9 @@ def _carried(x, y, i, c, ef):
 
     x, (BLOCK, 2, 2, k, b), holds the entries of X - I, the in-block
     products of b blocks of k members; y, (2, 2, k, b), those of Y - I,
-    each block's predecessor total, broadcast across its steps; ef is
-    scratch holding two entries of x. x and y are left as they were.
+    each block's predecessor (the totals before it, or the scan's start),
+    broadcast across its steps; ef is scratch holding two entries of x. x
+    and y are left as they were.
     """
     e, f = ef
     np.multiply(x[:, i].swapaxes(0, 1), y[:, c, None], out=ef)
@@ -350,16 +358,16 @@ def _carried(x, y, i, c, ef):
     return e
 
 
-def _scan_floats(steps, out, initial=None):
+def _scan_floats(steps, out, starts=None):
     """out <- the running products of the steps, in Python floats.
 
     steps and out are (lanes, count, 4) views, each lane scanned on its
-    own; with initial, the first step of a lane is composed onto it, as a
-    lone block is.
+    own; with starts, the first step of lane i is composed onto starts[i],
+    as a lone block is.
     """
-    skip = initial is not None
-    scans = (list(accumulate(lane, _compose, initial=initial))[skip:]
-             for lane in steps.tolist())
+    skip = starts is not None
+    scans = (list(accumulate(lane, _compose, initial=start))[skip:]
+             for lane, start in zip(steps.tolist(), starts or repeat(None)))
     out[...] = np.fromiter(chain.from_iterable(chain.from_iterable(scans)),
                            float, out.size).reshape(out.shape)
 
@@ -372,118 +380,54 @@ def _block_view(a, lo, hi):
                                                 ).transpose(4, 1, 2, 0, 3)
 
 
-def _scan_size(n, every=False):
+def _scan_size(n, start=False):
     """Doubles of scratch that _blocked_scan takes for n steps of one
-    member: the round-major copy, the block totals' results, and the larger
-    of the carry products and the totals' own scan; with every, as a chunk
-    of a longer run, which scans every block total. A batch takes as many
-    times that as it has members."""
+    member: the round-major copy, each block's predecessor, and the larger
+    of the carry products and the totals' own scan; with start, as a chunk
+    scanned from a start, which adds the first block's predecessor at every
+    level. A batch takes as many times that as it has members."""
     if n <= BLOCK:
         return 0
     m = -(-n // BLOCK)
-    totals = m if every else m - 1
-    return (4 * BLOCK * m + 4 * (totals + every)
-            + max(2 * BLOCK * (m - 1 + every), _scan_size(totals, every)))
+    width = m - 1 + start
+    return (4 * BLOCK * m + 4 * width
+            + max(2 * BLOCK * width, _scan_size(m - 1, start)))
 
 
-class _Carry:
-    """What the scan of a chunk takes from the chunks before it.
-
-    A run longer than CHUNK is scanned chunk by chunk, and every result is
-    bit for bit that of one _blocked_scan of the whole run. That scan
-    composes the first block of each level with the result of the level
-    above at the entry before the block, and the results of its top level,
-    the first of at most BLOCK entries, onto the identity. A chunk begins a
-    block at every level, and its own levels end in one block, whose total
-    is the next entry of the level above. So a chunk's scan needs out[l],
-    the (4, k) result of each level l >= 1 at the entry before the chunk.
-    Each chunk's scan leaves those of its own levels here, and push scans
-    the levels above, one entry a chunk, keeping the product of each one's
-    open block. node is the last node of the chunk before, as P - I.
-    """
-
-    __slots__ = ("top", "out", "open", "node")
-
-    def __init__(self, steps):
-        top, size = 0, steps
-        while size > BLOCK:  # the levels of one scan of the whole run
-            size = -(-size // BLOCK) - 1
-            top += 1
-        self.top, self.out, self.open, self.node = top, {}, {}, 0.0
-
-    def start(self, level):
-        """The initial of _scan_floats at this level: the identity at the
-        top level, else none."""
-        return (0.0,) * 4 if level == self.top else None
-
-    def push(self, level, x):
-        """Scan x, the (4, k) next entry of level; its result goes to
-        out[level]."""
-        run, count = self.open.get(level, (None, 0))
-        if run is None:
-            start = self.start(level)
-            run = x if start is None else np.array(_compose(start, x))
-        else:
-            run = np.array(_compose(run, x))
-        above = self.out.get(level + 1)  # this block's carry
-        self.out[level] = (run if above is None
-                           else np.array(_compose(above, run)))
-        count += 1
-        if count == BLOCK:
-            self.push(level + 1, run)
-            run, count = None, 0
-        self.open[level] = (run, count)
-
-
-def _blocked_scan(t, out, scratch, carry=None, level=0):
-    """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
+def _blocked_scan(t, out, scratch, start=None):
+    """Entries of P_i - I, P_i = T_i ... T_0 S, from those of T_i - I.
 
     Both are (k, 4, n) arrays of k members, each scanned on its own; t is
     left as it was, and the result goes to out (rows contiguous), which is
-    returned. A single block is scanned step by step from the identity.
-    Longer runs are copied round-major into the scratch, of at least k
-    _scan_size(n) doubles, as p[j, :, :, i, b] = step b BLOCK + j of member
-    i, padded with identity steps only when BLOCK does not divide n. Round j
-    of the scans inside the blocks then composes the contiguous slab p[j]
-    onto p[j - 1], for every block of every member at once; the block totals
-    p[-1] are scanned by the same function as a batch, and each block's
-    predecessor total is composed into it. With fewer than FLOAT_LANES
-    blocks in all, the scans inside the blocks run in Python floats instead,
-    where numpy's per-call cost would exceed the work. The composition tree,
-    and so every bit of each member's result, is the same either way, and
-    the same as for that member alone.
-
-    With carry, t is a chunk of a longer run at this level of its scan (see
-    _Carry): the first block is composed with the level above's result
-    before the chunk, every block total is scanned, and the results the
-    next chunk needs are left in carry.
+    returned. S is the identity, or with start, (k, 4), the matrix whose
+    entries of S - I start holds for each member. A single block is scanned
+    step by step from S. Longer runs are copied round-major into the
+    scratch, of at least k _scan_size(n, start is not None) doubles, as
+    p[j, :, :, i, b] = step b BLOCK + j of member i, padded with identity
+    steps only when BLOCK does not divide n. Round j of the scans inside
+    the blocks then composes the contiguous slab p[j] onto p[j - 1], for
+    every block of every member at once; the block totals p[-1] but the
+    last are scanned by the same function as a batch, from S, and each
+    block is composed with its predecessor: the total before it, or S for
+    the first block, which without start is left as it is. With fewer than
+    FLOAT_LANES blocks in all, the scans inside the blocks run in Python
+    floats instead, where numpy's per-call cost would exceed the work. The
+    composition tree, and so every bit of each member's result, is the same
+    either way, and the same as for that member alone.
     """
     k, _, n = t.shape
     if n <= BLOCK:
-        if carry is None:
-            _scan_floats(t.transpose(0, 2, 1), out.transpose(0, 2, 1),
-                         initial=(0.0,) * 4)
-            return out
         _scan_floats(t.transpose(0, 2, 1), out.transpose(0, 2, 1),
-                     initial=carry.start(level))
-        total = out[..., -1].T.copy()
-        before = carry.out.get(level + 1)
-        if before is not None:
-            rows = out.swapaxes(0, 1)
-            rows[...] = _compose(before[:, :, None], rows)
-        if level:
-            carry.out[level] = out[..., -1].T.copy()
-        carry.push(level + 1, total)
+                     [(0.0,) * 4] * k if start is None else start.tolist())
         return out
     m = -(-n // BLOCK)
     full, part = divmod(n, BLOCK)
-    # The totals' results, after a slot for the first block's carry in a
-    # chunk: each block is composed with the entry before its own.
-    every = carry is not None
-    totals = m if every else m - 1
+    # Blocks first to m - 1 are composed with their predecessors, held in
+    # before: S, with start, then the scanned totals.
+    first = int(start is None)
+    width = m - first
     size = 4 * BLOCK * k * m
     p = scratch[:size].reshape(BLOCK, 2, 2, k, m)
-    width = totals + every
     before = scratch[size:size + 4 * k * width].reshape(k, 4, width)
     rest = scratch[size + 4 * k * width:]
     by_entry = p.reshape(BLOCK, 4, k, m)
@@ -503,26 +447,20 @@ def _blocked_scan(t, out, scratch, carry=None, level=0):
         ef = rest[:8 * k * m].reshape(2, 2, 2, k, m)
         for j in range(1, BLOCK):
             _compose_into(p[j], p[j - 1], ef)
-    first = carry.out.get(level + 1) if every else None
-    _blocked_scan(p[-1, ..., :totals].transpose(2, 0, 1, 3).reshape(k, 4, totals),
-                  before[..., every:], rest, carry, level + 1)
-    if first is None:
+    _blocked_scan(p[-1, ..., :m - 1].transpose(2, 0, 1, 3).reshape(k, 4, m - 1),
+                  before[..., 1 - first:], rest, start)
+    if start is None:
         _block_view(out, 0, 1)[...] = p[..., :1]
-        lo = 1
     else:
-        before[..., 0] = first.T
-        lo = 0
-    y = before.reshape(k, 2, 2, width).transpose(1, 2, 0, 3)[
-        ..., every + lo - 1:every + m - 1]
-    ef = rest[:2 * BLOCK * k * (m - lo)].reshape(2, BLOCK, k, m - lo)
-    whole = _block_view(out, lo, full)
+        before[..., 0] = start
+    y = before.reshape(k, 2, 2, width).transpose(1, 2, 0, 3)
+    ef = rest[:2 * BLOCK * k * width].reshape(2, BLOCK, k, width)
+    whole = _block_view(out, first, full)
     for i, c in np.ndindex(2, 2):
-        entry = _carried(p[..., lo:], y, i, c, ef)
-        whole[:, i, c] = entry[..., :full - lo]
+        entry = _carried(p[..., first:], y, i, c, ef)
+        whole[:, i, c] = entry[..., :full - first]
         if part:  # the last block, of part steps
             out[:, 2 * i + c, full * BLOCK:] = entry[:part, :, -1].T
-    if every and level:
-        carry.out[level] = out[..., -1].T.copy()
     return out
 
 
@@ -629,19 +567,20 @@ def _steps(qq, h, ws):
                          ws.free[2 * n + 1:2 * n + 1 + 2 * size].reshape(2, k, n))
 
 
-def _propagate(t, ws, carry=None):
-    """t, the entries (k, 4, n) of T - I of a chunk, and the entries of Phi
-    at its nodes, (k, 4, n + 1) in the workspace ws. The first node is the
-    identity, or with carry the last node of the chunk before."""
+def _propagate(t, ws, start=None):
+    """t, the entries (k, 4, n) of T - I of a chunk; the entries of Phi at
+    its nodes, (k, 4, n + 1) in the workspace ws; and the (k, 4) entries of
+    Phi - I at its last node, the start of the next chunk. The first node
+    is the identity, or with start the matrix whose entries of Phi - I
+    start holds, the last node of the chunk before."""
     k, _, n = t.shape
     nodes = ws.output_views(k, n)[0]
-    nodes[..., 0] = 0.0 if carry is None else carry.node
+    nodes[..., 0] = 0.0 if start is None else start
     with np.errstate(over="ignore", invalid="ignore"):
-        _blocked_scan(t, nodes[..., 1:], ws.free, carry)
-    if carry is not None:
-        carry.node = nodes[..., -1].copy()
+        _blocked_scan(t, nodes[..., 1:], ws.free, start)
+    last = nodes[..., -1].copy()  # before the diagonal is rounded against 1
     nodes[:, ::3] += 1.0  # the diagonal entries a and d
-    return t, nodes
+    return t, nodes, last
 
 
 def _scale(x, y, out, tmp):
@@ -795,15 +734,14 @@ def _windings(sample, steps, ws, path=None):
     if not _all_finite(qq):
         raise DomainError("potential evaluation must give finite values")
     k = len(qq)
-    gates = None
-    carry = _Carry(steps) if steps > CHUNK else None
+    gates = start = None
     end = 0.0  # omega at the chunk's first node
     for lo in range(0, steps, CHUNK):
         n = min(CHUNK, steps - lo)
         t = _steps(qq[:, 2 * lo:2 * (lo + n) + 1], TAU / steps, ws)
         if lo + n == steps:
             del qq
-        t, nodes = _propagate(t, ws, carry)
+        t, nodes, start = _propagate(t, ws, start)
         if gates is None:  # made past the first scan, where a run peaks
             gates = _Gates(k, steps)
         gates.nodes(nodes)

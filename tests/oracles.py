@@ -144,17 +144,19 @@ def _compose(x, y):
             xc + yc + (xc * ya + xd * yc), xd + yd + (xc * yb + xd * yd))
 
 
-def blocked_scan(t):
-    """Entries of P_i - I, P_i = T_i ... T_0, from those of T_i - I.
+def blocked_scan(t, start=None):
+    """Entries of P_i - I, P_i = T_i ... T_0 S, from those of T_i - I.
 
-    Both are (4, n) arrays. A single block is scanned step by step; longer
-    runs go through the blocked scan with the block totals scanned by the
-    same function.
+    Both are (4, n) arrays; S is the identity, or the matrix whose entries
+    of S - I the 4 values start holds. A single block is scanned step by
+    step from S; longer runs go through the blocked scan with the block
+    totals scanned by the same function, from S, and with start the first
+    block composed with S.
     """
     n = t.shape[1]
     if n <= BLOCK:
         out = np.empty_like(t)
-        e = (0.0, 0.0, 0.0, 0.0)
+        e = (0.0, 0.0, 0.0, 0.0) if start is None else tuple(start)
         for i, step in enumerate(zip(*t.tolist())):
             e = _compose(step, e)
             out[:, i] = e
@@ -166,8 +168,24 @@ def blocked_scan(t):
     p = np.ascontiguousarray(padded.reshape(4, m, BLOCK).transpose(0, 2, 1))
     for j in range(1, BLOCK):
         p[:, j] = _compose(p[:, j], p[:, j - 1])
-    p[:, :, 1:] = _compose(p[:, :, 1:], blocked_scan(p[:, -1, :-1])[:, None])
+    if start is None:
+        p[:, :, 1:] = _compose(p[:, :, 1:], blocked_scan(p[:, -1, :-1])[:, None])
+    else:
+        before = np.column_stack([start, blocked_scan(p[:, -1, :-1], start)])
+        p[...] = _compose(p, before[:, None])
     return p.transpose(0, 2, 1).reshape(4, m * BLOCK)[:, :n]
+
+
+def chunked_scan(t, chunk):
+    """blocked_scan of the (4, n) entries t, chunk steps at a time, each
+    chunk from the last column of the one before."""
+    out = np.empty_like(t)
+    start = None
+    for lo in range(0, t.shape[1], chunk):
+        part = blocked_scan(t[:, lo:lo + chunk], start)
+        out[:, lo:lo + part.shape[1]] = part
+        start = part[:, -1]
+    return out
 
 
 # The swept-time inversion of hillmono.kepler as it was before later sweeps
